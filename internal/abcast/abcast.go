@@ -4,12 +4,36 @@
 //
 // Architecture: every process diffuses its payloads to everybody
 // (reliable-link flooding); a sequence of consensus instances 0,1,2,...
-// decides, per slot, which pending message comes next. The Ω leader proposes
-// the smallest unsequenced pending message for the next free slot; any
+// decides, per slot, which message comes next, one message per slot. Any
 // decided slot is delivered in slot order once its content is known.
-// Duplicate sequencing (two leaders racing the same message into two slots)
-// is resolved at delivery time: a slot whose message was already delivered
-// is skipped.
+//
+// Sequencing is event-driven. Each member keeps a pending index: the keys
+// whose content arrived here before any slot was decided for them, in
+// arrival order. A stable Ω leader — the oracle names it now and named it
+// at its previous propose tick — proposes a new content into the next free
+// slot the moment it arrives, so a healthy lane commits in one consensus
+// round trip and never waits for a timer. The propose tick is the
+// retransmit path: every member's tick drops the sequenced entries from the
+// pending index, and the leader's tick proposes what is left, except the
+// keys it proposed on arrival since the previous tick (their ballot is
+// still in flight). That covers keys that arrived while this process was
+// not leader, keys whose slot another leader's value won, and the first
+// broadcasts of a cold lane. Both paths take pending keys in arrival order
+// from a slice — never from a map walk — so same-seed runs propose in the
+// same order.
+//
+// The stability condition is what keeps a fresh or flapping leader on the
+// tick. A restarted incarnation's delivery cursor is back at zero and its
+// oracle may name the process itself for a moment before it has heard
+// anyone; proposing on arrival in that state opens slot 0, learns an old
+// decision whose content was diffused to the previous incarnation only,
+// and wedges the lane behind a slot it can never deliver. One full tick of
+// confirmed leadership costs a cold lane at most one period and rules that
+// out.
+//
+// Duplicate sequencing (two leaders racing the same message into two slots,
+// or a retransmit overtaking a slow ballot) is resolved at delivery time: a
+// slot whose message was already delivered is skipped.
 //
 // Properties (checked by the tests):
 //   - Validity: a delivered message was broadcast by some process.
@@ -29,7 +53,7 @@ import (
 	"repro/internal/wire"
 )
 
-// timerPropose drives the sequencing duty cycle.
+// timerPropose drives the retransmit and compaction tick.
 const timerPropose proc.TimerKey = 0
 
 // rediffuseAfter is how many propose ticks one of this process's own
@@ -57,7 +81,12 @@ type Config struct {
 	// Oracle is the Ω leader hint (shared with the consensus lane).
 	Oracle func() proc.ID
 
-	// ProposePeriod is the sequencing duty-cycle period. 0 means 50ms.
+	// ProposePeriod is the retransmit and compaction period: how often
+	// every member drops sequenced keys from its pending index and the
+	// leader proposes the ones still unsequenced. It bounds how long a key
+	// that missed the propose-on-arrival path (no stable leader yet, or its
+	// slot went to another value) waits for a slot; a stable leader's
+	// commit latency does not depend on it. 0 means 50ms.
 	ProposePeriod time.Duration
 
 	// OnDeliver, when non-nil, observes every delivery in order.
@@ -100,10 +129,20 @@ type Node struct {
 	sequenced   map[int64]bool  // keys decided into some slot
 	delivered   map[int64]bool  // keys already delivered
 	decisions   map[int64]int64 // slot -> key
+	pending     []pendingKey    // unsequenced keys with known content, in arrival order
+	ledLastTick bool            // the oracle named this process at its previous tick
 	nextDeliver int64           // next slot to deliver
 	nextPropose int64           // next slot this process will propose for
 	log         []Delivery
 	crashed     bool
+}
+
+// pendingKey is one entry of the pending index. inFlight marks a key this
+// process proposed on arrival since its last tick: the next tick leaves that
+// ballot alone and clears the mark, so the tick after it retransmits.
+type pendingKey struct {
+	key      int64
+	inFlight bool
 }
 
 // NewPair builds the broadcast node together with its dedicated consensus
@@ -208,10 +247,17 @@ func (n *Node) OnMessage(from proc.ID, msg any) {
 		return
 	}
 	n.contents[k] = m.Payload
+	if !n.sequenced[k] {
+		fast := n.ledLastTick && n.cfg.Oracle() == n.env.ID()
+		n.pending = append(n.pending, pendingKey{key: k, inFlight: fast})
+		if fast {
+			n.propose(k)
+		}
+	}
 	n.drain()
 }
 
-// OnTimer implements proc.Node: the sequencing duty cycle.
+// OnTimer implements proc.Node: the retransmit and compaction tick.
 func (n *Node) OnTimer(tk proc.TimerKey) {
 	if n.crashed {
 		return
@@ -219,9 +265,8 @@ func (n *Node) OnTimer(tk proc.TimerKey) {
 	if tk != timerPropose {
 		panic(fmt.Sprintf("abcast: unknown timer %d", tk))
 	}
-	if n.cfg.Oracle() == n.env.ID() {
-		n.proposePending()
-	}
+	n.ledLastTick = n.cfg.Oracle() == n.env.ID()
+	n.sweepPending()
 	n.rediffuse()
 	n.env.SetTimer(timerPropose, n.cfg.ProposePeriod)
 }
@@ -258,34 +303,40 @@ func (n *Node) rediffuse() {
 	}
 }
 
-// proposePending pushes unsequenced pending messages into free slots, in
-// deterministic (key) order so that concurrent leaders collide as little as
-// possible.
-func (n *Node) proposePending() {
-	var pending []int64
-	for k := range n.contents {
-		if !n.sequenced[k] && !n.delivered[k] {
-			pending = append(pending, k)
+// sweepPending compacts the pending index in place — a sequenced key never
+// becomes pending again, so its entry is dropped — and, when this tick found
+// the process leader, proposes every remaining key that has no ballot of
+// this tick interval in flight. O(pending), allocation-free.
+func (n *Node) sweepPending() {
+	kept := n.pending[:0]
+	for _, e := range n.pending {
+		if n.sequenced[e.key] {
+			continue
 		}
+		if e.inFlight {
+			e.inFlight = false
+		} else if n.ledLastTick {
+			n.propose(e.key)
+		}
+		kept = append(kept, e)
 	}
-	if len(pending) == 0 {
-		return
-	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
+	n.pending = kept
+}
+
+// propose submits k for the next slot this process has neither proposed for
+// nor seen decided.
+func (n *Node) propose(k int64) {
 	if n.nextPropose < n.nextDeliver {
 		n.nextPropose = n.nextDeliver
 	}
-	for _, k := range pending {
-		// Skip slots already decided locally.
-		for {
-			if _, done := n.decisions[n.nextPropose]; !done {
-				break
-			}
-			n.nextPropose++
+	for {
+		if _, done := n.decisions[n.nextPropose]; !done {
+			break
 		}
-		n.cons.Propose(n.nextPropose, k)
 		n.nextPropose++
 	}
+	n.cons.Propose(n.nextPropose, k)
+	n.nextPropose++
 }
 
 // onDecide is the consensus lane's decision callback.

@@ -203,13 +203,18 @@ func ParseHello(frame []byte) (from, n int, err error) {
 // ReadFrame reads one length-prefixed frame from r into buf (which is grown
 // as needed and reused across calls) and returns the frame bytes
 // [version][kind][body]. Callers pass the previous return value back in as
-// buf to stay allocation-free in steady state.
+// buf to stay allocation-free in steady state: the length prefix is read
+// into buf too (a local array would escape through r and cost one heap
+// object per frame).
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 64)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return buf[:0], err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n < 2 || n > MaxFrame {
 		return buf[:0], fmt.Errorf("%w: length %d", ErrFrame, n)
 	}

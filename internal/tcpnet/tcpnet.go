@@ -394,7 +394,7 @@ func (c *Cluster) linksIdle() bool {
 				return false
 			}
 			l.mu.Lock()
-			pending := len(l.queue)
+			pending := len(l.queue) - l.head
 			l.mu.Unlock()
 			if pending != 0 {
 				return false
@@ -553,8 +553,13 @@ type link struct {
 	c        *Cluster
 	from, to proc.ID
 
+	// queue[head:] are the frames waiting for the writer. pop advances head
+	// and rewinds both to the start of the backing array when the queue
+	// drains, so a link that keeps up reuses one array for ever instead of
+	// reallocating each time append runs off the end of a resliced queue.
 	mu     sync.Mutex
 	queue  []*buffer
+	head   int
 	conn   net.Conn
 	closed bool
 	signal chan struct{}
@@ -581,16 +586,24 @@ func (l *link) enqueue(b *buffer) {
 		b.release()
 		return
 	}
-	if len(l.queue) >= queueCap {
-		old := l.queue[0]
-		copy(l.queue, l.queue[1:])
-		l.queue[len(l.queue)-1] = b
-		l.mu.Unlock()
-		old.release()
+	var evicted *buffer
+	if len(l.queue)-l.head >= queueCap {
+		evicted = l.queue[l.head]
+		l.queue[l.head] = nil
+		l.head++
+	}
+	if l.head > 0 && len(l.queue) == cap(l.queue) {
+		// Out of room behind a consumed prefix: slide the live frames down
+		// rather than let append grow the array.
+		n := copy(l.queue, l.queue[l.head:])
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, b)
+	l.mu.Unlock()
+	if evicted != nil {
+		evicted.release()
 		l.c.countDropped()
-	} else {
-		l.queue = append(l.queue, b)
-		l.mu.Unlock()
 	}
 	select {
 	case l.signal <- struct{}{}:
@@ -606,10 +619,12 @@ func (l *link) pop() (*buffer, bool) {
 			l.mu.Unlock()
 			return nil, false
 		}
-		if len(l.queue) > 0 {
-			b := l.queue[0]
-			l.queue[0] = nil
-			l.queue = l.queue[1:]
+		if l.head < len(l.queue) {
+			b := l.queue[l.head]
+			l.queue[l.head] = nil
+			if l.head++; l.head == len(l.queue) {
+				l.queue, l.head = l.queue[:0], 0
+			}
 			// Marked before the queue slot is visibly empty (still under
 			// mu), so Drain never sees "empty queue, nothing in flight"
 			// while a frame is in hand.
@@ -633,8 +648,8 @@ func (l *link) close() {
 		return
 	}
 	l.closed = true
-	queue := l.queue
-	l.queue = nil
+	queue := l.queue[l.head:]
+	l.queue, l.head = nil, 0
 	conn := l.conn
 	l.conn = nil
 	l.mu.Unlock()

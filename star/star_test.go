@@ -461,6 +461,59 @@ func TestAtomicBroadcastApp(t *testing.T) {
 	}
 }
 
+// TestAtomicBroadcastDeterminism: on the simulated transport the delivery
+// logs are a pure function of (options, seed) — the leader proposes in
+// arrival order from a slice, on arrival and on the tick alike, so two runs
+// of one seed must agree byte for byte, slots included.
+func TestAtomicBroadcastDeterminism(t *testing.T) {
+	run := func() string {
+		c, err := star.New(
+			star.N(5), star.Resilience(2), star.Seed(77),
+			star.Scenario(star.Intermittent(star.Gap(3), star.Center(1), star.CrashAt(0, 3*time.Second))),
+			star.WithAtomicBroadcast(nil),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		const rounds = 40
+		for round := 0; round < rounds; round++ {
+			if err := c.Run(150 * time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < c.N(); p++ {
+				if c.Crashed(p) {
+					continue
+				}
+				if err := c.Broadcast(p, int64(100*round+p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Run(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		for p := 0; p < c.N(); p++ {
+			log := c.Deliveries(p)
+			fromCorrect := 0
+			for _, d := range log {
+				if d.Sender != 0 {
+					fromCorrect++
+				}
+			}
+			if want := rounds * (c.N() - 1); !c.Crashed(p) && fromCorrect != want {
+				t.Fatalf("p%d delivered %d of the %d broadcasts of correct processes", p, fromCorrect, want)
+			}
+			fmt.Fprintf(&out, "p%d %v\n", p, log)
+		}
+		return out.String()
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("same seed, different delivery logs:\n%s\nvs\n%s", a, b)
+	}
+}
+
 // TestAppsRequireOptIn: application methods without the lane error with
 // ErrNoApp.
 func TestAppsRequireOptIn(t *testing.T) {
