@@ -10,10 +10,9 @@ import (
 
 // Faults is the mutable link-fault state a schedule drives: a directed cut
 // matrix, a uniform loss probability, a jitter range, and per-process slow
-// penalties. One value serves every transport — it satisfies tcpnet.Policy,
-// netsim's LinkFault seam, and runtime's fault hook structurally (proc.ID is
-// an int alias), so the same schedule produces the same admit/delay
-// decisions everywhere. Loss and jitter draws come from a seeded
+// penalties. One value serves every transport — it is a proc.LinkFault, the
+// seam netsim, runtime and tcpnet all consult — so the same schedule
+// produces the same admit/delay decisions everywhere. Loss and jitter draws come from a seeded
 // deterministic stream; on the simulated transport, where the draw order is
 // itself deterministic, that makes whole runs replayable.
 //
@@ -172,3 +171,5 @@ func (f *Faults) SetSlow(id int, extra time.Duration) {
 		f.slow[id] = extra
 	}
 }
+
+var _ proc.LinkFault = (*Faults)(nil)

@@ -1,5 +1,5 @@
 // Package chaos turns the repository's individual fault knobs — link cuts
-// and loss (tcpnet.Policy, the netsim link-fault seam), crash/restart churn,
+// and loss (the proc.LinkFault seam), crash/restart churn,
 // and journal I/O faults — into one deterministic, seed-replayable fault
 // timeline that runs identically (in schedule terms) on all three
 // transports. A Schedule is a list of typed, timestamped steps; an

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/host"
 	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -34,7 +35,7 @@ type traceEntry struct {
 // the multicast rewrite.
 func TestMulticastMatchesUnicastLoop(t *testing.T) {
 	const n = 7
-	run := func(multicast bool) ([]traceEntry, Stats) {
+	run := func(multicast bool) ([]traceEntry, host.Stats) {
 		sched := sim.NewScheduler()
 		net, err := New(sched, Config{N: n, Seed: 42, Policy: randomDelay(time.Millisecond, 20*time.Millisecond)})
 		if err != nil {

@@ -56,6 +56,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/host"
 	"repro/internal/proc"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -109,18 +110,6 @@ type Gate interface {
 	OnDelivered(ev *Envelope, now sim.Time) []*Envelope
 }
 
-// Stats aggregates network-level counters. The per-kind counters are fixed
-// arrays indexed by wire.Kind, so Stats is comparable and snapshotting it is
-// a plain value copy.
-type Stats struct {
-	Sent      uint64 // messages handed to the network
-	Delivered uint64 // messages delivered to live processes
-	Dropped   uint64 // messages addressed to crashed processes
-	Bytes     uint64 // encoded size of all sent wire messages
-	ByKind    [wire.KindCount]uint64
-	BytesKind [wire.KindCount]uint64
-}
-
 // Typed event kinds demultiplexed by Network.OnSimEvent.
 const (
 	evDeliver uint8 = iota + 1 // p = *Envelope
@@ -155,8 +144,8 @@ type Network struct {
 	started     []bool
 	preStart    [][]*Envelope // messages arrived before the receiver started
 	nextSeq     uint64
-	stats       Stats
-	churnEpoch  uint64 // bumped on every crash/restart; see ChurnEpoch
+	stats       host.Stats // counted on the event loop, no taps needed
+	churnEpoch  uint64     // bumped on every crash/restart; see ChurnEpoch
 
 	// envFree is the envelope free list; chainBuf is the reusable BFS
 	// queue of deliverChain. Both exist to keep the delivery hot path
@@ -180,24 +169,14 @@ type Network struct {
 	// fault, when non-nil, is the chaos-layer link-fault overlay: it can
 	// refuse sends (cuts, loss) and add latency (jitter, slow nodes) on top
 	// of the scenario's DelayPolicy. See SetLinkFault.
-	fault LinkFault
+	fault proc.LinkFault
 }
 
-// LinkFault is the chaos overlay seam, mirroring tcpnet.Policy: Admit is
-// consulted once per (unicast or multicast-leg) send — a refusal drops the
-// message, counted as sent and dropped exactly like the TCP transport's
-// policy drops — and Delay adds to the scenario policy's draw. With a
-// deterministic implementation the simulation stays a pure function of
-// (scenario, seed, fault schedule).
-type LinkFault interface {
-	Admit(from, to proc.ID) bool
-	Delay(from, to proc.ID) time.Duration
-}
-
-// SetLinkFault installs the chaos fault overlay (nil removes it). Call
-// before the run or from within the event loop; the overlay itself may be
-// mutated at any time.
-func (n *Network) SetLinkFault(f LinkFault) { n.fault = f }
+// SetLinkFault installs the chaos fault overlay (nil removes it): Admit is
+// consulted once per unicast or multicast-leg send and Delay adds to the
+// scenario policy's draw. Call before the run or from within the event loop;
+// the overlay itself may be mutated at any time.
+func (n *Network) SetLinkFault(f proc.LinkFault) { n.fault = f }
 
 // Config assembles a Network.
 type Config struct {
@@ -241,7 +220,7 @@ func (n *Network) N() int { return len(n.nodes) }
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
 
 // Stats returns a snapshot of the network counters.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() host.Stats { return n.stats }
 
 // envBlock is how many envelopes a free-list refill allocates at once. The
 // in-flight population is not bounded — an order adversary can legally hold

@@ -85,6 +85,21 @@ type Crashable interface {
 	OnCrash()
 }
 
+// LinkFault is the fault-injection seam every transport consults on its
+// sending side, once per unicast or multicast leg: a send Admit refuses is
+// dropped — counted sent and dropped, like a message addressed to a crashed
+// process — and Delay holds an admitted one back, on top of whatever delay
+// the transport itself draws. Delayed messages may overtake later ones; the
+// model's links are unordered, so protocols already tolerate that. The
+// wall-clock transports call both methods from many goroutines, so an
+// implementation used there must be safe for concurrent use; with a
+// deterministic implementation a simulation stays a pure function of
+// (scenario, seed, fault schedule).
+type LinkFault interface {
+	Admit(from, to ID) bool
+	Delay(from, to ID) time.Duration
+}
+
 // LeaderOracle is any node exposing an Ω-style leader estimate. The paper's
 // leader() primitive (Figure 1, lines 19-21).
 type LeaderOracle interface {

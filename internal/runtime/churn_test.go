@@ -127,11 +127,8 @@ func TestRapidChurnIncarnationIsolation(t *testing.T) {
 	senderDone.Wait()
 
 	// Every cycle swapped in a fresh incarnation.
-	env1 := c.envs[1]
-	env1.mu.Lock()
-	inc := env1.inc
-	env1.mu.Unlock()
-	if inc != cycles {
+	env1 := &c.envs[1]
+	if inc, _ := env1.Incarnation(); inc != cycles {
 		t.Fatalf("incarnation counter = %d, want %d", inc, cycles)
 	}
 
@@ -147,7 +144,7 @@ func TestRapidChurnIncarnationIsolation(t *testing.T) {
 	// The mailbox drains: nothing queued across the cycles leaks.
 	if !waitFor(t, 2*time.Second, func() bool {
 		env1.box.mu.Lock()
-		n := len(env1.box.items)
+		n := len(env1.box.items) - env1.box.head
 		env1.box.mu.Unlock()
 		return n == 0
 	}) {

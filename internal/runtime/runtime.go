@@ -5,30 +5,32 @@
 // use it) and to exercise the implementations under true concurrency (the
 // race detector runs over these tests).
 //
-// Concurrency model: each process has a single consumer goroutine that
-// serializes all callbacks of its node, preserving the proc.Node contract
-// (the paper's atomically-executed statement blocks). Sends enqueue into the
-// destination's unbounded mailbox after the injected delay; links are
-// reliable and unordered, like the model's.
+// Each process is a host.Process — callback lock, timers, crash/restart and
+// the delivery tap are that package's — and this package adds the links:
+// sends enqueue into the destination's unbounded mailbox after the injected
+// delay, and one consumer goroutine per process drains it into Deliver.
+// Links are reliable and unordered, like the model's. The mailbox is not an
+// optimisation: a synchronous in-memory deliver would run the receiver's
+// callback under the sender's callback lock, and two processes sending to
+// each other would deadlock on each other's locks.
 //
-// The cluster is full-featured relative to the simulator where live
-// semantics permit: links carry counting taps (Stats mirrors netsim.Stats
-// field-for-field), crashed processes can be replaced by fresh incarnations
-// (Restart — churn in a crash-stop world), and a per-delivery observer hook
-// (Config.OnDeliver) runs on the receiving process's goroutine under its
-// callback serialization, so it may read that node's protocol state
-// race-free. What the live cluster cannot offer is determinism and the
-// assumption machinery (delay schedules beyond Config.Delay, order gates);
-// the star façade declares exactly this split via transport capabilities.
+// Because messages wait in a queue, a copy can sit behind a crash; each one
+// is stamped with the receiver's incarnation at arrival and dropped at
+// processing if the process has since crashed or restarted, so nothing leaks
+// from one incarnation into the next.
+//
+// What the live cluster cannot offer is determinism and the assumption
+// machinery (delay schedules beyond Config.Delay, order gates); the star
+// façade declares exactly this split via transport capabilities.
 package runtime
 
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/host"
 	"repro/internal/proc"
 	"repro/internal/wire"
 )
@@ -55,48 +57,25 @@ type Config struct {
 	// refuses is dropped (counted sent and dropped, like a faulted link),
 	// and its Delay adds to the configured DelayFunc. It is called from
 	// process goroutines and must be safe for concurrent use.
-	Fault LinkFault
+	Fault proc.LinkFault
 }
 
-// LinkFault is the chaos overlay seam, shared shape-for-shape with the
-// netsim and tcpnet transports so one fault state drives all three.
-type LinkFault interface {
-	Admit(from, to proc.ID) bool
-	Delay(from, to proc.ID) time.Duration
-}
-
-// Stats aggregates link-level counters, mirroring netsim.Stats field for
-// field (the star façade converts one to the other). Counters are updated
-// atomically by the process goroutines; Stats() snapshots are internally
-// consistent only in the eventual sense a live system allows.
-type Stats struct {
-	Sent      uint64 // messages handed to the links
-	Delivered uint64 // messages delivered to live processes
-	Dropped   uint64 // messages addressed to crashed (or stale) processes
-	Bytes     uint64 // encoded size of all sent wire messages
-	ByKind    [wire.KindCount]uint64
-	BytesKind [wire.KindCount]uint64
-}
-
-// event is one unit of work for a process goroutine.
+// event is one queued message copy, stamped with the receiver's incarnation
+// at arrival time.
 type event struct {
-	kind int // 0 message, 1 timer
 	from proc.ID
 	msg  any
-	key  proc.TimerKey
-	tgen uint64
-	inc  uint64 // receiver incarnation at arrival time (kind 0)
+	inc  uint64
 }
 
 // Cluster owns the processes and their links.
 type Cluster struct {
 	cfg     Config
-	nodes   []proc.Node
-	envs    []*renv
+	envs    []renv
 	started bool
 	stopped chan struct{}
 	wg      sync.WaitGroup
-	stats   Stats // atomic counters; snapshot via Stats()
+	stats   host.Stats // tapped atomically; snapshot via Stats()
 }
 
 // New creates a cluster; register nodes, then Start it.
@@ -104,10 +83,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("runtime: N must be >= 1, got %d", cfg.N)
 	}
-	c := &Cluster{cfg: cfg, nodes: make([]proc.Node, cfg.N), stopped: make(chan struct{})}
-	c.envs = make([]*renv, cfg.N)
-	for i := range c.envs {
-		c.envs[i] = newREnv(c, i)
+	c := &Cluster{cfg: cfg, envs: make([]renv, cfg.N), stopped: make(chan struct{})}
+	for id := range c.envs {
+		e := &c.envs[id]
+		e.cluster = c
+		e.box.signal = make(chan struct{}, 1)
+		e.Init(e, id, cfg.N, &c.stats, cfg.OnDeliver)
 	}
 	return c, nil
 }
@@ -117,10 +98,10 @@ func (c *Cluster) Register(id proc.ID, node proc.Node) {
 	if c.started {
 		panic("runtime: Register after Start")
 	}
-	if c.nodes[id] != nil {
+	if c.envs[id].Node() != nil {
 		panic(fmt.Sprintf("runtime: process %d registered twice", id))
 	}
-	c.nodes[id] = node
+	c.envs[id].Register(node)
 }
 
 // Start runs every node's Start callback (synchronously, so the cluster is
@@ -131,132 +112,58 @@ func (c *Cluster) Start() {
 		panic("runtime: double Start")
 	}
 	c.started = true
-	for id, n := range c.nodes {
-		if n == nil {
+	for id := range c.envs {
+		if c.envs[id].Node() == nil {
 			panic(fmt.Sprintf("runtime: process %d not registered", id))
 		}
 	}
-	for id := range c.nodes {
-		env := c.envs[id]
-		env.node = c.nodes[id]
-		env.handleMu.Lock()
-		env.node.Start(env)
-		env.handleMu.Unlock()
+	for id := range c.envs {
+		c.envs[id].Process.Start()
 	}
-	for id := range c.nodes {
+	for id := range c.envs {
 		c.wg.Add(1)
-		go c.runProcess(id)
+		go c.runProcess(&c.envs[id])
 	}
 }
 
-// runProcess is the per-process event loop; it serializes all callbacks.
-func (c *Cluster) runProcess(id proc.ID) {
+// runProcess is the per-process consumer loop. It keeps draining while the
+// process is down (senders never care; DeliverTo discards), and a Restart
+// makes the same loop the new incarnation's consumer.
+func (c *Cluster) runProcess(e *renv) {
 	defer c.wg.Done()
-	env := c.envs[id]
-	// The loop keeps draining while the process is down (senders never
-	// care), discarding inside handle; a Restart makes the same loop the
-	// new incarnation's consumer.
 	for {
-		ev, ok := env.box.pop(c.stopped)
+		ev, ok := e.box.pop(c.stopped)
 		if !ok {
 			return
 		}
-		env.handle(ev)
+		// Crashed after arrival, or a leftover of a previous incarnation:
+		// the message dies with its addressee.
+		e.DeliverTo(ev.inc, ev.from, ev.msg)
 	}
 }
 
-// Crash marks process id crashed: it stops sending, receiving, and firing
-// timers, like a crash-stop failure. The crash is applied synchronously
-// (serialized against the process's callbacks), so Crashed(id) holds when
-// Crash returns.
-func (c *Cluster) Crash(id proc.ID) {
-	env := c.envs[id]
-	env.handleMu.Lock()
-	defer env.handleMu.Unlock()
-	env.mu.Lock()
-	if env.crashed {
-		env.mu.Unlock()
-		return
-	}
-	env.crashed = true
-	for _, slot := range env.timers {
-		slot.gen++
-		if slot.timer != nil {
-			slot.timer.Stop()
-		}
-	}
-	node := env.node
-	env.mu.Unlock()
-	if cr, ok := node.(proc.Crashable); ok && node != nil {
-		cr.OnCrash()
-	}
-}
+// Crash marks process id crashed (host.Process.Crash): synchronous, so
+// Crashed(id) holds when Crash returns.
+func (c *Cluster) Crash(id proc.ID) { c.envs[id].Crash() }
 
 // Crashed reports whether the process was crashed via Crash.
-func (c *Cluster) Crashed(id proc.ID) bool { return c.envs[id].isCrashed() }
+func (c *Cluster) Crashed(id proc.ID) bool { return c.envs[id].Crashed() }
 
 // Restart replaces crashed process id with the fresh incarnation built by
-// build and starts it, all synchronously: build and Start run while the
-// process's callback lock is held, so concurrent Inspect/LockProcess readers
-// never observe a half-swapped process, and when Restart returns the new
-// incarnation is live (Crashed(id) is false). Restarting a process that is
-// not down is a no-op (mirroring netsim.RestartAt); it reports whether the
-// swap happened.
+// build and starts it (host.Process.Restart); a no-op reporting false when
+// the process is not down.
 //
 // Messages that arrived while the process was down were dropped at arrival;
 // messages still in flight across the downtime reach the new incarnation,
 // exactly like the simulator's churn semantics. Messages already queued to
-// the OLD incarnation but not yet processed are dropped by an incarnation
-// check (the live analogue of "a crashed process receives nothing").
+// the OLD incarnation but not yet processed are dropped by the incarnation
+// stamp (the live analogue of "a crashed process receives nothing").
 func (c *Cluster) Restart(id proc.ID, build func() proc.Node) bool {
-	if build == nil {
-		panic("runtime: Restart with nil build")
-	}
-	env := c.envs[id]
-	env.handleMu.Lock()
-	defer env.handleMu.Unlock()
-	if !env.isCrashed() {
-		return false
-	}
-	node := build()
-	if node == nil {
-		panic("runtime: Restart build returned nil node")
-	}
-	env.mu.Lock()
-	env.crashed = false
-	env.inc++
-	env.node = node
-	env.mu.Unlock()
-	c.nodes[id] = node
-	node.Start(env)
-	return true
+	return c.envs[id].Restart(build)
 }
 
 // Stats returns a snapshot of the link counters.
-func (c *Cluster) Stats() Stats {
-	var out Stats
-	out.Sent = atomic.LoadUint64(&c.stats.Sent)
-	out.Delivered = atomic.LoadUint64(&c.stats.Delivered)
-	out.Dropped = atomic.LoadUint64(&c.stats.Dropped)
-	out.Bytes = atomic.LoadUint64(&c.stats.Bytes)
-	for k := range out.ByKind {
-		out.ByKind[k] = atomic.LoadUint64(&c.stats.ByKind[k])
-		out.BytesKind[k] = atomic.LoadUint64(&c.stats.BytesKind[k])
-	}
-	return out
-}
-
-// countSent tallies one transmission of msg (per destination, like netsim).
-func (c *Cluster) countSent(msg any) {
-	atomic.AddUint64(&c.stats.Sent, 1)
-	if wm, ok := msg.(wire.Message); ok {
-		k := wm.Kind()
-		sz := uint64(wm.Size())
-		atomic.AddUint64(&c.stats.Bytes, sz)
-		atomic.AddUint64(&c.stats.ByKind[k], 1)
-		atomic.AddUint64(&c.stats.BytesKind[k], sz)
-	}
-}
+func (c *Cluster) Stats() host.Stats { return c.stats.Snapshot() }
 
 // Inspect runs f serialized against process id's callbacks: while f runs,
 // no message, timer or crash callback of that process executes, so f may
@@ -271,69 +178,32 @@ func (c *Cluster) Inspect(id proc.ID, f func()) {
 // LockProcess and UnlockProcess are Inspect's primitive form, for callers
 // that must avoid the closure: between them, no callback of process id
 // executes. Allocation-free.
-func (c *Cluster) LockProcess(id proc.ID)   { c.envs[id].handleMu.Lock() }
-func (c *Cluster) UnlockProcess(id proc.ID) { c.envs[id].handleMu.Unlock() }
+func (c *Cluster) LockProcess(id proc.ID)   { c.envs[id].Lock() }
+func (c *Cluster) UnlockProcess(id proc.ID) { c.envs[id].Unlock() }
 
 // Stop shuts the cluster down and waits for all process goroutines and
-// pending timers to finish. The cluster cannot be restarted.
+// timer callbacks to finish. The cluster cannot be restarted.
 func (c *Cluster) Stop() {
 	close(c.stopped)
-	for _, env := range c.envs {
-		env.stopAllTimers()
+	for id := range c.envs {
+		c.envs[id].Stop()
 	}
 	c.wg.Wait()
 }
 
-// renv implements proc.Env for one live process.
+// renv implements proc.Env for one live process: the host.Process plus the
+// sending side of its links and its mailbox.
 type renv struct {
+	host.Process
 	cluster *Cluster
-	id      proc.ID
-	node    proc.Node
-	box     *mailbox
-	start   time.Time
-
-	// handleMu serializes node callbacks with Inspect: the consumer
-	// goroutine holds it across every callback, so Inspect callers get a
-	// consistent view of the protocol state. Uncontended in steady state.
-	handleMu sync.Mutex
-
-	mu      sync.Mutex
-	crashed bool
-	inc     uint64 // incarnation counter, bumped by Restart
-	timers  map[proc.TimerKey]*timerSlot
-}
-
-type timerSlot struct {
-	gen   uint64
-	timer *time.Timer
-}
-
-func newREnv(c *Cluster, id proc.ID) *renv {
-	return &renv{
-		cluster: c,
-		id:      id,
-		box:     newMailbox(),
-		start:   time.Now(),
-		timers:  make(map[proc.TimerKey]*timerSlot),
-	}
-}
-
-func (e *renv) ID() proc.ID        { return e.id }
-func (e *renv) N() int             { return e.cluster.cfg.N }
-func (e *renv) Now() time.Duration { return time.Since(e.start) }
-
-func (e *renv) isCrashed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.crashed
+	box     mailbox
 }
 
 // Send implements proc.Env.
 func (e *renv) Send(to proc.ID, msg any) {
-	if e.isCrashed() {
+	if e.Crashed() {
 		return
 	}
-	e.cluster.countSent(msg)
 	e.sendOne(to, msg)
 }
 
@@ -342,145 +212,60 @@ func (e *renv) Send(to proc.ID, msg any) {
 // payload pointer is shared by all destinations — the repository's standing
 // "immutable once sent" contract — and dests is only read during the call.
 func (e *renv) Multicast(dests *bitset.Set, msg any) {
-	if e.isCrashed() {
+	if e.Crashed() {
 		return
 	}
 	for to := 0; to < dests.Len(); to++ {
-		if !dests.Contains(to) {
-			continue
+		if dests.Contains(to) {
+			e.sendOne(to, msg)
 		}
-		e.cluster.countSent(msg)
-		e.sendOne(to, msg)
 	}
 }
 
-// sendOne routes one copy of msg to its destination after the injected
-// delay. Arrival (the mailbox push) is where a down receiver drops the
-// message, mirroring the simulator's delivery-time drop.
+// sendOne counts one copy of msg and routes it to its destination after the
+// injected delay. Arrival (the mailbox push) is where a down receiver drops
+// the message, mirroring the simulator's delivery-time drop.
 func (e *renv) sendOne(to proc.ID, msg any) {
-	lf := e.cluster.cfg.Fault
-	if lf != nil && !lf.Admit(e.id, to) {
-		// Chaos overlay refusal: the copy was sent (the caller counted it)
-		// and the link ate it.
-		atomic.AddUint64(&e.cluster.stats.Dropped, 1)
+	c, from := e.cluster, e.ID()
+	wm, _ := msg.(wire.Message)
+	c.stats.TapSent(wm, 0)
+	lf := c.cfg.Fault
+	if lf != nil && !lf.Admit(from, to) {
+		// Chaos overlay refusal: the copy was sent and the link ate it.
+		c.stats.TapDropped()
 		return
 	}
-	dst := e.cluster.envs[to]
+	dst := &c.envs[to]
 	var d time.Duration
-	if f := e.cluster.cfg.Delay; f != nil {
-		d = f(e.id, to, msg)
+	if f := c.cfg.Delay; f != nil {
+		d = f(from, to, msg)
 	}
 	if lf != nil {
-		d += lf.Delay(e.id, to)
+		d += lf.Delay(from, to)
 	}
 	if d <= 0 {
-		dst.arriveMsg(e.id, msg)
+		dst.arrive(from, msg)
 		return
 	}
-	t := time.AfterFunc(d, func() {
+	// In-flight messages are dropped wholesale at Stop.
+	time.AfterFunc(d, func() {
 		select {
-		case <-e.cluster.stopped:
+		case <-c.stopped:
 		default:
-			dst.arriveMsg(e.id, msg)
+			dst.arrive(from, msg)
 		}
 	})
-	_ = t // in-flight messages are dropped wholesale at Stop
 }
 
-// arriveMsg is the arrival instant of one message copy: a down receiver
-// drops it (indistinguishable from reception by a dead process); a live one
-// enqueues it stamped with the receiver's current incarnation, so a copy
-// that was queued behind a crash is not leaked into a later incarnation.
-func (e *renv) arriveMsg(from proc.ID, msg any) {
-	e.mu.Lock()
-	if e.crashed {
-		e.mu.Unlock()
-		atomic.AddUint64(&e.cluster.stats.Dropped, 1)
+// arrive is the arrival instant of one message copy: a down receiver drops
+// it; a live one enqueues it stamped with its current incarnation.
+func (e *renv) arrive(from proc.ID, msg any) {
+	inc, up := e.Incarnation()
+	if !up {
+		e.cluster.stats.TapDropped()
 		return
 	}
-	inc := e.inc
-	e.mu.Unlock()
-	e.box.push(event{kind: 0, from: from, msg: msg, inc: inc})
-}
-
-// SetTimer implements proc.Env.
-func (e *renv) SetTimer(key proc.TimerKey, d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		return
-	}
-	slot := e.timers[key]
-	if slot == nil {
-		slot = &timerSlot{}
-		e.timers[key] = slot
-	} else if slot.timer != nil {
-		slot.timer.Stop()
-	}
-	slot.gen++
-	gen := slot.gen
-	if d < 0 {
-		d = 0
-	}
-	slot.timer = time.AfterFunc(d, func() {
-		e.box.push(event{kind: 1, key: key, tgen: gen})
-	})
-}
-
-// StopTimer implements proc.Env.
-func (e *renv) StopTimer(key proc.TimerKey) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if slot := e.timers[key]; slot != nil {
-		slot.gen++ // invalidate any in-flight fire
-		if slot.timer != nil {
-			slot.timer.Stop()
-		}
-	}
-}
-
-func (e *renv) stopAllTimers() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, slot := range e.timers {
-		slot.gen++
-		if slot.timer != nil {
-			slot.timer.Stop()
-		}
-	}
-}
-
-// handle runs one event on the owning goroutine, serialized with Inspect.
-func (e *renv) handle(ev event) {
-	e.handleMu.Lock()
-	defer e.handleMu.Unlock()
-	switch ev.kind {
-	case 0:
-		e.mu.Lock()
-		live := !e.crashed && e.inc == ev.inc
-		node := e.node
-		e.mu.Unlock()
-		if !live {
-			// Crashed after arrival, or a leftover of a previous
-			// incarnation: the message dies with its addressee.
-			atomic.AddUint64(&e.cluster.stats.Dropped, 1)
-			return
-		}
-		node.OnMessage(ev.from, ev.msg)
-		atomic.AddUint64(&e.cluster.stats.Delivered, 1)
-		if f := e.cluster.cfg.OnDeliver; f != nil {
-			f(e.id)
-		}
-	case 1:
-		e.mu.Lock()
-		slot := e.timers[ev.key]
-		live := slot != nil && slot.gen == ev.tgen && !e.crashed
-		node := e.node
-		e.mu.Unlock()
-		if live {
-			node.OnTimer(ev.key)
-		}
-	}
+	e.box.push(event{from: from, msg: msg, inc: inc})
 }
 
 var _ proc.Env = (*renv)(nil)
@@ -488,18 +273,28 @@ var _ proc.Env = (*renv)(nil)
 // mailbox is an unbounded MPSC queue: senders never block (links must not
 // exert backpressure in the model) and the single consumer waits on a
 // condition signal.
+//
+// items[head:] are the waiting events. pop advances head and rewinds both to
+// the start of the backing array when the queue drains, and push slides the
+// live events down when it runs out of room behind a consumed prefix, so a
+// consumer that keeps up reuses one array for ever. (tcpnet's link queue
+// uses the same idiom; the two are not shared because the link's bound,
+// eviction, in-flight mark and closed state would make a common queue branch
+// on its caller.)
 type mailbox struct {
 	mu     sync.Mutex
 	items  []event
+	head   int
 	signal chan struct{}
-}
-
-func newMailbox() *mailbox {
-	return &mailbox{signal: make(chan struct{}, 1)}
 }
 
 func (m *mailbox) push(ev event) {
 	m.mu.Lock()
+	if m.head > 0 && len(m.items) == cap(m.items) {
+		n := copy(m.items, m.items[m.head:])
+		clear(m.items[n:])
+		m.items, m.head = m.items[:n], 0
+	}
 	m.items = append(m.items, ev)
 	m.mu.Unlock()
 	select {
@@ -512,9 +307,12 @@ func (m *mailbox) push(ev event) {
 func (m *mailbox) pop(stop <-chan struct{}) (event, bool) {
 	for {
 		m.mu.Lock()
-		if len(m.items) > 0 {
-			ev := m.items[0]
-			m.items = m.items[1:]
+		if m.head < len(m.items) {
+			ev := m.items[m.head]
+			m.items[m.head] = event{}
+			if m.head++; m.head == len(m.items) {
+				m.items, m.head = m.items[:0], 0
+			}
 			m.mu.Unlock()
 			return ev, true
 		}

@@ -77,76 +77,6 @@ func TestDeliveryAndTimers(t *testing.T) {
 	}
 }
 
-func TestTimerRearmReplaces(t *testing.T) {
-	c, err := New(Config{N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &pingNode{}
-	c.Register(0, a)
-	c.Start()
-	defer c.Stop()
-	waitFor(t, time.Second, func() bool { a.mu.Lock(); defer a.mu.Unlock(); return a.env != nil })
-	a.mu.Lock()
-	env := a.env
-	a.mu.Unlock()
-	env.SetTimer(1, 5*time.Millisecond)
-	env.SetTimer(1, 300*time.Millisecond) // replaces; old fire must be dropped
-	time.Sleep(50 * time.Millisecond)
-	if _, n := a.counts(); n != 0 {
-		t.Fatalf("stale timer fired (%d)", n)
-	}
-}
-
-func TestStopTimer(t *testing.T) {
-	c, err := New(Config{N: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &pingNode{}
-	c.Register(0, a)
-	c.Start()
-	defer c.Stop()
-	waitFor(t, time.Second, func() bool { a.mu.Lock(); defer a.mu.Unlock(); return a.env != nil })
-	a.mu.Lock()
-	env := a.env
-	a.mu.Unlock()
-	env.SetTimer(2, 10*time.Millisecond)
-	env.StopTimer(2)
-	time.Sleep(50 * time.Millisecond)
-	if _, n := a.counts(); n != 0 {
-		t.Fatal("stopped timer fired")
-	}
-}
-
-func TestCrashStopsProcess(t *testing.T) {
-	c, err := New(Config{N: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := &pingNode{}, &pingNode{}
-	c.Register(0, a)
-	c.Register(1, b)
-	c.Start()
-	defer c.Stop()
-	waitFor(t, time.Second, func() bool { b.mu.Lock(); defer b.mu.Unlock(); return b.env != nil })
-	c.Crash(1)
-	if !waitFor(t, time.Second, func() bool { b.mu.Lock(); defer b.mu.Unlock(); return b.crashed }) {
-		t.Fatal("OnCrash not invoked")
-	}
-	if !c.Crashed(1) {
-		t.Fatal("Crashed(1) = false")
-	}
-	a.mu.Lock()
-	env := a.env
-	a.mu.Unlock()
-	env.Send(1, "late")
-	time.Sleep(30 * time.Millisecond)
-	if n, _ := b.counts(); n != 0 {
-		t.Fatal("crashed process received a message")
-	}
-}
-
 func TestDelayFuncApplied(t *testing.T) {
 	var delayed bool
 	c, err := New(Config{N: 2, Delay: func(from, to proc.ID, msg any) time.Duration {
@@ -267,4 +197,40 @@ func TestDoubleStartPanics(t *testing.T) {
 		}
 	}()
 	c.Start()
+}
+
+// TestMailboxSteadyStateAllocs: a consumer that keeps up reuses one backing
+// array, whether the queue drains between bursts or always holds an event.
+func TestMailboxSteadyStateAllocs(t *testing.T) {
+	m := &mailbox{signal: make(chan struct{}, 1)}
+	stop := make(chan struct{})
+	burst := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				m.push(event{from: i})
+			}
+			for i := 0; i < n; i++ {
+				if ev, ok := m.pop(stop); !ok || ev.from != i {
+					t.Fatalf("pop %d = %+v, %v", i, ev, ok)
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, 32} {
+		burst(n)()
+		if allocs := testing.AllocsPerRun(1000, burst(n)); allocs != 0 {
+			t.Errorf("push/pop of a draining %d-event burst allocates %.1f objects", n, allocs)
+		}
+	}
+	m.push(event{from: 0}) // from here the queue never drains: head walks the array
+	walk := func() {
+		m.push(event{})
+		m.pop(stop)
+	}
+	for i := 0; i < 100; i++ {
+		walk()
+	}
+	if allocs := testing.AllocsPerRun(1000, walk); allocs != 0 {
+		t.Errorf("push/pop on a never-empty queue allocates %.1f objects per message", allocs)
+	}
 }

@@ -8,29 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Policy decides, per directed link and per frame, whether a transmission
-// crosses and how long it is held back first. It is the socket-layer
-// analogue of the simulator's delay policies: the paper's intermittent
-// connectivity (lossy links, one-way partitions, jitter) injected into a
-// real TCP cluster. Admit and Delay are called on the sender's side, on the
-// sending process's callback goroutine (and, for delayed frames, from timer
-// goroutines), so implementations must be safe for concurrent use.
-//
-// A refused frame is counted as Dropped in the cluster's Stats — exactly
-// like a frame addressed to a crashed process — and never reaches the
-// socket.
-type Policy interface {
-	// Admit reports whether a frame from -> to crosses the link.
-	Admit(from, to proc.ID) bool
-	// Delay returns how long to hold the frame before handing it to the
-	// link (0 for immediate). Delayed frames may reorder relative to later
-	// undelayed ones; the model's links are unordered, so protocols already
-	// tolerate this.
-	Delay(from, to proc.ID) time.Duration
-}
-
-// Faults is a mutable Policy covering the fault menu the paper's scenarios
-// need: uniform message loss, per-frame jitter, and one-way link cuts
+// Faults is a mutable proc.LinkFault covering the fault menu the paper's
+// scenarios need at the socket layer — the analogue of the simulator's delay
+// policies: uniform message loss, per-frame jitter, and one-way link cuts
 // (asymmetric partitions). All knobs can be turned while the cluster runs —
 // that is the point: inject, observe, heal. The zero value admits
 // everything instantly; use NewFaults for a seeded loss stream.
@@ -94,7 +74,7 @@ func (f *Faults) HealAll() {
 	f.cuts = nil
 }
 
-// Admit implements Policy.
+// Admit implements proc.LinkFault.
 func (f *Faults) Admit(from, to proc.ID) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -108,7 +88,7 @@ func (f *Faults) Admit(from, to proc.ID) bool {
 	return true
 }
 
-// Delay implements Policy.
+// Delay implements proc.LinkFault.
 func (f *Faults) Delay(from, to proc.ID) time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -118,13 +98,13 @@ func (f *Faults) Delay(from, to proc.ID) time.Duration {
 	return f.rng.Duration(f.lo, f.hi)
 }
 
-var _ Policy = (*Faults)(nil)
+var _ proc.LinkFault = (*Faults)(nil)
 
 // ChainPolicies composes policies: a frame must be admitted by every one,
 // and its delays add. Used to overlay a chaos fault timeline on top of a
 // user-configured LinkPolicy without either knowing about the other. nil
 // entries are skipped; chaining zero or one policy returns what you expect.
-func ChainPolicies(ps ...Policy) Policy {
+func ChainPolicies(ps ...proc.LinkFault) proc.LinkFault {
 	chain := make(policyChain, 0, len(ps))
 	for _, p := range ps {
 		if p != nil {
@@ -137,7 +117,7 @@ func ChainPolicies(ps ...Policy) Policy {
 	return chain
 }
 
-type policyChain []Policy
+type policyChain []proc.LinkFault
 
 func (c policyChain) Admit(from, to proc.ID) bool {
 	for _, p := range c {

@@ -16,12 +16,13 @@
 // in-process queue but still round-trip through the codec, so the bytes a
 // node receives from itself are as real as everyone else's.
 //
-// Concurrency model: all callbacks of one member — message deliveries from
-// any connection, timer fires, crash/restart — serialize on that member's
-// handleMu, preserving the proc.Node contract (the paper's atomically
-// executed statement blocks). Connection readers dispatch synchronously
-// under that lock and recycle the decoded payload when the callback
-// returns, so each reader's netwire.Pools stays single-owner.
+// Concurrency model: each hosted member is a host.Process — callback lock,
+// timers, crash/restart and the delivery tap are that package's — and this
+// package adds the links. Connection readers call Deliver synchronously (it
+// takes the member's callback lock) and recycle the decoded payload when it
+// returns, so each reader's netwire.Pools stays single-owner. No mailbox is
+// needed for that: a reader holds no callback lock of its own while it
+// waits for the receiver's.
 //
 // Fidelity to the model: the paper assumes reliable links; a TCP cluster
 // under churn does not have them (frames die with a broken connection, in
@@ -33,11 +34,10 @@
 // real process death and re-exec is cmd/starnet's job.
 //
 // Stats taps every link on the sending side (Sent, Bytes, per-kind) and the
-// delivery point on the receiving side (Delivered, Dropped), mirroring
-// netsim.Stats field for field. Bytes count real framed bytes —
-// wire.Message.Size() + netwire.FrameOverhead per destination, which equals
-// the frame length on the socket exactly. In a multi-process cluster each
-// process naturally sees only its own taps.
+// delivery point on the receiving side (Delivered, Dropped). Bytes count
+// real framed bytes — wire.Message.Size() + netwire.FrameOverhead per
+// destination, which equals the frame length on the socket exactly. In a
+// multi-process cluster each process naturally sees only its own taps.
 package tcpnet
 
 import (
@@ -50,6 +50,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/host"
 	"repro/internal/netwire"
 	"repro/internal/proc"
 	"repro/internal/wire"
@@ -92,35 +93,18 @@ type Config struct {
 	// (the single-process, N-listener cluster).
 	Local []proc.ID
 	// Policy, when non-nil, filters and delays outbound frames (loss,
-	// partitions, jitter). See Faults for the standard implementation.
-	Policy Policy
-}
-
-// Stats aggregates link-level counters, mirroring netsim.Stats field for
-// field (the star façade converts one to the other). Counters are updated
-// atomically; snapshots are internally consistent only in the eventual
-// sense a live system allows.
-type Stats struct {
-	Sent      uint64 // frames handed to the links (per destination)
-	Delivered uint64 // frames delivered to live local processes
-	Dropped   uint64 // frames refused, discarded, or addressed to crashed processes
-	Bytes     uint64 // framed bytes of all sent frames (Size + FrameOverhead)
-	ByKind    [wire.KindCount]uint64
-	BytesKind [wire.KindCount]uint64
-	// BreakerOpens counts circuit-breaker opens across all links: each time
-	// breakerThreshold consecutive dial failures put a link into fast-drop
-	// mode (half-open re-opens count again). A flapping peer shows up here
-	// long before it shows up in Dropped.
-	BreakerOpens uint64
+	// partitions, jitter): a refused frame is counted Dropped and never
+	// reaches the socket, a delayed one is held back on a timer before it
+	// reaches the link queue. See Faults for the standard implementation.
+	Policy proc.LinkFault
 }
 
 // Cluster owns this process's share of the members and their links.
 type Cluster struct {
-	cfg    Config
-	policy Policy
-	addrs  []string // resolved at Start for local :0 listeners
-	local  []bool
-	envs   []*env // nil for remote members
+	cfg   Config
+	addrs []string // resolved at Start for local :0 listeners
+	local []bool
+	envs  []*env // nil for remote members
 
 	listeners []net.Listener
 	links     [][]*link // links[i][j] for local i; links[i][i] is the loopback
@@ -133,7 +117,7 @@ type Cluster struct {
 	conns  map[net.Conn]struct{}
 
 	started bool
-	stats   Stats
+	stats   host.Stats // tapped atomically; snapshot via Stats()
 }
 
 // New creates a cluster; register the local nodes, then Start it.
@@ -164,11 +148,10 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	for id, addr := range cfg.Addrs {
-		host, port, err := net.SplitHostPort(addr)
+		_, port, err := net.SplitHostPort(addr)
 		if err != nil {
 			return nil, fmt.Errorf("tcpnet: member %d address %q: %v", id, addr, err)
 		}
-		_ = host
 		if !local[id] && (port == "0" || port == "") {
 			return nil, fmt.Errorf("tcpnet: remote member %d needs an explicit port, got %q", id, addr)
 		}
@@ -176,7 +159,6 @@ func New(cfg Config) (*Cluster, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{
 		cfg:       cfg,
-		policy:    cfg.Policy,
 		addrs:     append([]string(nil), cfg.Addrs...),
 		local:     local,
 		envs:      make([]*env, cfg.N),
@@ -188,7 +170,9 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	for id := range c.envs {
 		if local[id] {
-			c.envs[id] = newEnv(c, id)
+			e := &env{c: c}
+			e.Init(e, id, cfg.N, &c.stats, nil)
+			c.envs[id] = e
 		}
 	}
 	return c, nil
@@ -205,10 +189,10 @@ func (c *Cluster) Register(id proc.ID, node proc.Node) {
 	if !c.local[id] {
 		panic(fmt.Sprintf("tcpnet: process %d is not local", id))
 	}
-	if c.envs[id].node != nil {
+	if c.envs[id].Node() != nil {
 		panic(fmt.Sprintf("tcpnet: process %d registered twice", id))
 	}
-	c.envs[id].node = node
+	c.envs[id].Register(node)
 }
 
 // Start binds every local listener (resolving :0 ports), creates the
@@ -221,7 +205,7 @@ func (c *Cluster) Start() error {
 		panic("tcpnet: double Start")
 	}
 	for id := range c.envs {
-		if c.local[id] && c.envs[id].node == nil {
+		if c.local[id] && c.envs[id].Node() == nil {
 			panic(fmt.Sprintf("tcpnet: local process %d not registered", id))
 		}
 	}
@@ -250,14 +234,10 @@ func (c *Cluster) Start() error {
 	}
 	// Start callbacks run with the links in place (first sends enqueue) but
 	// before any reader can deliver, so every node initializes unobserved.
-	for id, e := range c.envs {
-		if e == nil {
-			continue
+	for _, e := range c.envs {
+		if e != nil {
+			e.Process.Start()
 		}
-		e.handleMu.Lock()
-		e.node.Start(e)
-		e.handleMu.Unlock()
-		_ = id
 	}
 	for id := range c.envs {
 		if !c.local[id] {
@@ -277,80 +257,27 @@ func (c *Cluster) Start() error {
 // after Start).
 func (c *Cluster) Addr(id proc.ID) string { return c.addrs[id] }
 
-// Crash marks local process id crashed: it stops sending, receiving, and
-// firing timers, like a crash-stop failure. Applied synchronously under the
-// member's callback lock, so Crashed(id) holds when Crash returns. The
-// member's listener and links stay up — a crashed process's link endpoints
-// silently eat frames, which is indistinguishable from reception by a dead
-// process (and mirrors the other transports).
-func (c *Cluster) Crash(id proc.ID) {
-	e := c.mustLocal(id)
-	e.handleMu.Lock()
-	defer e.handleMu.Unlock()
-	e.mu.Lock()
-	if e.crashed {
-		e.mu.Unlock()
-		return
-	}
-	e.crashed = true
-	for _, slot := range e.timers {
-		slot.gen++
-		if slot.timer != nil {
-			slot.timer.Stop()
-		}
-	}
-	node := e.node
-	e.mu.Unlock()
-	if cr, ok := node.(proc.Crashable); ok {
-		cr.OnCrash()
-	}
-}
+// Crash marks local process id crashed (host.Process.Crash): synchronous, so
+// Crashed(id) holds when Crash returns. The member's listener and links stay
+// up — a crashed process's link endpoints silently eat frames, which is
+// indistinguishable from reception by a dead process (and mirrors the other
+// transports).
+func (c *Cluster) Crash(id proc.ID) { c.mustLocal(id).Crash() }
 
 // Crashed reports whether local process id was crashed via Crash.
-func (c *Cluster) Crashed(id proc.ID) bool { return c.mustLocal(id).isCrashed() }
+func (c *Cluster) Crashed(id proc.ID) bool { return c.mustLocal(id).Crashed() }
 
 // Restart replaces crashed local process id with the fresh incarnation built
-// by build and starts it, all under the member's callback lock (concurrent
-// readers never observe a half-swapped process). Restarting a process that
-// is not down is a no-op; it reports whether the swap happened. Frames that
-// arrived during the downtime were dropped at delivery; connections were
-// never torn down, so the new incarnation hears its peers immediately.
+// by build and starts it (host.Process.Restart); a no-op reporting false when
+// the process is not down. Frames that arrived during the downtime were
+// dropped at delivery; connections were never torn down, so the new
+// incarnation hears its peers immediately.
 func (c *Cluster) Restart(id proc.ID, build func() proc.Node) bool {
-	if build == nil {
-		panic("tcpnet: Restart with nil build")
-	}
-	e := c.mustLocal(id)
-	e.handleMu.Lock()
-	defer e.handleMu.Unlock()
-	if !e.isCrashed() {
-		return false
-	}
-	node := build()
-	if node == nil {
-		panic("tcpnet: Restart build returned nil node")
-	}
-	e.mu.Lock()
-	e.crashed = false
-	e.node = node
-	e.mu.Unlock()
-	node.Start(e)
-	return true
+	return c.mustLocal(id).Restart(build)
 }
 
 // Stats returns a snapshot of the link counters.
-func (c *Cluster) Stats() Stats {
-	var out Stats
-	out.Sent = atomic.LoadUint64(&c.stats.Sent)
-	out.Delivered = atomic.LoadUint64(&c.stats.Delivered)
-	out.Dropped = atomic.LoadUint64(&c.stats.Dropped)
-	out.Bytes = atomic.LoadUint64(&c.stats.Bytes)
-	out.BreakerOpens = atomic.LoadUint64(&c.stats.BreakerOpens)
-	for k := range out.ByKind {
-		out.ByKind[k] = atomic.LoadUint64(&c.stats.ByKind[k])
-		out.BytesKind[k] = atomic.LoadUint64(&c.stats.BytesKind[k])
-	}
-	return out
-}
+func (c *Cluster) Stats() host.Stats { return c.stats.Snapshot() }
 
 // Inspect runs f serialized against local process id's callbacks, so f may
 // safely read the node's protocol state from any goroutine.
@@ -362,8 +289,8 @@ func (c *Cluster) Inspect(id proc.ID, f func()) {
 
 // LockProcess and UnlockProcess are Inspect's primitive form: between them,
 // no callback of local process id executes. Allocation-free.
-func (c *Cluster) LockProcess(id proc.ID)   { c.mustLocal(id).handleMu.Lock() }
-func (c *Cluster) UnlockProcess(id proc.ID) { c.mustLocal(id).handleMu.Unlock() }
+func (c *Cluster) LockProcess(id proc.ID)   { c.mustLocal(id).Lock() }
+func (c *Cluster) UnlockProcess(id proc.ID) { c.mustLocal(id).Unlock() }
 
 // Drain waits — up to grace — for every outbound link to go idle: queues
 // empty and no writer goroutine holding a frame mid-write. Call it before
@@ -412,7 +339,7 @@ func (c *Cluster) Stop() {
 	c.cancel()
 	for _, e := range c.envs {
 		if e != nil {
-			e.stopAllTimers()
+			e.Process.Stop()
 		}
 	}
 	c.closeListeners()
@@ -455,21 +382,6 @@ func (c *Cluster) stopped() bool {
 		return false
 	}
 }
-
-// countSent tallies one transmission (one destination) of a framed message.
-func (c *Cluster) countSent(wm wire.Message) {
-	atomic.AddUint64(&c.stats.Sent, 1)
-	if wm == nil {
-		return
-	}
-	k := wm.Kind()
-	sz := uint64(wm.Size() + netwire.FrameOverhead)
-	atomic.AddUint64(&c.stats.Bytes, sz)
-	atomic.AddUint64(&c.stats.ByKind[k], 1)
-	atomic.AddUint64(&c.stats.BytesKind[k], sz)
-}
-
-func (c *Cluster) countDropped() { atomic.AddUint64(&c.stats.Dropped, 1) }
 
 // acceptLoop accepts inbound connections for local member id.
 func (c *Cluster) acceptLoop(id proc.ID, ln net.Listener) {
@@ -518,7 +430,7 @@ func (c *Cluster) serveConn(id proc.ID, conn net.Conn) {
 		}
 		m, err := pools.Decode(buf)
 		if err != nil {
-			c.countDropped()
+			c.stats.TapDropped()
 			return
 		}
 		e.deliver(from, m)
@@ -603,7 +515,7 @@ func (l *link) enqueue(b *buffer) {
 	l.mu.Unlock()
 	if evicted != nil {
 		evicted.release()
-		l.c.countDropped()
+		l.c.stats.TapDropped()
 	}
 	select {
 	case l.signal <- struct{}{}:
@@ -682,7 +594,7 @@ func (l *link) run() {
 		conn := l.ensureConn(&backoff)
 		if conn == nil {
 			b.release()
-			l.c.countDropped()
+			l.c.stats.TapDropped()
 			l.inflight.Store(0)
 			if l.c.stopped() {
 				return
@@ -695,7 +607,7 @@ func (l *link) run() {
 		l.inflight.Store(0)
 		if err != nil {
 			l.dropConn(conn)
-			l.c.countDropped()
+			l.c.stats.TapDropped()
 		}
 	}
 }
@@ -713,7 +625,7 @@ func (l *link) runLoopback() {
 		m, err := pools.Decode(b.b[4:]) // strip the length prefix
 		b.release()
 		if err != nil {
-			l.c.countDropped()
+			l.c.stats.TapDropped()
 			l.inflight.Store(0)
 			continue
 		}
@@ -751,7 +663,7 @@ func (l *link) ensureConn(backoff *time.Duration) net.Conn {
 		l.dialFails++
 		if l.dialFails >= breakerThreshold {
 			l.openUntil = time.Now().Add(breakerCooldown)
-			atomic.AddUint64(&l.c.stats.BreakerOpens, 1)
+			l.c.stats.TapBreakerOpen()
 			return nil
 		}
 		select {
@@ -787,53 +699,24 @@ func (l *link) dropConn(conn net.Conn) {
 	l.mu.Unlock()
 }
 
-// env implements proc.Env for one local member.
+// env implements proc.Env for one local member: the host.Process plus the
+// sending side of its links.
 type env struct {
-	c     *Cluster
-	id    proc.ID
-	node  proc.Node
-	start time.Time
-
-	// handleMu serializes all node callbacks (deliveries from every
-	// connection, timer fires, crash/restart) with Inspect.
-	handleMu sync.Mutex
-
-	mu      sync.Mutex
-	crashed bool
-	timers  map[proc.TimerKey]*timerSlot
-}
-
-type timerSlot struct {
-	gen   uint64
-	timer *time.Timer
-}
-
-func newEnv(c *Cluster, id proc.ID) *env {
-	return &env{c: c, id: id, start: time.Now(), timers: make(map[proc.TimerKey]*timerSlot)}
-}
-
-func (e *env) ID() proc.ID        { return e.id }
-func (e *env) N() int             { return e.c.cfg.N }
-func (e *env) Now() time.Duration { return time.Since(e.start) }
-
-func (e *env) isCrashed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.crashed
+	host.Process
+	c *Cluster
 }
 
 // Send implements proc.Env.
 func (e *env) Send(to proc.ID, msg any) {
-	if e.isCrashed() {
+	if e.Crashed() {
 		return
 	}
 	b, wm := e.encode(msg)
+	e.c.stats.TapSent(wm, netwire.FrameOverhead)
 	if b == nil {
-		e.c.countSent(wm)
-		e.c.countDropped()
+		e.c.stats.TapDropped()
 		return
 	}
-	e.c.countSent(wm)
 	e.sendFrame(to, b)
 	b.release()
 }
@@ -843,7 +726,7 @@ func (e *env) Send(to proc.ID, msg any) {
 // holding its own reference on the shared frame buffer. dests is only read
 // during the call.
 func (e *env) Multicast(dests *bitset.Set, msg any) {
-	if e.isCrashed() {
+	if e.Crashed() {
 		return
 	}
 	b, wm := e.encode(msg)
@@ -851,9 +734,9 @@ func (e *env) Multicast(dests *bitset.Set, msg any) {
 		if !dests.Contains(to) {
 			continue
 		}
-		e.c.countSent(wm)
+		e.c.stats.TapSent(wm, netwire.FrameOverhead)
 		if b == nil {
-			e.c.countDropped()
+			e.c.stats.TapDropped()
 			continue
 		}
 		e.sendFrame(to, b)
@@ -887,106 +770,30 @@ func (e *env) encode(msg any) (*buffer, wire.Message) {
 // the link policy (refusals count as drops, delays hold the frame back on a
 // timer before it reaches the link queue).
 func (e *env) sendFrame(to proc.ID, b *buffer) {
-	if p := e.c.policy; p != nil {
-		if !p.Admit(e.id, to) {
-			e.c.countDropped()
+	l := e.c.links[e.ID()][to]
+	if p := e.c.cfg.Policy; p != nil {
+		if !p.Admit(e.ID(), to) {
+			e.c.stats.TapDropped()
 			return
 		}
-		if d := p.Delay(e.id, to); d > 0 {
+		if d := p.Delay(e.ID(), to); d > 0 {
 			b.retain()
-			l := e.c.links[e.id][to]
 			time.AfterFunc(d, func() { l.enqueue(b) })
 			return
 		}
 	}
 	b.retain()
-	e.c.links[e.id][to].enqueue(b)
+	l.enqueue(b)
 }
 
-// deliver dispatches one decoded frame to the member under its callback
-// lock and recycles the payload afterwards (the caller's pools stay
-// single-owner because deliver runs on the caller's goroutine).
+// deliver dispatches one decoded frame to the member and recycles the
+// payload afterwards (the caller's pools stay single-owner because deliver
+// runs on the caller's goroutine).
 func (e *env) deliver(from proc.ID, m wire.Message) {
-	e.handleMu.Lock()
-	e.mu.Lock()
-	crashed := e.crashed
-	node := e.node
-	e.mu.Unlock()
-	if crashed {
-		e.handleMu.Unlock()
-		e.c.countDropped()
-	} else {
-		node.OnMessage(from, m)
-		e.handleMu.Unlock()
-		atomic.AddUint64(&e.c.stats.Delivered, 1)
-	}
+	e.Deliver(from, m)
 	if rc, ok := m.(wire.Recyclable); ok {
 		rc.Retain()
 		rc.Recycle()
-	}
-}
-
-// SetTimer implements proc.Env.
-func (e *env) SetTimer(key proc.TimerKey, d time.Duration) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.crashed {
-		return
-	}
-	slot := e.timers[key]
-	if slot == nil {
-		slot = &timerSlot{}
-		e.timers[key] = slot
-	} else if slot.timer != nil {
-		slot.timer.Stop()
-	}
-	slot.gen++
-	gen := slot.gen
-	if d < 0 {
-		d = 0
-	}
-	slot.timer = time.AfterFunc(d, func() { e.fireTimer(key, gen) })
-}
-
-// StopTimer implements proc.Env.
-func (e *env) StopTimer(key proc.TimerKey) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if slot := e.timers[key]; slot != nil {
-		slot.gen++ // invalidate any in-flight fire
-		if slot.timer != nil {
-			slot.timer.Stop()
-		}
-	}
-}
-
-func (e *env) stopAllTimers() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, slot := range e.timers {
-		slot.gen++
-		if slot.timer != nil {
-			slot.timer.Stop()
-		}
-	}
-}
-
-// fireTimer runs on the time.AfterFunc goroutine: serialize, revalidate the
-// generation (SetTimer/StopTimer/Crash invalidate in-flight fires), and run
-// the callback.
-func (e *env) fireTimer(key proc.TimerKey, gen uint64) {
-	if e.c.stopped() {
-		return
-	}
-	e.handleMu.Lock()
-	defer e.handleMu.Unlock()
-	e.mu.Lock()
-	slot := e.timers[key]
-	live := slot != nil && slot.gen == gen && !e.crashed
-	node := e.node
-	e.mu.Unlock()
-	if live {
-		node.OnTimer(key)
 	}
 }
 

@@ -48,7 +48,7 @@ func (t *ticker) OnMessage(from proc.ID, msg any) {
 }
 
 // startLocal boots an all-local n-member cluster on loopback :0 ports.
-func startLocal(t *testing.T, n int, policy Policy) (*Cluster, []*ticker) {
+func startLocal(t *testing.T, n int, policy proc.LinkFault) (*Cluster, []*ticker) {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {

@@ -50,7 +50,7 @@ const (
 	KindABCast
 
 	// KindCount is one past the largest defined kind; fixed-size per-kind
-	// counter arrays (netsim.Stats) are indexed by Kind and sized by it.
+	// counter arrays (host.Stats) are indexed by Kind and sized by it.
 	KindCount
 )
 

@@ -211,7 +211,7 @@ func (j chaosInjector) SetSlow(id int, extra time.Duration) {
 // (Validate rejects such schedules; manual crashes can still race one).
 func (j chaosInjector) Kill(id int) {
 	c := j.c
-	if id < 0 || id >= c.n || c.oracles[id] == nil || c.eng.crashed(id) {
+	if id < 0 || id >= c.n || !c.hosts(id) || c.eng.crashed(id) {
 		return
 	}
 	c.eng.crash(id)

@@ -38,7 +38,7 @@ type recOutcome struct {
 
 // Cluster is a running (or runnable) system of N processes executing one of
 // the paper's eventual-leader algorithms under an assumption scenario, on
-// either transport. Build one with New, advance it with Run, inspect it
+// any transport. Build one with New, advance it with Run, inspect it
 // with the accessors, and release it with Close.
 //
 // Concurrency: on the simulated transport all activity happens inside Run
@@ -51,6 +51,13 @@ type Cluster struct {
 	n   int
 
 	eng engine
+
+	// hosted[id] reports whether member id runs in this cluster value; nil
+	// means all of them do (every transport but a partial-topology Network).
+	// Fixed at New, so hosts may be called without the process locks —
+	// unlike the per-process tables below, which a restart rewrites under
+	// them.
+	hosted []bool
 
 	// Per-process protocol handles. The transport endpoint (entry in
 	// endpoints) is the registered node — a mux when application lanes
@@ -186,27 +193,25 @@ func New(opts ...Option) (*Cluster, error) {
 		c.lastLeaders[i] = None
 	}
 
-	hoster, _ := cfg.transport.(memberHoster)
+	if hoster, ok := cfg.transport.(memberHoster); ok {
+		c.hosted = make([]bool, cfg.n)
+		for id := range c.hosted {
+			c.hosted[id] = hoster.hostsMember(id)
+		}
+	}
 	if cfg.chaos != nil {
 		c.chaosJournal = chaosJournal
 		c.chaosFaults = chaos.NewFaults(cfg.n, cfg.seed^0x63686173) // "chas"
 		c.chaosDown = make([]bool, cfg.n)
 		c.chaosFloor = make([][]int64, cfg.n)
-		var hosted []bool
-		if hoster != nil {
-			hosted = make([]bool, cfg.n)
-			for id := 0; id < cfg.n; id++ {
-				hosted[id] = hoster.hostsMember(id)
-			}
-		}
 		c.chaosMon = chaos.NewMonitor(chaos.MonitorConfig{
-			N: cfg.n, Bound: cfg.chaosBound, Hosted: hosted,
+			N: cfg.n, Bound: cfg.chaosBound, Hosted: c.hosted,
 		})
 		c.chaosOrch = chaos.NewOrchestrator(*cfg.chaos, chaosInjector{c}, c.chaosMon)
 	}
 
 	for id := 0; id < cfg.n; id++ {
-		if hoster != nil && !hoster.hostsMember(id) {
+		if !c.hosts(id) {
 			continue // a remote member; its own process builds it
 		}
 		if err := c.buildProcess(id, false); err != nil {
@@ -226,6 +231,9 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// hosts reports whether member id runs in this cluster value.
+func (c *Cluster) hosts(id int) bool { return c.hosted == nil || c.hosted[id] }
 
 // checkCapabilities rejects option/transport mismatches: every feature a
 // config requests maps to one Capability, and the selected transport must
@@ -485,12 +493,7 @@ func (c *Cluster) collect(at time.Duration) {
 	defer c.mu.Unlock()
 	ls := check.LeaderSample{At: sim.Time(at), Leaders: make([]proc.ID, c.n)}
 	for id := 0; id < c.n; id++ {
-		if c.oracles[id] == nil { // remote member (network transport)
-			ls.Leaders[id] = proc.None
-			c.lastLeaders[id] = None
-			continue
-		}
-		if c.eng.crashed(id) {
+		if !c.hosts(id) || c.eng.crashed(id) {
 			ls.Leaders[id] = proc.None
 			c.lastLeaders[id] = None
 			continue
@@ -523,7 +526,7 @@ func (c *Cluster) collect(at time.Duration) {
 		// as up with an unknown leader (the hosted mask keeps them out of
 		// the agreement check; their own process monitors them).
 		for id := 0; id < c.n; id++ {
-			c.chaosDown[id] = c.oracles[id] != nil && c.eng.crashed(id)
+			c.chaosDown[id] = c.eng.crashed(id)
 		}
 		c.chaosMon.OnSample(at, ls.Leaders, c.chaosDown)
 	}
@@ -543,7 +546,7 @@ func (c *Cluster) snapshotAll() {
 		return
 	}
 	for id := 0; id < c.n; id++ {
-		if c.snaps[id] == nil || c.eng.crashed(id) {
+		if !c.hosts(id) || c.eng.crashed(id) {
 			continue
 		}
 		c.eng.lock(id)
@@ -567,7 +570,7 @@ func (c *Cluster) snapshotAll() {
 // N returns the number of processes.
 func (c *Cluster) N() int { return c.n }
 
-// Transport names the transport in use ("sim" or "live").
+// Transport names the transport in use ("sim", "live" or "net").
 func (c *Cluster) Transport() string { return c.cfg.transport.String() }
 
 // Capabilities returns the running engine's declared capability set.
@@ -605,7 +608,7 @@ func (c *Cluster) Run(d time.Duration) error {
 // process is crashed, hosted by another process (network transport), or id
 // is out of range.
 func (c *Cluster) Leader(id int) int {
-	if id < 0 || id >= c.n || c.oracles[id] == nil || c.eng.crashed(id) {
+	if id < 0 || id >= c.n || !c.hosts(id) || c.eng.crashed(id) {
 		return None
 	}
 	c.eng.lock(id)
@@ -630,7 +633,7 @@ func (c *Cluster) Leaders() []int {
 func (c *Cluster) Agreement() (int, bool) {
 	leader := None
 	for id := 0; id < c.n; id++ {
-		if c.oracles[id] == nil || c.eng.crashed(id) {
+		if !c.hosts(id) || c.eng.crashed(id) {
 			continue
 		}
 		l := c.Leader(id)
@@ -651,7 +654,7 @@ func (c *Cluster) Agreement() (int, bool) {
 // members can be crashed from here; crash a remote member from its own
 // process.
 func (c *Cluster) Crash(id int) error {
-	if id < 0 || id >= c.n || c.oracles[id] == nil {
+	if id < 0 || id >= c.n || !c.hosts(id) {
 		return fmt.Errorf("%w: %d", ErrBadProcess, id)
 	}
 	c.eng.crash(id)
@@ -742,7 +745,7 @@ func (c *Cluster) Report() *Report {
 	rep.FinalLevels = make([][]int64, c.n)
 	for id := 0; id < c.n; id++ {
 		rep.LeaderAtEnd[id] = None
-		if c.oracles[id] == nil { // remote member (network transport)
+		if !c.hosts(id) {
 			continue
 		}
 		c.eng.lock(id)

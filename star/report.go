@@ -5,9 +5,7 @@ import (
 
 	"repro/internal/check"
 	"repro/internal/core"
-	"repro/internal/netsim"
-	"repro/internal/runtime"
-	"repro/internal/tcpnet"
+	"repro/internal/host"
 	"repro/internal/wire"
 )
 
@@ -57,7 +55,7 @@ type Report struct {
 	RoundsDone int64
 
 	// Net is the transport traffic at report time (CapNetStats: real on
-	// both transports).
+	// every transport).
 	Net NetStats
 
 	// Recovery summarizes the WithRecovery journal activity (all zero
@@ -97,10 +95,10 @@ func (r *Report) StabilizationTime() time.Duration {
 	return r.StabilizedAt
 }
 
-// NetStats aggregates transport-level counters. Both transports report real
-// traffic (CapNetStats): the simulator counts on its event loop, the live
-// transport through atomic taps on its channel links — so live snapshots
-// are eventually consistent rather than instant-exact.
+// NetStats aggregates transport-level counters. Every transport reports
+// real traffic (CapNetStats): the simulator counts on its event loop, the
+// live and network transports through atomic taps on their links — so their
+// snapshots are eventually consistent rather than instant-exact.
 type NetStats struct {
 	Sent      uint64 // messages handed to the transport
 	Delivered uint64 // messages delivered to live processes
@@ -137,31 +135,11 @@ type RecoveryStats struct {
 	Fallbacks uint64
 }
 
-// netStatsFromRuntime converts the live transport's link-tap counters;
-// runtime.Stats mirrors netsim.Stats field for field.
-func netStatsFromRuntime(s runtime.Stats) NetStats { return netStatsFrom(netsim.Stats(s)) }
-
-// netStatsFromTCP converts the network transport's link taps; tcpnet.Stats
-// mirrors netsim.Stats and extends it with socket-only counters, so the
-// shared fields copy through netStatsFrom and the extras ride alongside.
-// (Bytes there count real framed bytes — payload plus netwire frame
-// overhead — rather than bare payload sizes.)
-func netStatsFromTCP(s tcpnet.Stats) NetStats {
-	out := netStatsFrom(netsim.Stats{
-		Sent:      s.Sent,
-		Delivered: s.Delivered,
-		Dropped:   s.Dropped,
-		Bytes:     s.Bytes,
-		ByKind:    s.ByKind,
-		BytesKind: s.BytesKind,
-	})
-	out.BreakerOpens = s.BreakerOpens
-	return out
-}
-
-// netStatsFrom converts the internal counters to the public mirror.
-func netStatsFrom(s netsim.Stats) NetStats {
-	out := NetStats{Sent: s.Sent, Delivered: s.Delivered, Dropped: s.Dropped, Bytes: s.Bytes}
+// netStatsFrom converts the transports' one counter struct to the public
+// mirror. (Over sockets Bytes count real framed bytes — payload plus netwire
+// frame overhead — rather than bare payload sizes.)
+func netStatsFrom(s host.Stats) NetStats {
+	out := NetStats{Sent: s.Sent, Delivered: s.Delivered, Dropped: s.Dropped, Bytes: s.Bytes, BreakerOpens: s.BreakerOpens}
 	for kind := wire.Kind(1); kind < wire.KindCount; kind++ {
 		if s.ByKind[kind] == 0 {
 			continue

@@ -83,15 +83,16 @@ const (
 type memberHoster interface{ hostsMember(id int) bool }
 
 // Transport selects how a cluster executes: on the deterministic
-// discrete-event simulator or live on goroutines with wall-clock timers.
-// The same protocol code runs unchanged on both. A Transport is itself an
+// discrete-event simulator, live on goroutines with wall-clock timers, or
+// over TCP sockets (Network). The same protocol code runs unchanged on all
+// three. A Transport is itself an
 // Option, so it is passed straight to New:
 //
 //	star.New(star.N(5), star.Simulated())
 //	star.New(star.N(4), star.Live())
 type Transport interface {
 	Option
-	// String names the transport ("sim" or "live").
+	// String names the transport ("sim", "live" or "net").
 	String() string
 	// Capabilities declares what the transport's engine can provide; New
 	// checks requested options against it (ErrUnsupported on mismatch).
