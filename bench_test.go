@@ -291,18 +291,16 @@ func benchUntilStable(b *testing.B, try func(seed uint64, horizon time.Duration)
 // BenchmarkFedLane measures the global application lanes (DESIGN.md §11):
 // each iteration runs a federation with the lanes up and drives waves of
 // cross-shard broadcasts through the full routing path — shard lane → tier
-// total order → back down every shard's lane — sequentially and with the
-// fork/join epoch loop on every CPU. The seq/forkjoin pairs replay the
-// identical global sequence; their wall-time gap is the parallelism win.
+// total order → back down every shard's lane — on the fork/join epoch loop
+// (one worker per GOMAXPROCS; run with -cpu 1 for the inline shard-order
+// loop).
 func BenchmarkFedLane(b *testing.B) {
 	shapes := []struct {
-		shards, size, workers int
-		label                 string
+		shards, size int
+		label        string
 	}{
-		{4, 8, 0, "4x8/seq"},
-		{4, 8, -1, "4x8/forkjoin"},
-		{8, 16, 0, "8x16/seq"},
-		{8, 16, -1, "8x16/forkjoin"},
+		{4, 8, "4x8"},
+		{8, 16, "8x16"},
 	}
 	for _, sh := range shapes {
 		b.Run(sh.label, func(b *testing.B) {
@@ -313,7 +311,7 @@ func BenchmarkFedLane(b *testing.B) {
 				res, err := harness.RunFed(harness.FedSpec{
 					Shards: sh.shards, ShardSize: sh.size, Seed: uint64(i) + 1,
 					Epoch: 25 * time.Millisecond, Duration: 6 * time.Second,
-					Traffic: 4, Workers: sh.workers,
+					Traffic: 4,
 				})
 				if err != nil {
 					b.Fatal(err)

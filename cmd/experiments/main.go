@@ -23,7 +23,7 @@
 // directory (paper_runs/ by convention), so a full paper run is one command.
 //
 // Runs within an experiment are independent deterministic simulations, so
-// they fan out across a worker pool (-workers, default one per CPU); tables
+// they fan out across a worker pool (-workers, default one per GOMAXPROCS); tables
 // are emitted in the same order regardless of worker count. Everything is
 // built on the public star API (repro/star + repro/star/harness).
 package main
@@ -52,7 +52,7 @@ func main() {
 	runID := flag.String("run", "", "experiment id to run (default: all)")
 	quick := flag.Bool("quick", false, "smaller configurations (for smoke runs)")
 	seed := flag.Uint64("seed", 42, "base random seed")
-	workers := flag.Int("workers", 0, "concurrent simulations per experiment (<=0: one per CPU)")
+	workers := flag.Int("workers", 0, "concurrent simulations per experiment (<=0: one per GOMAXPROCS)")
 	out := flag.String("out", "", "archive each experiment's table as CSV under <out>/<stamp>/<id>.csv (e.g. -out paper_runs)")
 	grid := flag.String("grid", "", "batch mode: run the experiment grid described by this JSON file (see scripts/experiments.json)")
 	analyze := flag.String("analyze", "", "aggregate an archived paper run (a paper_runs/<stamp> directory) into mean±spread markdown tables on stdout, instead of running anything")
@@ -735,14 +735,9 @@ func (s *suite) runFED() error {
 		delchurn.DelegateChurnPeriod = fedDur / 5
 		delchurn.DelegateChurnDowntime = fedDur / 20
 		delchurn.DelegateChurnUntil = fedDur * 3 / 4
-		// Global-lane traffic rides the same shape, sequentially and with
-		// the fork/join epoch loop on every CPU: the gseq/agree columns
-		// must match row for row (byte-identical replay), while the wall
-		// column shows what the parallel shard step buys at scale.
+		// Global-lane traffic rides the same shape.
 		lanes := base
 		lanes.Traffic = 4
-		lanesPar := lanes
-		lanesPar.Workers = -1
 
 		for _, row := range []struct {
 			label string
@@ -752,7 +747,6 @@ func (s *suite) runFED() error {
 			{"federated+shardchurn", churned},
 			{"federated+delchurn", delchurn},
 			{"federated+lanes", lanes},
-			{"federated+lanes fork/join", lanesPar},
 		} {
 			res, err := harness.RunFed(row.spec)
 			if err != nil {
@@ -790,12 +784,9 @@ func (s *suite) runFED() error {
 		" leader-of-leaders with zero invariant violations, under both churn tiers." +
 		" The flat control stabilizes too but burns O(n^2) messages per virtual" +
 		" second — compare the events and wall columns at equal n; the federation's" +
-		" cost is O(S*M^2 + S^2), so the gap widens with scale. The two lane rows" +
-		" commit identical global sequences (gseq, agree) whether the epoch loop" +
-		" runs shards sequentially or forked across every CPU — byte-identical" +
-		" replay is the invariant; on multi-core hosts the fork/join row's wall" +
-		" column additionally shows the parallel shard step's win at the largest" +
-		" shape (on a single-core runner the two walls match).")
+		" cost is O(S*M^2 + S^2), so the gap widens with scale. The lane row" +
+		" commits every submission to one global sequence that all live members" +
+		" agree on (gseq, agree).")
 	fmt.Println()
 	return nil
 }

@@ -72,7 +72,6 @@ func main() {
 		timeline = flag.Bool("timeline", false, "print the leader timeline (changes only)")
 		fed      = flag.String("fed", "", "federated mode: simulate an SxM federation (S shards of M processes plus a tier-2 delegate cluster), e.g. -fed 8x16")
 		traffic  = flag.Int("traffic", 0, "federated mode: drive N waves of global-lane broadcasts (one per shard per wave) through the federation's total-order lanes")
-		workers  = flag.Int("workers", 0, "federated mode: fork/join epoch parallelism (0 sequential, -1 one worker per CPU); replays stay byte-identical")
 		crashes  crashList
 	)
 	flag.Var(&crashes, "crash", "crash schedule entry id@time (repeatable), e.g. -crash 2@3s")
@@ -83,7 +82,7 @@ func main() {
 		fatal(err)
 	}
 	if *fed != "" {
-		if err := runFed(*fed, algorithm, *seed, *duration, *traffic, *workers); err != nil {
+		if err := runFed(*fed, algorithm, *seed, *duration, *traffic); err != nil {
 			fatal(err)
 		}
 		return
@@ -167,7 +166,7 @@ func main() {
 // processes each electing locally, shard leaders delegated into a tier-2
 // cluster whose election names the global leader-of-leaders. Deterministic:
 // the same shape, algorithm and seed reproduce the report byte for byte.
-func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Duration, traffic, workers int) error {
+func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Duration, traffic int) error {
 	sPart, mPart, ok := strings.Cut(shape, "x")
 	if !ok {
 		return fmt.Errorf("want -fed SxM, e.g. 8x16, got %q", shape)
@@ -189,12 +188,6 @@ func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Durati
 	}
 	if traffic > 0 {
 		opts = append(opts, star.FedAppLanes())
-	}
-	switch {
-	case workers > 0:
-		opts = append(opts, star.FedWorkers(workers))
-	case workers < 0:
-		opts = append(opts, star.FedWorkers(0)) // one worker per CPU
 	}
 	f, err := star.NewFederation(opts...)
 	if err != nil {

@@ -216,23 +216,6 @@ func (n *Node) Log() []Delivery {
 	return out
 }
 
-// Backlog reports how many decided slots are stuck at or past the delivery
-// cursor — sequenced but not yet deliverable, either because their content
-// has not diffused here or because this incarnation joined after earlier
-// slots were decided (a rejoined node's cursor restarts at zero and old
-// slots are never re-decided, so its backlog freezes: the lane owes such
-// members a prefix, not the suffix). The federation's global lanes surface
-// this as a per-member diagnostic.
-func (n *Node) Backlog() int {
-	b := 0
-	for slot := range n.decisions {
-		if slot >= n.nextDeliver {
-			b++
-		}
-	}
-	return b
-}
-
 // OnMessage implements proc.Node (the diffusion lane).
 func (n *Node) OnMessage(from proc.ID, msg any) {
 	if n.crashed {

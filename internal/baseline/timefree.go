@@ -127,8 +127,6 @@ func (n *TimeFreeNode) ExportSnapshot(s *journal.Snapshot) {
 	s.SRN = n.sRN
 	s.RRN = n.rRN
 	s.MaxRoundSeen = n.maxRoundSeen
-	s.TimeoutUnit = 0 // the baseline has no suspicion timers
-	s.AlivePeriod = n.cfg.Period
 	if cap(s.Levels) < len(n.counter) {
 		s.Levels = make([]int64, len(n.counter))
 	}

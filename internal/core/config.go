@@ -121,21 +121,6 @@ type Config struct {
 	// everything (paper-faithful).
 	Retention int64
 
-	// AdaptiveRetention lets the node size its own pruning horizon from
-	// the observed round spread and suspicion levels instead of using the
-	// fixed Retention: it starts at a small floor and grows (with
-	// hysteresis on shrink) toward Retention, which acts as the ceiling.
-	// Requires a positive Retention.
-	AdaptiveRetention bool
-
-	// AdaptiveTimeout enables self-tuning of the effective TimeoutUnit
-	// and AlivePeriod: a suspicion later contradicted by an ALIVE from
-	// the suspect means the timeout was too tight, so the node backs both
-	// off multiplicatively (bounded); sustained calm decays them back
-	// toward the configured base. Crashed processes never contradict, so
-	// real failures cause no backoff.
-	AdaptiveTimeout bool
-
 	// OnIncrement, when non-nil, observes every susp_level increment
 	// (line 17). Used by invariant checkers and experiments.
 	OnIncrement func(k int, newLevel int64)
@@ -206,9 +191,6 @@ func (c Config) Validate() error {
 	}
 	if c.WindowSlots < 0 {
 		return fmt.Errorf("core: WindowSlots must be >= 0, got %d", c.WindowSlots)
-	}
-	if c.AdaptiveRetention && c.Retention == 0 {
-		return fmt.Errorf("core: AdaptiveRetention needs a positive Retention ceiling")
 	}
 	return nil
 }

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bitset"
+	// Imported for its inline bodies: the hot paths call *bitset.Set methods
+	// through rounds.Row and the wire payloads, and the compiler inlines
+	// only methods of packages this package imports.
+	_ "repro/internal/bitset"
 	"repro/internal/journal"
 	"repro/internal/proc"
 	"repro/internal/rounds"
@@ -24,28 +27,6 @@ const (
 // configuration bug into a loud failure instead of a hang.
 const guardLoopBudget = 1 << 20
 
-// Self-tuning constants (Config.AdaptiveRetention / AdaptiveTimeout).
-const (
-	// adaptRetentionFloor is where adaptive retention starts; it must
-	// comfortably cover the window test's depth (susp_level bound B+1
-	// plus max F — a few dozen at most in any realistic configuration)
-	// or crash detection could never get off the ground.
-	adaptRetentionFloor = 64
-	// adaptRetentionSlack multiplies the observed need into the target
-	// horizon, so ordinary jitter does not sit at the cliff edge.
-	adaptRetentionSlack = 4
-	// adaptBackoffAfter contradicted suspicions trigger one timeout
-	// backoff; adaptDecayAfter calm completed rounds decay one step.
-	adaptBackoffAfter = 3
-	adaptDecayAfter   = 256
-	// The effective TimeoutUnit/AlivePeriod never exceed the configured
-	// base times these bounds (the paper's correctness needs timeouts
-	// that keep growing ONLY via susp_level; the adaptive unit is a
-	// constant-factor comfort knob, so it must stay bounded).
-	adaptMaxTimeoutMul = 16
-	adaptMaxAliveMul   = 4
-)
-
 // Metrics counts node-local events of interest to the experiments.
 type Metrics struct {
 	AliveSent      uint64 // ALIVE broadcasts performed (task T1 ticks)
@@ -63,13 +44,6 @@ type Metrics struct {
 	// store degraded (correctly) to map behaviour.
 	WindowEvictions uint64
 	WindowOverflow  uint64
-
-	// Self-tuning observability: the effective retention horizon now
-	// (equals Config.Retention without AdaptiveRetention), how many times
-	// it grew, and how many adaptive timeout backoffs fired.
-	RetentionNow    int64
-	RetentionGrows  uint64
-	TimeoutBackoffs uint64
 }
 
 // Node is one process of the paper's algorithm. Create with NewNode, then
@@ -131,19 +105,6 @@ type Node struct {
 	// kept for observability (Theorem 4: timeouts stabilize).
 	lastTimeout time.Duration
 
-	// Effective (possibly self-tuned) knobs. Without the adaptive
-	// options these equal the configured values forever.
-	retention   int64
-	timeoutUnit time.Duration
-	alivePeriod time.Duration
-
-	// Adaptive-timeout bookkeeping (nil/zero without AdaptiveTimeout):
-	// processes this node suspected recently and has not heard from
-	// since; an ALIVE from one of them contradicts the suspicion.
-	suspectedRecently *bitset.Set
-	falseSusp         int
-	calmRounds        int64
-
 	// restoreSnap, when non-nil, is applied by Start in place of the
 	// paper's init block (see RestoreSnapshot).
 	restoreSnap *journal.Snapshot
@@ -169,15 +130,6 @@ func NewNode(id proc.ID, cfg Config) (*Node, error) {
 		minCount:    cfg.N,
 		win:         rounds.New(cfg.N, cfg.WindowSlots),
 		prunedBelow: 1,
-		retention:   cfg.Retention,
-		timeoutUnit: cfg.TimeoutUnit,
-		alivePeriod: cfg.AlivePeriod,
-	}
-	if cfg.AdaptiveRetention && n.retention > adaptRetentionFloor {
-		n.retention = adaptRetentionFloor
-	}
-	if cfg.AdaptiveTimeout {
-		n.suspectedRecently = bitset.New(cfg.N)
 	}
 	return n, nil
 }
@@ -191,7 +143,6 @@ func (n *Node) Metrics() Metrics {
 	st := n.win.Stats()
 	m.WindowEvictions = st.Evictions
 	m.WindowOverflow = st.OverflowHits
-	m.RetentionNow = n.retention
 	return m
 }
 
@@ -199,8 +150,8 @@ func (n *Node) Metrics() Metrics {
 // counters at their initial values, susp_level all zero, the round timer
 // armed, and the first ALIVE broadcast scheduled immediately. When a
 // snapshot was staged by RestoreSnapshot, Start applies it instead: round
-// counters, levels and tuned knobs resume where the previous incarnation's
-// journal left them, and no frontier jump is needed.
+// counters and levels resume where the previous incarnation's journal left
+// them, and no frontier jump is needed.
 func (n *Node) Start(env proc.Env) {
 	if env.N() != n.cfg.N {
 		panic(fmt.Sprintf("core: env has %d processes, config says %d", env.N(), n.cfg.N))
@@ -241,28 +192,13 @@ func (n *Node) applySnapshot(s *journal.Snapshot) {
 	// Restored state IS the frontier context a jump would approximate;
 	// suppress the one-shot JoinCurrentRound synchronization.
 	n.joined = true
-	if n.cfg.AdaptiveTimeout {
-		n.timeoutUnit = clampDur(s.TimeoutUnit, n.cfg.TimeoutUnit, n.cfg.TimeoutUnit*adaptMaxTimeoutMul)
-		n.alivePeriod = clampDur(s.AlivePeriod, n.cfg.AlivePeriod, n.cfg.AlivePeriod*adaptMaxAliveMul)
-	}
 	// Re-derive the pruning horizon under the restored frontier so the
 	// window does not carry a stale (too-low) horizon into old rounds.
 	if n.cfg.Retention != 0 {
-		if h := n.maxRoundSeen - n.retention; h > n.prunedBelow {
+		if h := n.maxRoundSeen - n.cfg.Retention; h > n.prunedBelow {
 			n.prunedBelow = h
 		}
 	}
-}
-
-// clampDur clamps d into [lo, hi]; zero (unrecorded) maps to lo.
-func clampDur(d, lo, hi time.Duration) time.Duration {
-	if d < lo {
-		return lo
-	}
-	if d > hi {
-		return hi
-	}
-	return d
 }
 
 // ExportSnapshot fills s with the node's recovery-relevant state. Proc and
@@ -272,8 +208,6 @@ func (n *Node) ExportSnapshot(s *journal.Snapshot) {
 	s.SRN = n.sRN
 	s.RRN = n.rRN
 	s.MaxRoundSeen = n.maxRoundSeen
-	s.TimeoutUnit = n.timeoutUnit
-	s.AlivePeriod = n.alivePeriod
 	if cap(s.Levels) < len(n.suspLevel) {
 		s.Levels = make([]int64, len(n.suspLevel))
 	}
@@ -365,7 +299,7 @@ func (n *Node) aliveTick() {
 	m.RN = n.sRN
 	copy(m.SuspLevel, n.suspLevel)
 	proc.Broadcast(n.env, m)
-	n.env.SetTimer(TimerAlive, n.alivePeriod)
+	n.env.SetTimer(TimerAlive, n.cfg.AlivePeriod)
 }
 
 // OnMessage implements proc.Node.
@@ -405,9 +339,6 @@ func (n *Node) maybeJoin(rn int64) {
 // onAlive handles lines 4-7.
 func (n *Node) onAlive(from proc.ID, m *wire.Alive) {
 	n.noteRound(m.RN)
-	if n.cfg.AdaptiveTimeout {
-		n.noteContradiction(from)
-	}
 	// Line 5: pointwise maximum merge of the gossiped susp_level.
 	for k, v := range m.SuspLevel {
 		if k < len(n.suspLevel) && v > n.suspLevel[k] {
@@ -515,9 +446,6 @@ func (n *Node) checkGuard() {
 		sus := n.suspPool.Get(n.cfg.N)
 		sus.RN = n.rRN
 		sus.Suspects.ComplementFrom(row.Rec)
-		if n.cfg.AdaptiveTimeout {
-			n.noteRoundSuspects(sus.Suspects)
-		}
 		// Line 10: tell everybody, including ourselves.
 		n.metrics.SuspicionsSent++
 		proc.BroadcastAll(n.env, sus)
@@ -534,7 +462,7 @@ func (n *Node) checkGuard() {
 // roundTimeout computes the line-11 timer value: max susp_level, scaled,
 // plus G(r_rn+1) for the §7 variant, floored by MinTimeout.
 func (n *Node) roundTimeout() time.Duration {
-	d := time.Duration(n.maxLevel) * n.timeoutUnit
+	d := time.Duration(n.maxLevel) * n.cfg.TimeoutUnit
 	if n.cfg.Variant == VariantFG {
 		d += n.cfg.G(n.rRN + 1)
 	}
@@ -638,100 +566,10 @@ func (n *Node) prune() {
 	if n.cfg.Retention == 0 {
 		return
 	}
-	if n.cfg.AdaptiveRetention {
-		n.adaptRetention()
-	}
-	horizon := n.maxRoundSeen - n.retention
+	horizon := n.maxRoundSeen - n.cfg.Retention
 	if horizon <= n.prunedBelow {
 		return
 	}
 	n.prunedBelow = horizon
 	n.win.Prune(n.rRN, horizon)
-}
-
-// adaptRetention resizes the effective retention horizon from what the
-// algorithm observably needs: the window test looks back susp_level+F
-// rounds, and received messages skew maxRoundSeen ahead of the local round
-// (the observed round spread, Lemma 8's B in the steady state). The target
-// is that need with slack, floored (so the window test can always pass and
-// suspicion levels can grow at all) and ceilinged by Config.Retention.
-// Growth is immediate — too-small retention risks crash-detection liveness;
-// shrink has strong hysteresis so jitter never thrashes the horizon.
-func (n *Node) adaptRetention() {
-	need := n.metrics.MaxSuspLevel + n.cfg.F(n.maxRoundSeen) + 1
-	if spread := n.maxRoundSeen - n.rRN; spread > need {
-		need = spread
-	}
-	target := adaptRetentionSlack * need
-	if target < adaptRetentionFloor {
-		target = adaptRetentionFloor
-	}
-	if target > n.cfg.Retention {
-		target = n.cfg.Retention
-	}
-	switch {
-	case target > n.retention:
-		n.retention = target
-		n.metrics.RetentionGrows++
-	case n.retention > adaptRetentionSlack*target:
-		// Shrink by halving toward the target, never below it.
-		n.retention = 2 * target
-	}
-}
-
-// noteRoundSuspects records a completed round's suspects for later
-// contradiction checks, and advances the calm-round decay clock.
-func (n *Node) noteRoundSuspects(sus *bitset.Set) {
-	n.suspectedRecently.UnionWith(sus)
-	n.calmRounds++
-	if n.calmRounds >= adaptDecayAfter {
-		n.calmRounds = 0
-		n.decayTimeouts()
-	}
-}
-
-// noteContradiction handles an ALIVE from a recently suspected process: the
-// suspicion was a false positive, i.e. the effective timeout is too tight
-// for the network's current behaviour. Enough of them back both knobs off.
-// Genuinely crashed processes never send, so they never trigger this.
-func (n *Node) noteContradiction(from proc.ID) {
-	if !n.suspectedRecently.Contains(int(from)) {
-		return
-	}
-	n.suspectedRecently.Remove(int(from))
-	n.calmRounds = 0
-	n.falseSusp++
-	if n.falseSusp >= adaptBackoffAfter {
-		n.falseSusp = 0
-		n.backoffTimeouts()
-	}
-}
-
-// backoffTimeouts multiplies the effective knobs by 3/2, bounded by the
-// adaptMax multipliers of the configured base.
-func (n *Node) backoffTimeouts() {
-	n.timeoutUnit = minDur(n.timeoutUnit*3/2, n.cfg.TimeoutUnit*adaptMaxTimeoutMul)
-	n.alivePeriod = minDur(n.alivePeriod*3/2, n.cfg.AlivePeriod*adaptMaxAliveMul)
-	n.metrics.TimeoutBackoffs++
-}
-
-// decayTimeouts walks the effective knobs back toward the configured base
-// after a sustained calm stretch.
-func (n *Node) decayTimeouts() {
-	n.timeoutUnit = maxDur(n.timeoutUnit*2/3, n.cfg.TimeoutUnit)
-	n.alivePeriod = maxDur(n.alivePeriod*2/3, n.cfg.AlivePeriod)
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // File-store record framing. Every record is
@@ -25,8 +24,9 @@ import (
 //	int64   SRN
 //	int64   RRN
 //	int64   MaxRoundSeen
-//	int64   TimeoutUnit (ns)
-//	int64   AlivePeriod (ns)
+//	[16]byte reserved: written as zero, skipped on load (earlier builds
+//	         stored tuned timing knobs here; the layout is frozen so their
+//	         journals still load)
 //	int64   Levels[...]
 //
 // Append-only with last-record-wins per process: a snapshot cadence of
@@ -149,8 +149,6 @@ func decodePayload(p []byte, out *Snapshot) error {
 	out.SRN = int64(binary.LittleEndian.Uint64(p[16:24]))
 	out.RRN = int64(binary.LittleEndian.Uint64(p[24:32]))
 	out.MaxRoundSeen = int64(binary.LittleEndian.Uint64(p[32:40]))
-	out.TimeoutUnit = time.Duration(binary.LittleEndian.Uint64(p[40:48]))
-	out.AlivePeriod = time.Duration(binary.LittleEndian.Uint64(p[48:56]))
 	out.Levels = make([]int64, nLevels)
 	for i := range out.Levels {
 		out.Levels[i] = int64(binary.LittleEndian.Uint64(p[filePayloadFixed+8*i:]))
@@ -178,8 +176,7 @@ func (s *FileStore) Save(snap *Snapshot) error {
 	binary.LittleEndian.PutUint64(payload[16:24], uint64(snap.SRN))
 	binary.LittleEndian.PutUint64(payload[24:32], uint64(snap.RRN))
 	binary.LittleEndian.PutUint64(payload[32:40], uint64(snap.MaxRoundSeen))
-	binary.LittleEndian.PutUint64(payload[40:48], uint64(snap.TimeoutUnit))
-	binary.LittleEndian.PutUint64(payload[48:56], uint64(snap.AlivePeriod))
+	clear(payload[40:filePayloadFixed]) // reserved
 	for i, v := range snap.Levels {
 		binary.LittleEndian.PutUint64(payload[filePayloadFixed+8*i:], uint64(v))
 	}

@@ -1,8 +1,7 @@
 // Package journal persists the recovery-relevant slice of a process's
-// protocol state — the susp_level vector, the round counters, and the
-// effective (possibly self-tuned) timing knobs — so a crashed process can
-// restart from where it was instead of taking the round-frontier jump with
-// empty state (the "amnesia" churn model).
+// protocol state — the susp_level vector and the round counters — so a
+// crashed process can restart from where it was instead of taking the
+// round-frontier jump with empty state (the "amnesia" churn model).
 //
 // The package defines one seam, Store, with two implementations:
 //
@@ -22,7 +21,6 @@ package journal
 import (
 	"errors"
 	"sync"
-	"time"
 )
 
 // ErrCorrupt marks journal damage detected by the CRC/framing validation.
@@ -33,7 +31,7 @@ var ErrCorrupt = errors.New("journal: corrupt record")
 // Snapshot is one process's recovery-relevant state at a point in time.
 // The fields mirror what a restarted incarnation cannot reconstruct from
 // its peers: the gossiped suspicion levels would eventually re-converge,
-// but the round counters and tuned timing knobs would not.
+// but the round counters would not.
 type Snapshot struct {
 	// Proc is the process id; Incarnation counts restarts (0 = original).
 	Proc        int
@@ -44,12 +42,6 @@ type Snapshot struct {
 	// retention pruning after restore).
 	SRN, RRN     int64
 	MaxRoundSeen int64
-
-	// TimeoutUnit and AlivePeriod are the node's effective timing values
-	// at snapshot time — equal to the configured ones unless adaptive
-	// tuning moved them. Zero means "not recorded, use configured".
-	TimeoutUnit time.Duration
-	AlivePeriod time.Duration
 
 	// Levels is the susp_level vector (the time-free baseline stores its
 	// counter vector here). Length must equal the cluster's N.

@@ -1,11 +1,12 @@
 package journal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func sampleSnap(proc int, rrn int64) *Snapshot {
@@ -15,8 +16,6 @@ func sampleSnap(proc int, rrn int64) *Snapshot {
 		SRN:          rrn + 1,
 		RRN:          rrn,
 		MaxRoundSeen: rrn + 2,
-		TimeoutUnit:  2 * time.Millisecond,
-		AlivePeriod:  10 * time.Millisecond,
 		Levels:       []int64{0, 1, 2, rrn},
 	}
 }
@@ -24,7 +23,6 @@ func sampleSnap(proc int, rrn int64) *Snapshot {
 func equalSnap(a, b *Snapshot) bool {
 	if a.Proc != b.Proc || a.Incarnation != b.Incarnation ||
 		a.SRN != b.SRN || a.RRN != b.RRN || a.MaxRoundSeen != b.MaxRoundSeen ||
-		a.TimeoutUnit != b.TimeoutUnit || a.AlivePeriod != b.AlivePeriod ||
 		len(a.Levels) != len(b.Levels) {
 		return false
 	}
@@ -261,4 +259,58 @@ func TestFileBitFlipInLength(t *testing.T) {
 		}
 	})
 	reopenExpectDegraded(t, path, 0)
+}
+
+// TestFileReservedWordsIgnored pins the frozen record layout: payload bytes
+// [40:56] are reserved. Earlier builds stored two timing values there, so a
+// record hand-encoded with nonzero reserved words — exactly as those builds
+// wrote it — must load with every other field intact, and a fresh save must
+// write the words back as zero.
+func TestFileReservedWordsIgnored(t *testing.T) {
+	want := sampleSnap(1, 7)
+	payload := make([]byte, filePayloadFixed+8*len(want.Levels))
+	binary.LittleEndian.PutUint32(payload[0:4], uint32(want.Proc))
+	binary.LittleEndian.PutUint32(payload[4:8], uint32(len(want.Levels)))
+	binary.LittleEndian.PutUint64(payload[8:16], want.Incarnation)
+	binary.LittleEndian.PutUint64(payload[16:24], uint64(want.SRN))
+	binary.LittleEndian.PutUint64(payload[24:32], uint64(want.RRN))
+	binary.LittleEndian.PutUint64(payload[32:40], uint64(want.MaxRoundSeen))
+	binary.LittleEndian.PutUint64(payload[40:48], 3_000_000)  // a tuned TimeoutUnit (ns)
+	binary.LittleEndian.PutUint64(payload[48:56], 15_000_000) // a tuned AlivePeriod (ns)
+	for i, v := range want.Levels {
+		binary.LittleEndian.PutUint64(payload[filePayloadFixed+8*i:], uint64(v))
+	}
+	rec := make([]byte, fileHeaderSize, fileHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	rec = append(rec, payload...)
+
+	path := filepath.Join(t.TempDir(), "j.journal")
+	if err := os.WriteFile(path, rec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.Load(1)
+	if err != nil || got == nil || !equalSnap(got, want) {
+		t.Fatalf("Load of a record with reserved words set = %+v, %v; want %+v", got, err, want)
+	}
+	if err := fs.Save(sampleSnap(1, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := raw[len(rec)+fileHeaderSize:]
+	for i, b := range fresh[40:filePayloadFixed] {
+		if b != 0 {
+			t.Fatalf("fresh record: reserved byte %d = %#x, want 0", 40+i, b)
+		}
+	}
 }

@@ -2,7 +2,7 @@
 // parallel experiment execution.
 //
 // Every simulation run owns its scheduler, network and random streams and is
-// deterministic per seed, so independent runs can execute on all cores while
+// deterministic per seed, so independent runs can execute in parallel while
 // results stay byte-identical to a sequential execution: callers index a
 // pre-sized results slice by job index, which fixes the output order
 // regardless of completion order or worker count.
@@ -15,16 +15,17 @@ import (
 )
 
 // ForEach runs fn(i) for every i in [0, n), using up to workers goroutines.
-// workers <= 0 means runtime.NumCPU(). ForEach returns when every call has
-// completed. fn must be safe to call concurrently for distinct i; writes to
-// disjoint slice elements are safe and are ordered by the pool's final
-// synchronization.
+// workers <= 0 means runtime.GOMAXPROCS(0), so GOMAXPROCS=1 (or go test
+// -cpu 1) runs every call inline on the caller's goroutine in index order.
+// ForEach returns when every call has completed. fn must be safe to call
+// concurrently for distinct i; writes to disjoint slice elements are safe
+// and are ordered by the pool's final synchronization.
 func ForEach(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n

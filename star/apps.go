@@ -86,24 +86,6 @@ func (c *Cluster) Broadcast(p int, payload int64) error {
 	return nil
 }
 
-// LaneBacklog reports how many decided broadcast slots are stuck behind
-// process p's delivery cursor — sequenced by the lane but not yet
-// deliverable here. A member that rejoined after a crash keeps a frozen
-// nonzero backlog (its fresh lane cannot replay old slots); for a
-// never-crashed member a persistent backlog means diffusion is lagging.
-func (c *Cluster) LaneBacklog(p int) int {
-	if p < 0 || p >= c.n || !c.cfg.abcastEnabled {
-		return 0
-	}
-	c.eng.lock(p)
-	defer c.eng.unlock(p)
-	ab := c.abs[p]
-	if ab == nil {
-		return 0
-	}
-	return ab.Backlog()
-}
-
 // Deliveries returns process p's ordered delivery log (a copy).
 func (c *Cluster) Deliveries(p int) []Delivery {
 	if p < 0 || p >= c.n || !c.cfg.abcastEnabled {

@@ -313,14 +313,12 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 		}
 		ccfg := core.Config{
 			N: p.N, T: p.T, Alpha: p.Alpha,
-			Variant:           variant,
-			AlivePeriod:       c.cfg.alivePeriod,
-			TimeoutUnit:       c.cfg.timeoutUnit,
-			Retention:         c.cfg.retention,
-			WindowSlots:       c.cfg.windowSlots(),
-			JoinCurrentRound:  useJump,
-			AdaptiveRetention: c.cfg.adaptRetention,
-			AdaptiveTimeout:   c.cfg.adaptTimeouts,
+			Variant:          variant,
+			AlivePeriod:      c.cfg.alivePeriod,
+			TimeoutUnit:      c.cfg.timeoutUnit,
+			Retention:        c.cfg.retention,
+			WindowSlots:      c.cfg.windowSlots(),
+			JoinCurrentRound: useJump,
 		}
 		if variant == core.VariantFG {
 			// §7: the algorithm knows f and g (the scenario's).

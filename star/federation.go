@@ -33,7 +33,7 @@ const DefaultFedPressure = 4
 // learns the mapping in the same total order. Records stamped with a
 // superseded incarnation are rejected
 // on delivery (a deposed delegate can never speak for its shard), and
-// tier-2 suspicion of a delegate rising past FedPressure maps back to
+// tier-2 suspicion of a delegate rising past DefaultFedPressure maps back to
 // shard-local re-election pressure: the suspected shard's leader is deposed
 // so the shard elects afresh and hands off again.
 //
@@ -58,8 +58,9 @@ type Federation struct {
 	mon *hier.Monitor
 
 	// seq is true when every component cluster declares CapDeterminism:
-	// the epoch loop then runs them sequentially in index order (the
-	// determinism argument); otherwise components run concurrently.
+	// the epoch loop then forks the shards and joins them at a barrier in
+	// index order (the determinism argument); otherwise components run
+	// concurrently on the wall clock.
 	seq bool
 
 	// dirty[s] is set by shard s's observer on any leader-estimate change
@@ -82,7 +83,7 @@ type Federation struct {
 	laneMu sync.Mutex
 	laneIn [][]laneDelivery
 
-	// Parallel epoch loop (FedWorkers). During a parallel window shard
+	// Fork/join epoch loop (all-sim federations). During a fork window shard
 	// observer events are buffered per shard — only shard s's worker
 	// goroutine writes evBuf[s] — and flushed in shard-index order at the
 	// barrier, so the observer stream is byte-identical to sequential
@@ -122,17 +123,12 @@ type fedConfig struct {
 	observer    func(Event)
 	observeMask EventKind
 
-	chaos      *ChaosSchedule
-	chaosBound time.Duration
-
-	pressure    int64
-	pressureSet bool
+	chaos *ChaosSchedule
 
 	churnStart, churnPeriod, churnDowntime, churnUntil time.Duration
 	churnSet                                           bool
 
-	lanes   bool
-	workers int
+	lanes bool
 }
 
 // laneDelivery is one shard-lane delivery queued for the bridge.
@@ -226,7 +222,7 @@ func FedObserve(mask EventKind, fn func(Event)) FedOption {
 // separates whole shards from each other at the tier, Kill/Restart steps
 // kill and revive delegates, and the tier's invariant monitor checks that a
 // majority-of-shards component re-elects a global leader within
-// FedChaosBound. Link-level steps never touch intra-shard traffic — that is
+// DefaultChaosBound. Link-level steps never touch intra-shard traffic — that is
 // exactly the point of shard granularity.
 func FedChaos(s *ChaosSchedule) FedOption {
 	return fedOptionFunc(func(c *fedConfig) error {
@@ -234,34 +230,6 @@ func FedChaos(s *ChaosSchedule) FedOption {
 			return fmt.Errorf("%w: FedChaos(nil)", ErrInvalidParams)
 		}
 		c.chaos = s
-		return nil
-	})
-}
-
-// FedChaosBound sets the federation's re-election deadline (the tier chaos
-// monitor's and the federation invariant monitor's bound).
-// Default: DefaultChaosBound.
-func FedChaosBound(d time.Duration) FedOption {
-	return fedOptionFunc(func(c *fedConfig) error {
-		if d <= 0 {
-			return fmt.Errorf("%w: FedChaosBound must be positive, got %v", ErrInvalidParams, d)
-		}
-		c.chaosBound = d
-		return nil
-	})
-}
-
-// FedPressure sets the tier-suspicion rise at which a delegate's shard is
-// pressured into re-election (its current leader is deposed and the shard
-// elects afresh). 0 disables pressure mapping.
-// Default: DefaultFedPressure.
-func FedPressure(levels int64) FedOption {
-	return fedOptionFunc(func(c *fedConfig) error {
-		if levels < 0 {
-			return fmt.Errorf("%w: FedPressure must be >= 0, got %d", ErrInvalidParams, levels)
-		}
-		c.pressure = levels
-		c.pressureSet = true
 		return nil
 	})
 }
@@ -297,23 +265,6 @@ func FedAppLanes() FedOption {
 	return fedOptionFunc(func(c *fedConfig) error { c.lanes = true; return nil })
 }
 
-// FedWorkers sets the worker-pool width of the deterministic epoch loop:
-// on an all-simulated federation each epoch runs the shard slices on n
-// workers (0 = all cores) and merges results — observer events included —
-// in shard-index order at the barrier, so replays stay byte-identical
-// while the wall-clock cost of an epoch drops by roughly the worker count.
-// Ignored on federations with live or network components, whose shards
-// already run concurrently. Default: 1 (sequential).
-func FedWorkers(n int) FedOption {
-	return fedOptionFunc(func(c *fedConfig) error {
-		if n < 0 {
-			return fmt.Errorf("%w: FedWorkers must be >= 0, got %d", ErrInvalidParams, n)
-		}
-		c.workers = n
-		return nil
-	})
-}
-
 // mix64 is SplitMix64's output mix: shard and tier seeds are derived from
 // the federation seed through it so sibling clusters never share delay
 // streams even for adjacent seeds.
@@ -328,7 +279,7 @@ func mix64(x uint64) uint64 {
 // FedShape is required; everything else defaults: shards and tier on the
 // simulated transport, Fig3 everywhere, DefaultFedEpoch bridge cadence.
 func NewFederation(opts ...FedOption) (*Federation, error) {
-	cfg := fedConfig{epoch: DefaultFedEpoch, pressure: DefaultFedPressure, workers: 1}
+	cfg := fedConfig{epoch: DefaultFedEpoch}
 	for _, o := range opts {
 		if o == nil {
 			continue
@@ -343,16 +294,13 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 	if cfg.shardSize < 2 || cfg.shardSize > hier.MaxShardSize {
 		return nil, fmt.Errorf("%w: FedShape needs shard size 2..%d, got %d", ErrInvalidParams, hier.MaxShardSize, cfg.shardSize)
 	}
-	if cfg.chaosBound == 0 {
-		cfg.chaosBound = DefaultChaosBound
-	}
 
 	f := &Federation{
 		cfg:          cfg,
 		shards:       make([]*Cluster, cfg.shards),
 		tab:          hier.NewTable(cfg.shards),
 		trk:          hier.NewTracker(),
-		mon:          hier.NewMonitor(cfg.shards, cfg.chaosBound),
+		mon:          hier.NewMonitor(cfg.shards, DefaultChaosBound),
 		dirty:        make([]atomic.Bool, cfg.shards),
 		seen:         make(map[int64]bool),
 		shardLeaders: make([]int, cfg.shards),
@@ -417,7 +365,7 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 		WithAtomicBroadcast(f.onTierDeliver),
 	)
 	if cfg.chaos != nil {
-		tierOpts = append(tierOpts, WithChaos(cfg.chaos), ChaosBound(cfg.chaosBound))
+		tierOpts = append(tierOpts, WithChaos(cfg.chaos))
 	}
 	tier, err := New(tierOpts...)
 	if err != nil {
@@ -438,9 +386,9 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 // Proc and Leader translated to flat ids. It runs on the shard's execution
 // context (deterministic on sim) and must not take f.mu — on the live
 // transports the caller holds the shard's collector lock. During a
-// FedWorkers parallel window the translated event is buffered instead
-// (only shard s's worker goroutine writes evBuf[s]) and flushed in
-// shard-index order at the barrier.
+// fork/join window the translated event is buffered instead (only shard
+// s's worker goroutine writes evBuf[s]) and flushed in shard-index order at
+// the barrier.
 func (f *Federation) forwardShardEvent(s int, ev Event) {
 	if f.cfg.observer == nil || f.cfg.observeMask&ev.Kind == 0 {
 		return
@@ -525,10 +473,11 @@ func (f *Federation) ShardLeader(s int) int {
 
 // Run advances the federation by d in bridge epochs: each epoch runs every
 // shard, then the tier, then the bridge (handoffs, pressure, delegate
-// churn, global-leader sampling). On an all-simulated federation the epoch
-// loop is strictly sequential in shard order — the determinism argument —
-// and d is virtual time; with live or network shards the components run
-// concurrently and d is wall time.
+// churn, global-leader sampling). On an all-simulated federation the shards
+// fork onto a worker pool and join at a barrier that merges their effects
+// in shard order — the determinism argument — and d is virtual time; with
+// live or network shards the components run concurrently and d is wall
+// time.
 func (f *Federation) Run(d time.Duration) error {
 	f.mu.Lock()
 	if f.closed {
@@ -561,21 +510,13 @@ func (f *Federation) Run(d time.Duration) error {
 	}
 }
 
-// runEpoch advances every component by step: sequentially in index order on
-// an all-deterministic federation, concurrently otherwise (live shards
-// execute in background goroutines regardless; concurrent Run keeps the
-// wall-clock cost of an epoch one step, not shards+1 steps).
+// runEpoch advances every component by step: fork/join on an
+// all-deterministic federation, concurrently otherwise (live shards execute
+// in background goroutines regardless; concurrent Run keeps the wall-clock
+// cost of an epoch one step, not shards+1 steps).
 func (f *Federation) runEpoch(step time.Duration) error {
 	if f.seq {
-		if f.cfg.workers != 1 {
-			return f.runEpochParallel(step)
-		}
-		for _, sh := range f.shards {
-			if err := sh.Run(step); err != nil {
-				return err
-			}
-		}
-		return f.tier.Run(step)
+		return f.runEpochParallel(step)
 	}
 	errs := make([]error, len(f.shards)+1)
 	var wg sync.WaitGroup
@@ -600,9 +541,10 @@ func (f *Federation) runEpoch(step time.Duration) error {
 	return nil
 }
 
-// runEpochParallel is the FedWorkers epoch slice: shard simulations are
+// runEpochParallel is the all-sim epoch slice: shard simulations are
 // independent between epoch barriers, so they fork onto an internal/par
-// worker pool and join before the tier runs. Everything order-sensitive is
+// worker pool (one worker per GOMAXPROCS; with one, an inline loop in shard
+// order) and join before the tier runs. Everything order-sensitive is
 // merged in shard-index order at the barrier — observer events buffer per
 // shard (forwardShardEvent) and flush sequentially here, the lane inboxes
 // are per-shard by construction, and the tier always runs after the join —
@@ -610,7 +552,7 @@ func (f *Federation) runEpoch(step time.Duration) error {
 func (f *Federation) runEpochParallel(step time.Duration) error {
 	errs := make([]error, len(f.shards))
 	f.buffered = true
-	par.ForEach(len(f.shards), f.cfg.workers, func(s int) {
+	par.ForEach(len(f.shards), 0, func(s int) {
 		errs[s] = f.shards[s].Run(step)
 	})
 	f.buffered = false
@@ -763,18 +705,16 @@ func (f *Federation) poll() {
 	// 4. Pressure: tier-2 suspicion of a delegate rising past the
 	// threshold (above its post-handoff baseline) deposes the shard's
 	// current leader, forcing shard-local re-election and a fresh handoff.
-	if f.cfg.pressure > 0 {
-		for s := range f.shards {
-			m := f.tierSuspMax(s)
-			if m-f.pressBase[s] < f.cfg.pressure {
-				continue
-			}
-			f.pressBase[s] = m
-			if l := f.shardLeaders[s]; l != None && !f.shards[s].Crashed(l) {
-				f.shards[s].eng.crash(l)
-				f.shards[s].eng.restart(l)
-				f.pressure++
-			}
+	for s := range f.shards {
+		m := f.tierSuspMax(s)
+		if m-f.pressBase[s] < DefaultFedPressure {
+			continue
+		}
+		f.pressBase[s] = m
+		if l := f.shardLeaders[s]; l != None && !f.shards[s].Crashed(l) {
+			f.shards[s].eng.crash(l)
+			f.shards[s].eng.restart(l)
+			f.pressure++
 		}
 	}
 
@@ -994,7 +934,7 @@ type FederationReport struct {
 	RejectedFrames uint64
 
 	// Pressure counts shard leaders deposed because tier-2 suspicion of
-	// their delegate crossed the FedPressure threshold.
+	// their delegate crossed the DefaultFedPressure threshold.
 	Pressure uint64
 
 	// Global-lane counters (FedAppLanes; all zero otherwise).

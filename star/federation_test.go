@@ -347,7 +347,6 @@ func TestFederationOptionValidation(t *testing.T) {
 		{star.FedShape(2, 3), star.FedEpoch(0)},
 		{star.FedShape(2, 3), star.FedObserve(star.EventAll, nil)},
 		{star.FedShape(2, 3), star.FedChaos(nil)},
-		{star.FedShape(2, 3), star.FedPressure(-1)},
 		{star.FedShape(2, 3), star.FedDelegateChurn(0, 0, 0, 0)},
 	}
 	for i, opts := range cases {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -242,14 +243,17 @@ func TestFederationGlobalLaneChaosPartition(t *testing.T) {
 // TestFederationGlobalLaneDeterminism is the replay guarantee for the
 // global lanes: with traffic, delegate churn and a migration in the mix,
 // the committed global sequence and the federation report are
-// byte-identical seed-for-seed — and byte-identical again when the epoch
-// loop forks across a FedWorkers pool.
+// byte-identical seed-for-seed — and byte-identical again, observer event
+// stream included, under GOMAXPROCS=1, where the fork/join epoch loop runs
+// its shards inline in index order.
 func TestFederationGlobalLaneDeterminism(t *testing.T) {
-	run := func(extra ...star.FedOption) ([]byte, []byte) {
-		f, err := star.NewFederation(append([]star.FedOption{
+	run := func() ([]byte, []byte, []byte) {
+		var events []star.Event
+		f, err := star.NewFederation(
 			star.FedShape(4, 3), star.FedSeed(42), star.FedAppLanes(),
 			star.FedDelegateChurn(time.Second, 800*time.Millisecond, 200*time.Millisecond, 4*time.Second),
-		}, extra...)...)
+			star.FedObserve(star.EventAll, func(ev star.Event) { events = append(events, ev) }),
+		)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,22 +289,32 @@ func TestFederationGlobalLaneDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return seq, rep
+		evs, err := json.Marshal(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seq, rep, evs
 	}
-	seqA, repA := run()
-	seqB, repB := run()
+	seqA, repA, evA := run()
+	seqB, repB, _ := run()
 	if !bytes.Equal(seqA, seqB) {
 		t.Fatalf("same seed, different global sequences:\n%s\n%s", seqA, seqB)
 	}
 	if !bytes.Equal(repA, repB) {
 		t.Fatalf("same seed, different federation reports:\n%s\n%s", repA, repB)
 	}
-	seqW, repW := run(star.FedWorkers(4))
+	seqW, repW, evW := func() ([]byte, []byte, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		return run()
+	}()
 	if !bytes.Equal(seqA, seqW) {
-		t.Fatalf("FedWorkers changed the global sequence:\n%s\n%s", seqA, seqW)
+		t.Fatalf("GOMAXPROCS=1 changed the global sequence:\n%s\n%s", seqA, seqW)
 	}
 	if !bytes.Equal(repA, repW) {
-		t.Fatalf("FedWorkers changed the federation report:\n%s\n%s", repA, repW)
+		t.Fatalf("GOMAXPROCS=1 changed the federation report:\n%s\n%s", repA, repW)
+	}
+	if !bytes.Equal(evA, evW) {
+		t.Fatalf("GOMAXPROCS=1 changed the observer event stream:\n%s\n%s", evA, evW)
 	}
 }
 
@@ -502,10 +516,6 @@ func TestFederationGlobalLaneRaceTCP(t *testing.T) {
 }
 
 func TestFederationLaneValidation(t *testing.T) {
-	if _, err := star.NewFederation(star.FedShape(2, 3), star.FedWorkers(-1)); err == nil {
-		t.Fatal("FedWorkers(-1) accepted")
-	}
-
 	// Without FedAppLanes every lane method is ErrNoApp.
 	plain, err := star.NewFederation(star.FedShape(2, 3), star.FedSeed(1))
 	if err != nil {

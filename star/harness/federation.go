@@ -24,9 +24,6 @@ type FedSpec struct {
 	Epoch time.Duration
 	// Duration is the virtual run length. 0 means 10s.
 	Duration time.Duration
-	// Pressure overrides the tier-suspicion deposal threshold (0 keeps the
-	// star default).
-	Pressure int64
 
 	// Shard-local churn: inside every shard, processes rotate through
 	// crash/restart with this schedule (zero Period disables it).
@@ -47,11 +44,6 @@ type FedSpec struct {
 	// over the middle half, and a settling tail. The FedResult's Global*
 	// fields report what committed.
 	Traffic int
-
-	// Workers is the fork/join epoch parallelism (FedWorkers): 0 keeps the
-	// sequential default, positive pins that worker count, negative uses
-	// one worker per CPU. Replays are byte-identical at any setting.
-	Workers int
 }
 
 func (s FedSpec) withDefaults() FedSpec {
@@ -122,9 +114,6 @@ func (s FedSpec) fedOptions() []star.FedOption {
 	if s.Epoch != 0 {
 		opts = append(opts, star.FedEpoch(s.Epoch))
 	}
-	if s.Pressure != 0 {
-		opts = append(opts, star.FedPressure(s.Pressure))
-	}
 	if s.DelegateChurnPeriod > 0 {
 		opts = append(opts, star.FedDelegateChurn(
 			s.DelegateChurnStart, s.DelegateChurnPeriod,
@@ -132,12 +121,6 @@ func (s FedSpec) fedOptions() []star.FedOption {
 	}
 	if s.Traffic > 0 {
 		opts = append(opts, star.FedAppLanes())
-	}
-	switch {
-	case s.Workers > 0:
-		opts = append(opts, star.FedWorkers(s.Workers))
-	case s.Workers < 0:
-		opts = append(opts, star.FedWorkers(0)) // one worker per CPU
 	}
 	return opts
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -85,37 +86,52 @@ func TestRunFedChurnKnobs(t *testing.T) {
 }
 
 // TestRunFedTraffic: the Traffic knob drives global-lane waves — every
-// submission commits, every member agrees, and the committed sequence's
-// fingerprint is identical between a sequential and a fork/join parallel
-// run of the same spec (the Workers knob must not perturb the replay).
+// submission commits, every member agrees, and the committed sequence and
+// the federation report are byte-identical between the default fork/join
+// run and a GOMAXPROCS=1 run, whose epoch loop is the inline shard-order
+// loop (worker count must not perturb the replay).
 func TestRunFedTraffic(t *testing.T) {
 	spec := FedSpec{
 		Shards: 3, ShardSize: 4, Seed: 11, Duration: 8 * time.Second,
 		Traffic: 3,
 	}
-	seqRun, err := RunFed(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := spec.Traffic * spec.Shards; seqRun.GlobalSeq != want {
-		t.Fatalf("GlobalSeq = %d, want %d", seqRun.GlobalSeq, want)
-	}
-	if !seqRun.GlobalAgree {
-		t.Fatal("members disagree on the global sequence")
-	}
-	if seqRun.Federation.GlobalDecisions != uint64(seqRun.GlobalSeq) {
-		t.Fatalf("report GlobalDecisions = %d, want %d",
-			seqRun.Federation.GlobalDecisions, seqRun.GlobalSeq)
-	}
-
-	spec.Workers = -1 // one worker per CPU
 	parRun, err := RunFed(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parRun.GlobalHash != seqRun.GlobalHash || parRun.GlobalSeq != seqRun.GlobalSeq {
-		t.Fatalf("parallel replay diverged: hash %x/%x len %d/%d",
-			parRun.GlobalHash, seqRun.GlobalHash, parRun.GlobalSeq, seqRun.GlobalSeq)
+	if want := spec.Traffic * spec.Shards; parRun.GlobalSeq != want {
+		t.Fatalf("GlobalSeq = %d, want %d", parRun.GlobalSeq, want)
+	}
+	if !parRun.GlobalAgree {
+		t.Fatal("members disagree on the global sequence")
+	}
+	if parRun.Federation.GlobalDecisions != uint64(parRun.GlobalSeq) {
+		t.Fatalf("report GlobalDecisions = %d, want %d",
+			parRun.Federation.GlobalDecisions, parRun.GlobalSeq)
+	}
+
+	seqRun := func() *FedResult {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		res, err := RunFed(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}()
+	if seqRun.GlobalHash != parRun.GlobalHash || seqRun.GlobalSeq != parRun.GlobalSeq {
+		t.Fatalf("GOMAXPROCS=1 replay diverged: hash %x/%x len %d/%d",
+			seqRun.GlobalHash, parRun.GlobalHash, seqRun.GlobalSeq, parRun.GlobalSeq)
+	}
+	ja, err := json.Marshal(parRun.Federation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(seqRun.Federation)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja, jb) {
+		t.Fatalf("GOMAXPROCS=1 federation report differs:\n%s\n%s", ja, jb)
 	}
 }
 

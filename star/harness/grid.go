@@ -22,7 +22,7 @@ type GridSpec struct {
 	Families []string
 	Algos    []Algorithm
 	// Workers bounds the number of cells simulated concurrently; <= 0
-	// means one per CPU. Each cell owns its cluster and random streams
+	// means one per GOMAXPROCS. Each cell owns its cluster and random streams
 	// and is seeded independently of the others, so the results are
 	// byte-identical for every worker count.
 	Workers int

@@ -88,12 +88,6 @@ type Config struct {
 	// star default.
 	SnapshotEvery time.Duration
 
-	// AdaptiveRetention lets each node tune its retention horizon under
-	// the configured Retention ceiling (which must then be > 0);
-	// AdaptiveTimeouts enables the contradiction-driven timeout backoff.
-	AdaptiveRetention bool
-	AdaptiveTimeouts  bool
-
 	// MaxEvents aborts runaway simulations. 0 means the star default.
 	MaxEvents uint64
 
@@ -205,12 +199,6 @@ func (c Config) options() []star.Option {
 			opts = append(opts, star.SnapshotEvery(c.SnapshotEvery))
 		}
 	}
-	if c.AdaptiveRetention {
-		opts = append(opts, star.AdaptiveRetention())
-	}
-	if c.AdaptiveTimeouts {
-		opts = append(opts, star.AdaptiveTimeouts())
-	}
 	return opts
 }
 
@@ -260,8 +248,8 @@ func gather(cfg Config, c *star.Cluster) *Result {
 
 // RunAll executes every config on a worker pool and returns results in
 // input order (each run is deterministic and self-contained, so parallel
-// execution cannot change any result). workers <= 0 means one per CPU; the
-// first error wins.
+// execution cannot change any result). workers <= 0 means one per
+// GOMAXPROCS; the first error wins.
 func RunAll(cfgs []Config, workers int) ([]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))

@@ -74,8 +74,6 @@ type config struct {
 	recovery         journal.Store
 	snapshotEvery    time.Duration
 	snapshotSet      bool
-	adaptRetention   bool
-	adaptTimeouts    bool
 	churn            *churnWindows
 	observer         func(Event)
 	observeMask      EventKind
@@ -129,9 +127,6 @@ func (c *config) finish() error {
 	}
 	if c.recovery != nil && c.snapshotEvery == 0 {
 		c.snapshotEvery = DefaultSnapshotEvery
-	}
-	if c.adaptRetention && c.retention == 0 {
-		return fmt.Errorf("%w: AdaptiveRetention needs bounded retention (it tunes within the Retention ceiling; drop UnboundedRetention)", ErrInvalidParams)
 	}
 	if c.transport == nil {
 		c.transport = Simulated()
@@ -367,8 +362,8 @@ func FileJournal(path string) (RecoveryStore, error) {
 }
 
 // WithRecovery replaces the amnesia churn model with durable crash
-// recovery: every process's recovery-relevant state (susp_level vector,
-// round counters, tuned timing knobs) is snapshotted into the journal on
+// recovery: every process's recovery-relevant state (susp_level vector and
+// round counters) is snapshotted into the journal on
 // the SnapshotEvery cadence, and a restarted incarnation restores its last
 // snapshot instead of starting empty and taking the round-frontier jump. A
 // corrupt or missing journal degrades to exactly that jump path, with
@@ -396,27 +391,6 @@ func SnapshotEvery(d time.Duration) Option {
 		c.snapshotSet = true
 		return nil
 	})
-}
-
-// AdaptiveRetention lets each core-algorithm process size its own pruning
-// horizon from the observed round spread and suspicion levels, instead of
-// holding the full configured Retention at all times: the horizon starts at
-// a small floor and grows (shrinks with hysteresis) as the run demands,
-// with Retention as the ceiling. Conflicts with UnboundedRetention — there
-// is no ceiling to tune within.
-func AdaptiveRetention() Option {
-	return optionFunc(func(c *config) error { c.adaptRetention = true; return nil })
-}
-
-// AdaptiveTimeouts enables self-tuning of the effective TimeoutUnit and
-// AlivePeriod in each core-algorithm process: suspicions later contradicted
-// by an ALIVE from the suspect (false positives — the signature of timeouts
-// too tight for the actual network, e.g. the live transport on a loaded
-// machine) back both knobs off multiplicatively, bounded; sustained calm
-// decays them back toward the configured base. With WithRecovery, the tuned
-// values survive restarts via the journal.
-func AdaptiveTimeouts() Option {
-	return optionFunc(func(c *config) error { c.adaptTimeouts = true; return nil })
 }
 
 // WithAtomicBroadcast stacks total-order broadcast on repeated consensus

@@ -1,8 +1,10 @@
 package star_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -105,44 +107,6 @@ func TestRecoveryDeterministic(t *testing.T) {
 	}
 }
 
-// TestRecoveryAdaptiveKnobs runs the full self-tuning surface — adaptive
-// retention under a bounded ceiling plus adaptive timeouts — through a
-// churny recovery run: still stabilizes, still deterministic, and the
-// per-node metrics expose the effective retention horizon.
-func TestRecoveryAdaptiveKnobs(t *testing.T) {
-	mk := func() string {
-		rs := star.MemJournal()
-		defer rs.Close()
-		c, err := star.New(recoveryOpts(rs,
-			star.Retention(4096),
-			star.AdaptiveRetention(),
-			star.AdaptiveTimeouts(),
-		)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		if err := c.Run(20 * time.Second); err != nil {
-			t.Fatal(err)
-		}
-		rep := c.Report()
-		if !rep.Stabilized {
-			t.Fatalf("adaptive recovery run did not stabilize: %+v", rep.Stabilization)
-		}
-		m := c.Metrics()
-		for id, nm := range m.Nodes {
-			if nm.RetentionNow < 1 || nm.RetentionNow > 4096 {
-				t.Fatalf("process %d: effective retention %d outside (0, ceiling]", id, nm.RetentionNow)
-			}
-		}
-		return fmt.Sprintf("%s recovery=%+v", domainKey(c), rep.Recovery)
-	}
-	a, b := mk(), mk()
-	if a != b {
-		t.Fatalf("adaptive run not deterministic:\n run1: %s\n run2: %s", a, b)
-	}
-}
-
 // TestFileJournalSurvivesClusterRestart is durability end to end: run a
 // churny cluster against a FileJournal, close everything, reopen the same
 // path, and a second cluster resumes its initial processes from the journal
@@ -193,6 +157,57 @@ func TestFileJournalSurvivesClusterRestart(t *testing.T) {
 	}
 	if rep2.Recovery.Fallbacks != 0 {
 		t.Fatalf("fallbacks=%d on a clean journal", rep2.Recovery.Fallbacks)
+	}
+}
+
+// TestFileJournalReservedWordsRestore: payload bytes [40:56] of every
+// journal record are reserved, and earlier builds stored tuned timing values
+// there. Rewriting every record of a real journal with nonzero reserved words
+// (and re-sealing its CRC, as those builds did) must not cost a single
+// restore: a cluster restarted on it resumes its processes with no fallback.
+func TestFileJournalReservedWordsRestore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.bin")
+	seedJournal(t, path)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for off := 0; off < len(raw); records++ {
+		plen := int(binary.LittleEndian.Uint32(raw[off:]))
+		payload := raw[off+8 : off+8+plen]
+		binary.LittleEndian.PutUint64(payload[40:48], uint64(3*time.Millisecond))
+		binary.LittleEndian.PutUint64(payload[48:56], uint64(15*time.Millisecond))
+		binary.LittleEndian.PutUint32(raw[off+4:], crc32.ChecksumIEEE(payload))
+		off += 8 + plen
+	}
+	if records == 0 {
+		t.Fatal("seeded journal holds no records")
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rs, err := star.FileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	c, err := star.New(recoveryOpts(rs)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Run(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	rep := c.Report()
+	if !rep.Stabilized {
+		t.Fatalf("cluster on a reserved-words journal did not stabilize: %+v", rep.Stabilization)
+	}
+	if rep.Recovery.Restores < 5 || rep.Recovery.Fallbacks != 0 {
+		t.Fatalf("restores=%d fallbacks=%d, want every initial process restored",
+			rep.Recovery.Restores, rep.Recovery.Fallbacks)
 	}
 }
 
@@ -351,10 +366,6 @@ func TestRecoveryOptionValidation(t *testing.T) {
 	// A zero RecoveryStore has no journal behind it.
 	if _, err := star.New(star.N(5), star.WithRecovery(star.RecoveryStore{})); !errors.Is(err, star.ErrInvalidParams) {
 		t.Fatalf("zero RecoveryStore: err = %v, want ErrInvalidParams", err)
-	}
-	// Adaptive retention needs a ceiling to tune under.
-	if _, err := star.New(star.N(5), star.UnboundedRetention(), star.AdaptiveRetention()); !errors.Is(err, star.ErrInvalidParams) {
-		t.Fatalf("AdaptiveRetention + UnboundedRetention: err = %v, want ErrInvalidParams", err)
 	}
 	// A journal path that cannot be opened surfaces at option build time.
 	if _, err := star.FileJournal(filepath.Join(t.TempDir(), "missing", "journal.bin")); !errors.Is(err, star.ErrInvalidParams) {

@@ -168,13 +168,6 @@ type NodeMetrics struct {
 	// served by it. Both ~0 in non-adversarial runs.
 	WindowEvictions uint64
 	WindowOverflow  uint64
-
-	// Self-tuning observability (AdaptiveRetention / AdaptiveTimeouts):
-	// the effective retention horizon now, how many times it grew, and
-	// how many adaptive timeout backoffs fired.
-	RetentionNow    int64
-	RetentionGrows  uint64
-	TimeoutBackoffs uint64
 }
 
 func nodeMetricsFrom(m core.Metrics) NodeMetrics {
@@ -189,9 +182,6 @@ func nodeMetricsFrom(m core.Metrics) NodeMetrics {
 		DupSuspicion:    m.DupSuspicion,
 		WindowEvictions: m.WindowEvictions,
 		WindowOverflow:  m.WindowOverflow,
-		RetentionNow:    m.RetentionNow,
-		RetentionGrows:  m.RetentionGrows,
-		TimeoutBackoffs: m.TimeoutBackoffs,
 	}
 }
 
