@@ -18,15 +18,15 @@
 // With -journal the federation survives process death: SIGKILL the process,
 // re-exec the same command line, and every shard plus the tier restores its
 // protocol state from its on-disk journal (the final FEDREPORT line counts
-// shard_restores and tier_restores).
+// them in Federation.ShardRecovery.Restores and Recovery.Restores).
 //
 // Any mode takes -chaos schedule.json: a fault timeline (star.WithChaos
 // schedule format — partitions, asymmetric cuts, loss/jitter/slow windows,
 // kill/restart steps) executed against the cluster while the continuous
 // invariant monitor checks re-election, agreement and delivery safety. Every
 // member process loads the same schedule and executes its share; the REPORT
-// line gains chaos_steps and chaos_violations fields, and any violation
-// fails the cluster verdict.
+// line's Chaos field carries the applied steps and the violations, and any
+// violation fails the cluster verdict.
 //
 // Spawn mode is the real-deployment shape: N OS processes share nothing but
 // the topology file and the sockets between them. It can also exercise
@@ -49,10 +49,13 @@
 //	  "snapshot_every": "500ms"                    // optional journal cadence
 //	}
 //
-// Each member process prints STATUS lines while running and one final
-// machine-parseable REPORT line; the launcher prefixes child output with the
-// member id, aggregates the REPORT lines and prints a final CLUSTER verdict
-// (exit status 1 if the hosted members did not end in agreement).
+// Each member process prints human-readable STATUS lines while running and
+// one final verdict line, "REPORT " followed by a JSON memberReport (the
+// star.Report without its sampled Timeline). Federated mode ends with
+// "FEDREPORT " and a JSON fedReport instead. The launcher prefixes child
+// output with the member id, decodes the REPORT lines and prints a final
+// human-readable CLUSTER verdict (exit status 1 if the hosted members did
+// not end in agreement).
 package main
 
 import (
@@ -297,23 +300,56 @@ func runMember(topo *topology, member int, deadline time.Time, chaosPath string)
 		}
 	}
 
-	rep := c.Report()
 	leader, agreed := c.Agreement()
-	var chaosSteps int
-	var chaosViolations uint64
-	if rep.Chaos != nil {
-		chaosSteps = rep.Chaos.StepsApplied
-		chaosViolations = rep.Chaos.TotalViolations
-		for _, v := range rep.Chaos.Violations {
-			fmt.Printf("VIOLATION at=%v rule=%s detail=%q\n", v.At, v.Rule, v.Detail)
-		}
-	}
-	fmt.Printf("REPORT member=%d leader=%d agreed=%v restores=%d fallbacks=%d snapshots=%d sent=%d delivered=%d dropped=%d bytes=%d chaos_steps=%d chaos_violations=%d\n",
-		member, leader, agreed,
-		rep.Recovery.Restores, rep.Recovery.Fallbacks, rep.Recovery.Snapshots,
-		rep.Net.Sent, rep.Net.Delivered, rep.Net.Dropped, rep.Net.Bytes,
-		chaosSteps, chaosViolations)
+	rep := c.Report()
+	rep.Timeline = nil // grows with the run and has no reader here
+	fmt.Println(verdictLine("REPORT", memberReport{Member: member, Leader: leader, Agreed: agreed, Report: *rep}))
 	return nil
+}
+
+// memberReport is the body of a member process's final REPORT line.
+type memberReport struct {
+	Member int         `json:"member"` // -1: all members hosted here
+	Leader int         `json:"leader"`
+	Agreed bool        `json:"agreed"`
+	Report star.Report `json:"report"`
+}
+
+// fedReport is the body of federated mode's final FEDREPORT line; Lanes is
+// set when -traffic drove the global lanes.
+type fedReport struct {
+	Report star.Report  `json:"report"`
+	Lanes  *laneVerdict `json:"lanes,omitempty"`
+}
+
+// laneVerdict is the global-lane outcome: how many broadcasts were
+// submitted, the committed sequence's length and FNV fingerprint, and
+// whether every member delivered that identical order.
+type laneVerdict struct {
+	Submitted int    `json:"submitted"`
+	GSeq      int    `json:"gseq"`
+	LogHash   string `json:"log_hash"`
+	LogAgree  bool   `json:"log_agree"`
+}
+
+// verdictLine renders a verdict line: the tag, a space, and v as JSON. The
+// verdict types hold no floats, channels or cycles, so encoding cannot fail.
+func verdictLine(tag string, v any) string {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	return tag + " " + string(raw)
+}
+
+// decodeReport decodes a member's REPORT line. Any other line, or a REPORT
+// whose body is not valid JSON, yields ok=false.
+func decodeReport(line string) (rep memberReport, ok bool) {
+	body, ok := strings.CutPrefix(line, "REPORT ")
+	if !ok || json.Unmarshal([]byte(body), &rep) != nil {
+		return memberReport{}, false
+	}
+	return rep, true
 }
 
 // runFedMode hosts an entire SxM federation in this process: S shard
@@ -324,9 +360,8 @@ func runMember(topo *topology, member int, deadline time.Time, chaosPath string)
 // re-exec'd with the same command line restores both tiers from disk. With
 // -traffic > 0 the global application lanes come up too: once a global
 // leader stands, every shard submits one broadcast per wave, and the final
-// FEDREPORT carries the lane verdict (committed length, retransmissions,
-// the sequence's FNV fingerprint, and whether every member delivered the
-// identical order).
+// FEDREPORT carries the lane verdict (committed length, the sequence's FNV
+// fingerprint, and whether every member delivered the identical order).
 func runFedMode(shape string, seed uint64, journalDir string, traffic int, deadline time.Time) error {
 	s, m, err := parseShape(shape)
 	if err != nil {
@@ -422,25 +457,21 @@ func runFedMode(shape string, seed uint64, journalDir string, traffic int, deadl
 	}
 
 	rep := f.Report()
-	fr := rep.Federation
-	fmt.Printf("FEDREPORT shards=%d size=%d global=%d handoffs=%d rejected=%d pressure=%d violations=%d shard_restores=%d shard_fallbacks=%d tier_restores=%d tier_fallbacks=%d\n",
-		fr.Shards, fr.ShardSize, fr.GlobalLeader,
-		fr.Handoffs, fr.RejectedFrames, fr.Pressure, fr.TotalViolations,
-		fr.ShardRecovery.Restores, fr.ShardRecovery.Fallbacks,
-		rep.Recovery.Restores, rep.Recovery.Fallbacks)
+	rep.Timeline = nil
+	out := fedReport{Report: *rep}
 	if traffic > 0 {
 		seq := f.GlobalSequence()
-		agree := fedLogsAgree(f, seq)
-		fmt.Printf("FEDLANES  submitted=%d gseq=%d decisions=%d redeliveries=%d stale=%d dup=%d migrations=%d log_hash=%016x log_agree=%v\n",
-			submitted, len(seq), fr.GlobalDecisions, fr.Redeliveries,
-			fr.StaleSubmits, fr.DupLaneFrames, fr.Migrations, hashGlobal(seq), agree)
-		if len(seq) != submitted {
-			return fmt.Errorf("global lane committed %d of %d submissions", len(seq), submitted)
-		}
-		if !agree {
-			return fmt.Errorf("members disagree on the global sequence")
-		}
+		out.Lanes = &laneVerdict{Submitted: submitted, GSeq: len(seq),
+			LogHash: fmt.Sprintf("%016x", hashGlobal(seq)), LogAgree: fedLogsAgree(f, seq)}
 	}
+	fmt.Println(verdictLine("FEDREPORT", out))
+	if l := out.Lanes; l != nil && l.GSeq != l.Submitted {
+		return fmt.Errorf("global lane committed %d of %d submissions", l.GSeq, l.Submitted)
+	}
+	if l := out.Lanes; l != nil && !l.LogAgree {
+		return fmt.Errorf("members disagree on the global sequence")
+	}
+	fr := rep.Federation
 	if fr.GlobalLeader == star.None {
 		return fmt.Errorf("run ended with no global leader")
 	}
@@ -507,15 +538,6 @@ func parseShape(shape string) (shards, size int, err error) {
 	return shards, size, nil
 }
 
-// childReport is one member process's parsed final REPORT line.
-type childReport struct {
-	leader     int
-	agreed     bool
-	restores   uint64
-	fallbacks  uint64
-	violations uint64
-}
-
 // launcher forks and supervises the member processes.
 type launcher struct {
 	topoPath     string
@@ -524,10 +546,10 @@ type launcher struct {
 	restartDelay time.Duration
 
 	mu      sync.Mutex
-	procs   map[int]*exec.Cmd   // live child handle per member
-	reports map[int]childReport // latest REPORT per member
-	killed  map[int]int         // intentional SIGKILLs not yet consumed by a re-exec
-	failed  bool                // some child exited abnormally (not by our kill)
+	procs   map[int]*exec.Cmd    // live child handle per member
+	reports map[int]memberReport // latest REPORT per member
+	killed  map[int]int          // intentional SIGKILLs not yet consumed by a re-exec
+	failed  bool                 // some child exited abnormally (not by our kill)
 }
 
 // runLauncher is spawn mode: one OS process per member, kill-schedule
@@ -556,7 +578,7 @@ func runLauncher(topo *topology, topoPath string, deadline time.Time, kills kill
 		deadline:     deadline,
 		restartDelay: restartDelay,
 		procs:        make(map[int]*exec.Cmd),
-		reports:      make(map[int]childReport),
+		reports:      make(map[int]memberReport),
 		killed:       make(map[int]int),
 	}
 
@@ -592,16 +614,18 @@ func runLauncher(topo *topology, topoPath string, deadline time.Time, kills kill
 			agreed = false
 			continue
 		}
-		restores += r.restores
-		fallbacks += r.fallbacks
-		violations += r.violations
-		if !r.agreed {
+		restores += r.Report.Recovery.Restores
+		fallbacks += r.Report.Recovery.Fallbacks
+		if r.Report.Chaos != nil {
+			violations += r.Report.Chaos.TotalViolations
+		}
+		if !r.Agreed {
 			agreed = false
 			continue
 		}
 		if leader == -1 {
-			leader = r.leader
-		} else if r.leader != leader {
+			leader = r.Leader
+		} else if r.Leader != leader {
 			agreed = false
 		}
 	}
@@ -631,14 +655,10 @@ func (l *launcher) superviseMember(id int) {
 		cmd := exec.Command(os.Args[0], args...)
 		cmd.Stderr = os.Stderr
 		out, err := cmd.StdoutPipe()
-		if err != nil {
-			fmt.Printf("launcher: member %d: %v\n", id, err)
-			l.mu.Lock()
-			l.failed = true
-			l.mu.Unlock()
-			return
+		if err == nil {
+			err = cmd.Start()
 		}
-		if err := cmd.Start(); err != nil {
+		if err != nil {
 			fmt.Printf("launcher: member %d: %v\n", id, err)
 			l.mu.Lock()
 			l.failed = true
@@ -653,7 +673,7 @@ func (l *launcher) superviseMember(id int) {
 		for sc.Scan() {
 			line := sc.Text()
 			fmt.Printf("[m%d] %s\n", id, line)
-			if rep, ok := parseReport(line); ok {
+			if rep, ok := decodeReport(line); ok {
 				l.mu.Lock()
 				l.reports[id] = rep
 				l.mu.Unlock()
@@ -696,33 +716,6 @@ func (l *launcher) kill(id int) {
 		fmt.Printf("launcher: kill member %d: %v\n", id, err)
 		l.killed[id]--
 	}
-}
-
-// parseReport extracts a member's REPORT line fields.
-func parseReport(line string) (childReport, bool) {
-	if !strings.HasPrefix(line, "REPORT ") {
-		return childReport{}, false
-	}
-	var rep childReport
-	for _, f := range strings.Fields(line)[1:] {
-		k, v, ok := strings.Cut(f, "=")
-		if !ok {
-			continue
-		}
-		switch k {
-		case "leader":
-			rep.leader, _ = strconv.Atoi(v)
-		case "agreed":
-			rep.agreed = v == "true"
-		case "restores":
-			rep.restores, _ = strconv.ParseUint(v, 10, 64)
-		case "fallbacks":
-			rep.fallbacks, _ = strconv.ParseUint(v, 10, 64)
-		case "chaos_violations":
-			rep.violations, _ = strconv.ParseUint(v, 10, 64)
-		}
-	}
-	return rep, true
 }
 
 func fatal(err error) {

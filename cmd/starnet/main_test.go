@@ -3,11 +3,11 @@ package main
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,8 +76,11 @@ func TestAllLocalMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starnet: %v\n%s", err, out)
 	}
-	rep := finalReport(t, string(out))
-	if !rep.agreed {
+	reps := memberReports(string(out))
+	if len(reps) == 0 {
+		t.Fatalf("no REPORT line in output:\n%s", out)
+	}
+	if !reps[len(reps)-1].Agreed {
 		t.Fatalf("no agreement:\n%s", out)
 	}
 }
@@ -111,11 +114,9 @@ func TestSpawnKillRestore(t *testing.T) {
 		t.Fatalf("kill schedule did not run:\n%s", text)
 	}
 	var restores, fallbacks uint64
-	if _, err := fmt.Sscanf(afterKey(cluster, "restores="), "%d", &restores); err != nil {
-		t.Fatalf("parsing %q: %v", cluster, err)
-	}
-	if _, err := fmt.Sscanf(afterKey(cluster, "fallbacks="), "%d", &fallbacks); err != nil {
-		t.Fatalf("parsing %q: %v", cluster, err)
+	for _, r := range memberReports(text) {
+		restores += r.Report.Recovery.Restores
+		fallbacks += r.Report.Recovery.Fallbacks
 	}
 	if restores < 1 {
 		t.Fatalf("SIGKILL + re-exec counted no journal restores (fallbacks=%d):\n%s", fallbacks, text)
@@ -162,9 +163,14 @@ func TestChaosScheduleSpawn(t *testing.T) {
 	if !strings.Contains(cluster, "chaos_violations=0") {
 		t.Fatalf("chaos violations in cluster verdict: %s\n%s", cluster, text)
 	}
-	var steps int
-	if _, err := fmt.Sscanf(afterKey(text, "chaos_steps="), "%d", &steps); err != nil || steps < sched.Len() {
-		t.Fatalf("members did not run the schedule (steps=%d, want >=%d):\n%s", steps, sched.Len(), text)
+	reps := memberReports(text)
+	if len(reps) == 0 {
+		t.Fatalf("no REPORT line in output:\n%s", text)
+	}
+	for _, r := range reps {
+		if r.Report.Chaos == nil || r.Report.Chaos.StepsApplied < sched.Len() {
+			t.Fatalf("member %d did not run the schedule (want >=%d steps): %+v\n%s", r.Member, sched.Len(), r.Report.Chaos, text)
+		}
 	}
 }
 
@@ -241,43 +247,26 @@ scan:
 		t.Fatalf("re-exec'd federation: %v\n%s", err, out2)
 	}
 	text := string(out2)
-	fed := ""
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "FEDREPORT ") {
-			fed = line
-		}
-	}
-	if fed == "" {
-		t.Fatalf("no FEDREPORT line:\n%s", text)
-	}
-	var shardRestores, tierRestores, violations uint64
-	if _, err := fmt.Sscanf(afterKey(fed, "shard_restores="), "%d", &shardRestores); err != nil {
-		t.Fatalf("parsing %q: %v", fed, err)
-	}
-	if _, err := fmt.Sscanf(afterKey(fed, "tier_restores="), "%d", &tierRestores); err != nil {
-		t.Fatalf("parsing %q: %v", fed, err)
-	}
-	if _, err := fmt.Sscanf(afterKey(fed, "violations="), "%d", &violations); err != nil {
-		t.Fatalf("parsing %q: %v", fed, err)
-	}
-	if shardRestores < 1 {
+	rep := finalFedReport(t, text).Report
+	fr := rep.Federation
+	if fr.ShardRecovery.Restores < 1 {
 		t.Fatalf("re-exec'd federation restored no shard state from %s:\n%s", journalDir, text)
 	}
-	if tierRestores < 1 {
+	if rep.Recovery.Restores < 1 {
 		t.Fatalf("re-exec'd federation restored no tier state from %s:\n%s", journalDir, text)
 	}
-	if violations != 0 {
-		t.Fatalf("federation invariant violations after restore: %s\n%s", fed, text)
+	if fr.TotalViolations != 0 {
+		t.Fatalf("federation invariant violations after restore: %+v\n%s", fr.Violations, text)
 	}
-	if strings.Contains(fed, "global=-1") {
-		t.Fatalf("no global leader after restore: %s\n%s", fed, text)
+	if fr.GlobalLeader == star.None {
+		t.Fatalf("no global leader after restore:\n%s", text)
 	}
 }
 
 // TestFedTraffic is the global-lane e2e: a 2x3 federation on real TCP
 // loopback sockets with the application lanes up, three waves of global
 // broadcasts routed shard lane → tier total order → back down every shard.
-// The FEDLANES line must show every submission committed exactly once and
+// The FEDREPORT lane verdict must show every submission committed exactly once and
 // every member delivering the identical sequence (the command itself exits
 // nonzero on a lost or duplicated delivery, so the error check carries most
 // of the verdict).
@@ -289,44 +278,84 @@ func TestFedTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("starnet -fed -traffic: %v\n%s", err, out)
 	}
-	lanes := ""
-	for _, line := range strings.Split(string(out), "\n") {
-		if strings.HasPrefix(line, "FEDLANES ") {
-			lanes = line
-		}
+	lanes := finalFedReport(t, string(out)).Lanes
+	if lanes == nil {
+		t.Fatalf("FEDREPORT has no lane verdict:\n%s", out)
 	}
-	if lanes == "" {
-		t.Fatalf("no FEDLANES line:\n%s", out)
+	if lanes.Submitted != 6 || lanes.GSeq != lanes.Submitted {
+		t.Fatalf("committed %d of %d submissions: %+v", lanes.GSeq, lanes.Submitted, lanes)
 	}
-	var submitted, gseq int
-	if _, err := fmt.Sscanf(afterKey(lanes, "submitted="), "%d", &submitted); err != nil {
-		t.Fatalf("parsing %q: %v", lanes, err)
-	}
-	if _, err := fmt.Sscanf(afterKey(lanes, "gseq="), "%d", &gseq); err != nil {
-		t.Fatalf("parsing %q: %v", lanes, err)
-	}
-	if submitted != 6 || gseq != submitted {
-		t.Fatalf("committed %d of %d submissions: %s", gseq, submitted, lanes)
-	}
-	if afterKey(lanes, "log_agree=") != "true" {
-		t.Fatalf("members disagree on the global sequence: %s", lanes)
+	if !lanes.LogAgree {
+		t.Fatalf("members disagree on the global sequence: %+v", lanes)
 	}
 }
 
-// finalReport parses the last REPORT line of a member's output.
-func finalReport(t *testing.T, out string) childReport {
-	t.Helper()
-	var rep childReport
-	found := false
-	for _, line := range strings.Split(out, "\n") {
-		if r, ok := parseReport(strings.TrimSpace(line)); ok {
-			rep, found = r, true
+// TestReportLine: the REPORT line a member prints decodes back to the same
+// verdict, and a REPORT whose body is not valid JSON counts as no REPORT.
+func TestReportLine(t *testing.T) {
+	want := memberReport{Member: 2, Leader: 1, Agreed: true}
+	want.Report.Recovery.Restores = 3
+	want.Report.Recovery.Fallbacks = 1
+	want.Report.Chaos = &star.ChaosReport{
+		StepsApplied:    4,
+		Violations:      []star.Violation{{At: 1500 * time.Millisecond, Rule: "majority-agreement", Detail: "leaders=[0 1 -1]"}},
+		TotalViolations: 70,
+	}
+	good := verdictLine("REPORT", want)
+	for _, tc := range []struct {
+		name, line string
+		ok         bool
+	}{
+		{"printed", good, true},
+		{"truncated JSON", good[:len(good)-1], false},
+		{"key=value body", "REPORT member=2 leader=1 agreed=true restores=3", false},
+		{"other tag", "STATUS t=1s leaders=[1 1 1]", false},
+	} {
+		got, ok := decodeReport(tc.line)
+		if ok != tc.ok {
+			t.Fatalf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+		}
+		if !ok {
+			if !reflect.DeepEqual(got, memberReport{}) {
+				t.Fatalf("%s: half-parsed %+v", tc.name, got)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %+v, want %+v", tc.name, got, want)
 		}
 	}
-	if !found {
-		t.Fatalf("no REPORT line in output:\n%s", out)
+}
+
+// memberReports decodes every REPORT line in out, in order, past the
+// launcher's "[mN] " prefix.
+func memberReports(out string) []memberReport {
+	var reps []memberReport
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "[m") {
+			_, line, _ = strings.Cut(line, "] ")
+		}
+		if r, ok := decodeReport(strings.TrimSpace(line)); ok {
+			reps = append(reps, r)
+		}
 	}
-	return rep
+	return reps
+}
+
+// finalFedReport decodes the FEDREPORT line of a federated run.
+func finalFedReport(t *testing.T, out string) fedReport {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if body, ok := strings.CutPrefix(line, "FEDREPORT "); ok {
+			var rep fedReport
+			if err := json.Unmarshal([]byte(body), &rep); err != nil {
+				t.Fatalf("FEDREPORT: %v\n%s", err, line)
+			}
+			return rep
+		}
+	}
+	t.Fatalf("no FEDREPORT line:\n%s", out)
+	return fedReport{}
 }
 
 // clusterLine returns the launcher's final CLUSTER verdict line.
@@ -339,17 +368,4 @@ func clusterLine(t *testing.T, out string) string {
 	}
 	t.Fatalf("no CLUSTER line in output:\n%s", out)
 	return ""
-}
-
-// afterKey returns the text following key in s (to end of field).
-func afterKey(s, key string) string {
-	i := strings.Index(s, key)
-	if i < 0 {
-		return ""
-	}
-	rest := s[i+len(key):]
-	if j := strings.IndexByte(rest, ' '); j >= 0 {
-		rest = rest[:j]
-	}
-	return rest
 }

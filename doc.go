@@ -57,9 +57,7 @@
 //     across a worker pool (internal/par); every run owns its cluster and
 //     seeds, so results are byte-identical for every worker count.
 //
-// scripts/bench.sh records the benchmark suite (ns/op, allocs/op, domain
-// metrics such as virtual events per second) into BENCH_<n>.json files, one
-// per PR, forming the repository's performance trajectory;
-// `scripts/bench.sh --diff BENCH_1.json BENCH_2.json` renders the deltas
-// between two recordings as a markdown table.
+// bench/starbench (`bash bench/run.sh`) is the benchmark of record; the
+// root bench_test.go suite mirrors each experiment as a go test benchmark
+// reporting domain metrics (virtual events per second, stabilization time).
 package repro

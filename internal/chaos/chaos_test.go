@@ -240,24 +240,24 @@ func TestMonitorAgreementAndBound(t *testing.T) {
 	down := make([]bool, 5)
 
 	m.OnSample(10*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 0 {
+	if m.Total() != 0 {
 		t.Fatal("agreeing sample flagged")
 	}
 
 	// Disagreement starts at t=20ms; within bound no violation, past it one.
 	leaders[2] = 1
 	m.OnSample(50*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 0 {
+	if m.Total() != 0 {
 		t.Fatal("violation before bound elapsed")
 	}
 	m.OnSample(200*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 1 {
-		t.Fatalf("want 1 violation, got %d", m.ViolationCount())
+	if m.Total() != 1 {
+		t.Fatalf("want 1 violation, got %d", m.Total())
 	}
 	// Episode latch: continued disagreement is the same violation.
 	m.OnSample(250*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 1 {
-		t.Fatalf("episode double counted: %d", m.ViolationCount())
+	if m.Total() != 1 {
+		t.Fatalf("episode double counted: %d", m.Total())
 	}
 	if v := m.Violations(); v[0].Rule != RuleReelection {
 		t.Fatalf("rule = %q", v[0].Rule)
@@ -267,8 +267,36 @@ func TestMonitorAgreementAndBound(t *testing.T) {
 	m.OnSample(300*time.Millisecond, leaders, down)
 	leaders[2] = 3
 	m.OnSample(500*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 2 {
-		t.Fatalf("second episode not counted: %d", m.ViolationCount())
+	if m.Total() != 2 {
+		t.Fatalf("second episode not counted: %d", m.Total())
+	}
+}
+
+// TestMonitorHoldDoesNotRearm: a crash or restart moves the settle clock but
+// leaves a reported episode reported; only a schedule step (or an agreeing
+// sample) starts a new one.
+func TestMonitorHoldDoesNotRearm(t *testing.T) {
+	m := NewMonitor(MonitorConfig{N: 3, Bound: 50 * time.Millisecond})
+	leaders := []int{-1, -1, -1}
+	down := make([]bool, 3)
+	m.OnSample(100*time.Millisecond, leaders, down)
+	if m.Total() != 1 {
+		t.Fatalf("want 1 violation, got %d", m.Total())
+	}
+	m.NoteCrash(110*time.Millisecond, 1)
+	m.NoteRestart(120*time.Millisecond, 1)
+	m.OnSample(300*time.Millisecond, leaders, down)
+	if m.Total() != 1 {
+		t.Fatalf("crash/restart re-armed the episode: %d", m.Total())
+	}
+	m.noteStep(310*time.Millisecond, Step{Kind: StepHeal})
+	m.OnSample(340*time.Millisecond, leaders, down)
+	if m.Total() != 1 {
+		t.Fatalf("fired inside the bound after the step: %d", m.Total())
+	}
+	m.OnSample(400*time.Millisecond, leaders, down)
+	if m.Total() != 2 {
+		t.Fatalf("schedule step did not re-arm: %d", m.Total())
 	}
 }
 
@@ -280,7 +308,7 @@ func TestMonitorPartitionSemantics(t *testing.T) {
 	// Majority side {0,1,2} agreeing on 0: minority may disagree freely.
 	leaders := []int{0, 0, 0, 4, 4}
 	m.OnSample(100*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 0 {
+	if m.Total() != 0 {
 		t.Fatal("partitioned minority disagreement flagged")
 	}
 
@@ -289,8 +317,8 @@ func TestMonitorPartitionSemantics(t *testing.T) {
 	leaders = []int{4, 4, 4, 4, 4}
 	m.OnSample(200*time.Millisecond, leaders, down)
 	m.OnSample(300*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 1 {
-		t.Fatalf("cross-partition leader not flagged: %d", m.ViolationCount())
+	if m.Total() != 1 {
+		t.Fatalf("cross-partition leader not flagged: %d", m.Total())
 	}
 	if v := m.Violations(); v[0].Rule != RuleAgreement {
 		t.Fatalf("rule = %q", v[0].Rule)
@@ -300,8 +328,8 @@ func TestMonitorPartitionSemantics(t *testing.T) {
 	m.noteStep(300*time.Millisecond, Step{Kind: StepHeal})
 	down[4] = true
 	m.OnSample(400*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 2 {
-		t.Fatalf("dead leader not flagged: %d", m.ViolationCount())
+	if m.Total() != 2 {
+		t.Fatalf("dead leader not flagged: %d", m.Total())
 	}
 }
 
@@ -313,31 +341,31 @@ func TestMonitorNoiseSuppression(t *testing.T) {
 	for at := time.Duration(0); at <= 400*time.Millisecond; at += 10 * time.Millisecond {
 		m.OnSample(at, leaders, down)
 	}
-	if m.ViolationCount() != 0 {
+	if m.Total() != 0 {
 		t.Fatal("violation during active loss window")
 	}
 	// Noise off: the bound now runs.
 	m.noteStep(400*time.Millisecond, Step{Kind: StepLoss, Pct: 0})
 	m.OnSample(500*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 1 {
-		t.Fatalf("no violation after noise ended: %d", m.ViolationCount())
+	if m.Total() != 1 {
+		t.Fatalf("no violation after noise ended: %d", m.Total())
 	}
 }
 
 func TestMonitorJournalEscalation(t *testing.T) {
 	m := NewMonitor(MonitorConfig{N: 3, Bound: time.Second})
 	m.NoteRecovery(10*time.Millisecond, 1, nil)
-	if m.ViolationCount() != 0 {
+	if m.Total() != 0 {
 		t.Fatal("clean recovery flagged")
 	}
 	m.NoteRecovery(20*time.Millisecond, 1, journal.ErrCorrupt)
-	if m.ViolationCount() != 1 {
+	if m.Total() != 1 {
 		t.Fatal("unexplained recovery error not flagged")
 	}
 	// With a journal fault injected, recovery errors are expected.
 	m.noteStep(30*time.Millisecond, Step{Kind: StepJournal, Proc: journal.FaultAll, Fault: journal.FaultEIO})
 	m.NoteRecovery(40*time.Millisecond, 2, journal.ErrCorrupt)
-	if m.ViolationCount() != 1 {
+	if m.Total() != 1 {
 		t.Fatal("expected recovery error flagged as escalation")
 	}
 }
@@ -350,7 +378,100 @@ func TestMonitorHostedMask(t *testing.T) {
 	down := make([]bool, 5)
 	m.OnSample(100*time.Millisecond, leaders, down)
 	m.OnSample(200*time.Millisecond, leaders, down)
-	if m.ViolationCount() != 0 {
-		t.Fatalf("remote members' unknown leaders flagged: %d", m.ViolationCount())
+	if m.Total() != 0 {
+		t.Fatalf("remote members' unknown leaders flagged: %d", m.Total())
+	}
+}
+
+func TestFedMonitorGlobalLiveness(t *testing.T) {
+	m := NewFedMonitor(4, 50*time.Millisecond)
+	leaders := []int{0, 1, -1, 2} // 3/4 healthy: majority
+
+	// Healthy majority, no global leader: the clock arms but does not fire
+	// within the bound.
+	m.OnSample(10*time.Millisecond, leaders, -1, 8)
+	m.OnSample(40*time.Millisecond, leaders, -1, 8)
+	if m.Total() != 0 {
+		t.Fatalf("fired before the bound: %d", m.Total())
+	}
+	// Past the bound: exactly one violation per continuous window.
+	m.OnSample(70*time.Millisecond, leaders, -1, 8)
+	m.OnSample(90*time.Millisecond, leaders, -1, 8)
+	if m.Total() != 1 {
+		t.Fatalf("violations = %d, want 1", m.Total())
+	}
+	if v := m.Violations(); len(v) != 1 || v[0].Rule != RuleGlobalLiveness {
+		t.Fatalf("unexpected violations: %+v", v)
+	}
+
+	// A global leader appearing clears and re-arms.
+	m.OnSample(100*time.Millisecond, leaders, 9, 8)
+	m.OnSample(200*time.Millisecond, leaders, -1, 8)
+	m.OnSample(210*time.Millisecond, leaders, -1, 8)
+	if m.Total() != 1 {
+		t.Fatalf("re-fired inside the new window: %d", m.Total())
+	}
+}
+
+func TestFedMonitorStaleGlobal(t *testing.T) {
+	m := NewFedMonitor(2, 50*time.Millisecond)
+	// Global leader is shard 1 local 3 (flat 1*8+3 = 11), but shard 1's own
+	// election says 5.
+	leaders := []int{0, 5}
+	m.OnSample(0, leaders, 11, 8)
+	m.OnSample(30*time.Millisecond, leaders, 11, 8)
+	if m.Total() != 0 {
+		t.Fatalf("fired before the bound: %d", m.Total())
+	}
+	m.OnSample(80*time.Millisecond, leaders, 11, 8)
+	if m.Total() != 1 {
+		t.Fatalf("violations = %d, want 1", m.Total())
+	}
+	if v := m.Violations(); v[0].Rule != RuleStaleGlobal {
+		t.Fatalf("unexpected rule: %q", v[0].Rule)
+	}
+	// Handoff catches up: condition clears.
+	m.OnSample(90*time.Millisecond, []int{0, 3}, 11, 8)
+	m.OnSample(200*time.Millisecond, []int{0, 3}, 11, 8)
+	if m.Total() != 1 {
+		t.Fatalf("fired after clearing: %d", m.Total())
+	}
+}
+
+// TestViolationLogContract: both rule sets keep the first 64 breaches, count
+// every one, and hand out copies.
+func TestViolationLogContract(t *testing.T) {
+	const breaches = 100
+	cluster := NewMonitor(MonitorConfig{N: 3, Bound: 10 * time.Millisecond})
+	leaders := []int{-1, -1, -1}
+	down := make([]bool, 3)
+	fed := NewFedMonitor(2, 10*time.Millisecond)
+	for i := 0; i < breaches; i++ {
+		at := time.Duration(i) * 100 * time.Millisecond
+		// Each agreeing sample re-arms the liveness rule; the bad one past
+		// the bound is a new breach window.
+		cluster.OnSample(at, []int{0, 0, 0}, down)
+		cluster.OnSample(at+50*time.Millisecond, leaders, down)
+		// Likewise a global leader clears the federation liveness rule.
+		fed.OnSample(at, []int{0, 1}, 0, 4)
+		fed.OnSample(at+time.Millisecond, []int{0, 1}, -1, 4)
+		fed.OnSample(at+50*time.Millisecond, []int{0, 1}, -1, 4)
+	}
+	for name, m := range map[string]interface {
+		Violations() []Violation
+		Total() uint64
+	}{"cluster": cluster, "federation": fed} {
+		if m.Total() != breaches {
+			t.Fatalf("%s: total = %d, want %d", name, m.Total(), breaches)
+		}
+		v := m.Violations()
+		if len(v) != maxStoredViolations {
+			t.Fatalf("%s: kept %d, want %d", name, len(v), maxStoredViolations)
+		}
+		want := v[0]
+		v[0].Rule = "mutated"
+		if got := m.Violations()[0]; got != want {
+			t.Fatalf("%s: Violations aliases the log: %+v", name, got)
+		}
 	}
 }

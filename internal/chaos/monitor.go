@@ -34,15 +34,82 @@ const (
 	RuleJournalEscalation = "journal-escalation"
 )
 
-// Violation is one invariant breach observed during a chaos run.
+// Violation is one invariant breach: when it fired, which rule, and why.
 type Violation struct {
 	At     time.Duration
 	Rule   string
 	Detail string
 }
 
-// maxStoredViolations caps the retained list; the total count keeps rising.
+// maxStoredViolations caps a violationLog's kept list; its total keeps
+// rising.
 const maxStoredViolations = 64
+
+// violationLog is the record every rule reports into: the first 64
+// breaches are kept, Total counts all of them. Not safe for concurrent use.
+type violationLog struct {
+	kept  []Violation
+	total uint64
+}
+
+func (l *violationLog) add(at time.Duration, rule, detail string) {
+	l.total++
+	if len(l.kept) < maxStoredViolations {
+		l.kept = append(l.kept, Violation{At: at, Rule: rule, Detail: detail})
+	}
+}
+
+// Violations returns a copy of the kept breaches.
+func (l *violationLog) Violations() []Violation { return append([]Violation{}, l.kept...) }
+
+// Total counts every breach, including those past the cap.
+func (l *violationLog) Total() uint64 { return l.total }
+
+// deadline is a rule's once-per-breach-window clock. A window runs from
+// since; expired fires at most once per window, when a sample lands more
+// than the bound past since. hold pushes since forward without re-arming a
+// window that already fired; reset and end re-arm it. since never moves
+// backwards within a window.
+type deadline struct {
+	since time.Duration
+	open  bool
+	fired bool
+}
+
+// begin starts a window at at unless one is already running.
+func (d *deadline) begin(at time.Duration) {
+	if !d.open {
+		d.open, d.since = true, at
+	}
+}
+
+// hold restarts the running window's clock at at; a fired window stays
+// fired.
+func (d *deadline) hold(at time.Duration) {
+	if !d.open || at > d.since {
+		d.since = at
+	}
+	d.open = true
+}
+
+// reset starts a fresh, re-armed window at at.
+func (d *deadline) reset(at time.Duration) {
+	d.fired = false
+	d.hold(at)
+}
+
+// end closes the window and re-arms.
+func (d *deadline) end() { d.open, d.fired = false, false }
+
+// expired reports whether the window has outlasted bound at time at; it
+// returns true once per window.
+func (d *deadline) expired(at, bound time.Duration) bool {
+	if !d.open || d.fired || at-d.since <= bound {
+		return false
+	}
+	d.fired = true
+	return true
+}
 
 // MonitorConfig configures a Monitor.
 type MonitorConfig struct {
@@ -63,7 +130,10 @@ type MonitorConfig struct {
 //     majority component must have all its (hosted, live) members agreeing
 //     on one live member of that component as leader. While loss, jitter or
 //     slow-node noise is active the clock is held — the paper only promises
-//     elections once the rotating-star assumption holds again.
+//     elections once the rotating-star assumption holds again. The settle
+//     deadline is always open: crashes, restarts, recovery errors and noise
+//     hold it; an agreeing sample or a schedule step resets it, so only
+//     those re-arm a breach already reported.
 //   - Safety, fed by the cluster seams: no deliveries to dead or superseded
 //     incarnations, restores never regress suspicion state, journal faults
 //     never escalate past the degradation ladder.
@@ -80,12 +150,8 @@ type Monitor struct {
 	slowCount   int
 	journalEver bool // some journal fault was injected at least once
 
-	lastDisruption time.Duration
-	lastOK         time.Duration
-	flagged        bool // current violation episode already reported
-
-	violations []Violation
-	total      uint64
+	settle deadline
+	log    violationLog
 
 	comp  []int // scratch: component index per process
 	queue []int // scratch: BFS queue
@@ -97,6 +163,7 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 		cfg:     cfg,
 		cut:     make([]bool, cfg.N*cfg.N),
 		slowSet: make([]bool, cfg.N),
+		settle:  deadline{open: true}, // the settle clock runs from time 0
 		comp:    make([]int, cfg.N),
 		queue:   make([]int, 0, cfg.N),
 	}
@@ -107,8 +174,7 @@ func NewMonitor(cfg MonitorConfig) *Monitor {
 func (m *Monitor) noteStep(at time.Duration, st Step) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lastDisruption = at
-	m.flagged = false // a new disruption starts a new episode
+	m.settle.reset(at) // a new disruption starts a new episode
 	n := m.cfg.N
 	switch st.Kind {
 	case StepPartition:
@@ -157,14 +223,14 @@ func (m *Monitor) noteStep(at time.Duration, st Step) {
 // settle clock restarts.
 func (m *Monitor) NoteCrash(at time.Duration, id int) {
 	m.mu.Lock()
-	m.lastDisruption = at
+	m.settle.hold(at)
 	m.mu.Unlock()
 }
 
 // NoteRestart records a process rejoining.
 func (m *Monitor) NoteRestart(at time.Duration, id int) {
 	m.mu.Lock()
-	m.lastDisruption = at
+	m.settle.hold(at)
 	m.mu.Unlock()
 }
 
@@ -178,9 +244,9 @@ func (m *Monitor) NoteRecovery(at time.Duration, id int, err error) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lastDisruption = at
+	m.settle.hold(at)
 	if !m.journalEver {
-		m.violate(at, RuleJournalEscalation,
+		m.log.add(at, RuleJournalEscalation,
 			fmt.Sprintf("process %d: recovery error with no journal fault injected: %v", id, err))
 	}
 }
@@ -189,15 +255,8 @@ func (m *Monitor) NoteRecovery(at time.Duration, id int, err error) {
 // this for delivery and restore checks).
 func (m *Monitor) Violate(at time.Duration, rule, detail string) {
 	m.mu.Lock()
-	m.violate(at, rule, detail)
+	m.log.add(at, rule, detail)
 	m.mu.Unlock()
-}
-
-func (m *Monitor) violate(at time.Duration, rule, detail string) {
-	m.total++
-	if len(m.violations) < maxStoredViolations {
-		m.violations = append(m.violations, Violation{At: at, Rule: rule, Detail: detail})
-	}
 }
 
 // OnSample feeds one collection tick: per-process leader estimates (negative
@@ -211,18 +270,13 @@ func (m *Monitor) OnSample(at time.Duration, leaders []proc.ID, down []bool) {
 	if m.lossActive || m.jitterOn || m.slowCount > 0 {
 		// Noise windows hold the settle clock; the bound starts at the
 		// last noisy sample.
-		m.lastDisruption = at
+		m.settle.hold(at)
 	}
 	if m.majorityAgrees(leaders, down) {
-		m.lastOK = at
-		m.flagged = false
+		m.settle.reset(at)
 		return
 	}
-	ref := m.lastDisruption
-	if m.lastOK > ref {
-		ref = m.lastOK
-	}
-	if m.cfg.Bound > 0 && at-ref > m.cfg.Bound && !m.flagged {
+	if m.cfg.Bound > 0 && m.settle.expired(at, m.cfg.Bound) {
 		rule := RuleReelection
 		partitioned := false
 		for i := 0; i < n*n; i++ {
@@ -234,10 +288,9 @@ func (m *Monitor) OnSample(at time.Duration, leaders []proc.ID, down []bool) {
 		if partitioned {
 			rule = RuleAgreement
 		}
-		m.violate(at, rule, fmt.Sprintf(
+		m.log.add(at, rule, fmt.Sprintf(
 			"no agreeing connected majority for %v (bound %v); leaders=%v down=%v",
-			at-ref, m.cfg.Bound, leaders, down))
-		m.flagged = true
+			at-m.settle.since, m.cfg.Bound, leaders, down))
 	}
 }
 
@@ -318,19 +371,17 @@ func (m *Monitor) majorityAgrees(leaders []proc.ID, down []bool) bool {
 	return true
 }
 
-// Violations returns the recorded violations (capped at 64 entries).
+// Violations returns a copy of the recorded violations (capped at 64).
 func (m *Monitor) Violations() []Violation {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]Violation, len(m.violations))
-	copy(out, m.violations)
-	return out
+	return m.log.Violations()
 }
 
-// ViolationCount returns the total number of violations observed, including
-// any beyond the stored cap.
-func (m *Monitor) ViolationCount() uint64 {
+// Total returns the number of violations observed, including any beyond
+// the stored cap.
+func (m *Monitor) Total() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.total
+	return m.log.Total()
 }

@@ -4,7 +4,7 @@
 // cluster whose own Ω elects the leader-of-leaders.
 //
 // The package deliberately knows nothing about clusters, transports or
-// schedulers. It provides three small deterministic machines the federation
+// schedulers. It provides two small deterministic machines the federation
 // façade (star.Federation) drives from its epoch loop:
 //
 //   - Table: the delegate registry. Every change of a shard's leader is a
@@ -17,12 +17,8 @@
 //     epoch, it yields the tier-stabilization verdict (when the final
 //     leader-of-leaders took hold, and how often it changed).
 //
-//   - Monitor: the federation invariant monitor. Fed the same epoch
-//     samples, it checks the two liveness/consistency rules a federation
-//     owes its users: a majority-of-shards healthy component must elect a
-//     global leader within a bound, and a standing global leader must not
-//     name a shard whose own election has moved on for longer than the
-//     bound.
+// The federation's invariant rules (global liveness, stale global leader)
+// live with every other rule in internal/chaos, as chaos.FedMonitor.
 //
 // Everything here is pure data manipulation: same call sequence, same
 // results, on every transport.

@@ -117,58 +117,3 @@ func TestTrackerStabilization(t *testing.T) {
 		t.Fatal("tracker claims stabilization with no leader")
 	}
 }
-
-func TestMonitorGlobalLiveness(t *testing.T) {
-	m := NewMonitor(4, 50*time.Millisecond)
-	leaders := []int{0, 1, None, 2} // 3/4 healthy: majority
-
-	// Healthy majority, no global leader: the clock arms but does not fire
-	// within the bound.
-	m.OnSample(10*time.Millisecond, leaders, None, 8)
-	m.OnSample(40*time.Millisecond, leaders, None, 8)
-	if m.Total() != 0 {
-		t.Fatalf("fired before the bound: %d", m.Total())
-	}
-	// Past the bound: exactly one violation per continuous window.
-	m.OnSample(70*time.Millisecond, leaders, None, 8)
-	m.OnSample(90*time.Millisecond, leaders, None, 8)
-	if m.Total() != 1 {
-		t.Fatalf("violations = %d, want 1", m.Total())
-	}
-	if v := m.Violations(); len(v) != 1 || v[0].Rule != RuleGlobalLiveness {
-		t.Fatalf("unexpected violations: %+v", v)
-	}
-
-	// A global leader appearing clears and re-arms.
-	m.OnSample(100*time.Millisecond, leaders, 9, 8)
-	m.OnSample(200*time.Millisecond, leaders, None, 8)
-	m.OnSample(210*time.Millisecond, leaders, None, 8)
-	if m.Total() != 1 {
-		t.Fatalf("re-fired inside the new window: %d", m.Total())
-	}
-}
-
-func TestMonitorStaleGlobal(t *testing.T) {
-	m := NewMonitor(2, 50*time.Millisecond)
-	// Global leader is shard 1 local 3 (flat 1*8+3 = 11), but shard 1's own
-	// election says 5.
-	leaders := []int{0, 5}
-	m.OnSample(0, leaders, 11, 8)
-	m.OnSample(30*time.Millisecond, leaders, 11, 8)
-	if m.Total() != 0 {
-		t.Fatalf("fired before the bound: %d", m.Total())
-	}
-	m.OnSample(80*time.Millisecond, leaders, 11, 8)
-	if m.Total() != 1 {
-		t.Fatalf("violations = %d, want 1", m.Total())
-	}
-	if v := m.Violations(); v[0].Rule != RuleStaleGlobal {
-		t.Fatalf("unexpected rule: %q", v[0].Rule)
-	}
-	// Handoff catches up: condition clears.
-	m.OnSample(90*time.Millisecond, []int{0, 3}, 11, 8)
-	m.OnSample(200*time.Millisecond, []int{0, 3}, 11, 8)
-	if m.Total() != 1 {
-		t.Fatalf("fired after clearing: %d", m.Total())
-	}
-}

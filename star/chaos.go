@@ -167,11 +167,21 @@ type ChaosApplied struct {
 	Desc string
 }
 
-// ChaosViolation is one invariant breach the monitor observed.
-type ChaosViolation struct {
+// Violation is one invariant breach a monitor observed: when it fired on
+// the run's clock, the rule's stable name, and a human-readable detail.
+type Violation struct {
 	At     time.Duration
 	Rule   string
 	Detail string
+}
+
+// violations converts a monitor's kept breaches.
+func violations(vs []chaos.Violation) []Violation {
+	var out []Violation
+	for _, v := range vs {
+		out = append(out, Violation(v))
+	}
+	return out
 }
 
 // ChaosReport summarizes a WithChaos run: the applied timeline (window
@@ -182,7 +192,7 @@ type ChaosReport struct {
 	Timeline     []ChaosApplied
 	// Violations lists observed invariant breaches (capped at 64);
 	// TotalViolations counts all of them. A clean run has 0.
-	Violations      []ChaosViolation
+	Violations      []Violation
 	TotalViolations uint64
 }
 

@@ -769,14 +769,14 @@ func (c *Cluster) Report() *Report {
 		rep.Timeline[i] = LeaderSample{At: time.Duration(s.At), Leaders: s.Leaders}
 	}
 	if c.chaosOrch != nil {
-		cr := &ChaosReport{TotalViolations: c.chaosMon.ViolationCount()}
+		cr := &ChaosReport{
+			Violations:      violations(c.chaosMon.Violations()),
+			TotalViolations: c.chaosMon.Total(),
+		}
 		for _, a := range c.chaosOrch.Timeline() {
 			cr.Timeline = append(cr.Timeline, ChaosApplied{At: a.At, Desc: a.Desc})
 		}
 		cr.StepsApplied = len(cr.Timeline)
-		for _, v := range c.chaosMon.Violations() {
-			cr.Violations = append(cr.Violations, ChaosViolation{At: v.At, Rule: v.Rule, Detail: v.Detail})
-		}
 		rep.Chaos = cr
 	}
 	return rep

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/fedlane"
 	"repro/internal/hier"
 	"repro/internal/par"
@@ -55,7 +56,7 @@ type Federation struct {
 
 	tab *hier.Table
 	trk *hier.Tracker
-	mon *hier.Monitor
+	mon *chaos.FedMonitor
 
 	// seq is true when every component cluster declares CapDeterminism:
 	// the epoch loop then forks the shards and joins them at a barrier in
@@ -300,7 +301,7 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 		shards:       make([]*Cluster, cfg.shards),
 		tab:          hier.NewTable(cfg.shards),
 		trk:          hier.NewTracker(),
-		mon:          hier.NewMonitor(cfg.shards, DefaultChaosBound),
+		mon:          chaos.NewFedMonitor(cfg.shards, DefaultChaosBound),
 		dirty:        make([]atomic.Bool, cfg.shards),
 		seen:         make(map[int64]bool),
 		shardLeaders: make([]int, cfg.shards),
@@ -860,6 +861,7 @@ func (f *Federation) Report() *Report {
 		Pressure:        f.pressure,
 		GlobalChanges:   f.trk.Changes(),
 		Samples:         f.trk.Samples(),
+		Violations:      violations(f.mon.Violations()),
 		TotalViolations: f.mon.Total(),
 	}
 	if f.router != nil {
@@ -876,9 +878,6 @@ func (f *Federation) Report() *Report {
 		fr.TierStabilization = at
 	} else {
 		fr.TierStabilization = -1
-	}
-	for _, v := range f.mon.Violations() {
-		fr.Violations = append(fr.Violations, FedViolation{At: v.At, Rule: v.Rule, Detail: v.Detail})
 	}
 	for _, sh := range f.shards {
 		sr := sh.Report()
@@ -967,13 +966,6 @@ type FederationReport struct {
 	// Violations lists federation invariant breaches (majority-of-shards
 	// liveness, stale-global consistency); TotalViolations counts them.
 	// The tier's link-level chaos verdict is in Report.Chaos.
-	Violations      []FedViolation
+	Violations      []Violation
 	TotalViolations uint64
-}
-
-// FedViolation is one federation invariant breach.
-type FedViolation struct {
-	At     time.Duration
-	Rule   string
-	Detail string
 }

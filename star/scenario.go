@@ -53,8 +53,8 @@ func Center(id int) ScenarioOption {
 	return ScenarioOption{func(b *scenarioBuilder) { b.params.Center = id }}
 }
 
-// Gap sets D, the intermittence gap: the star exists only on rounds
-// StartRound, StartRound+D, ... (default 1: every round). Only the
+// Gap sets D, the intermittence gap: the star exists only on rounds 1,
+// 1+D, 1+2D, ... (default 1: every round). Only the
 // Intermittent and IntermittentFG families make rounds outside the
 // subsequence adversarial.
 func Gap(d int64) ScenarioOption {
@@ -86,12 +86,6 @@ func Spikes(prob float64, lo, hi time.Duration) ScenarioOption {
 // on transfer delays" means operationally; coverage experiments set it.
 func Drift(d time.Duration) ScenarioOption {
 	return ScenarioOption{func(b *scenarioBuilder) { b.params.Drift = d }}
-}
-
-// StartRound sets RN₀, the round from which the assumption holds (rounds
-// before it are unconstrained). Default 1.
-func StartRound(rn int64) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.StartRN = rn }}
 }
 
 // AdversarialOrder enables the reception-order adversary: δ-timely messages
