@@ -55,16 +55,16 @@ type Stats struct {
 	BreakerOpens uint64
 }
 
-// TapSent tallies one transmission (one destination) of wm, whose bytes on
-// the link are its encoded size plus overhead. A nil wm — a payload that is
-// not a wire message — counts as sent with no size or kind.
-func (s *Stats) TapSent(wm wire.Message, overhead int) {
+// TapSent tallies one transmission (one destination) of a message of kind
+// k that occupies size bytes on the link. The caller sizes a message once
+// per send, not once per destination. Kind 0 — a payload that is not a
+// wire message — counts as sent with no size or kind.
+func (s *Stats) TapSent(k wire.Kind, size int) {
 	atomic.AddUint64(&s.Sent, 1)
-	if wm == nil {
+	if k == 0 {
 		return
 	}
-	k := wm.Kind()
-	sz := uint64(wm.Size() + overhead)
+	sz := uint64(size)
 	atomic.AddUint64(&s.Bytes, sz)
 	atomic.AddUint64(&s.ByKind[k], 1)
 	atomic.AddUint64(&s.BytesKind[k], sz)

@@ -370,9 +370,9 @@ func TestStopDisarmsForGood(t *testing.T) {
 func TestStatsTaps(t *testing.T) {
 	var s host.Stats
 	hb := &wire.Heartbeat{Seq: 1}
-	s.TapSent(hb, 0)
-	s.TapSent(hb, 7)
-	s.TapSent(nil, 7) // not a wire message: sent, but no size or kind
+	s.TapSent(hb.Kind(), hb.Size())
+	s.TapSent(hb.Kind(), hb.Size()+7)
+	s.TapSent(0, 7) // not a wire message: sent, but no size or kind
 	s.TapDelivered()
 	s.TapDropped()
 	s.TapBreakerOpen()
@@ -382,5 +382,8 @@ func TestStatsTaps(t *testing.T) {
 	want.BytesKind[wire.KindHeartbeat] = 2*sz + 7
 	if got := s.Snapshot(); got != want {
 		t.Fatalf("snapshot\n got %+v\nwant %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.TapSent(wire.KindAlive, 52) }); allocs != 0 {
+		t.Errorf("TapSent allocates %v per call", allocs)
 	}
 }

@@ -69,11 +69,22 @@ func BenchmarkDecode(b *testing.B) {
 }
 
 // TestDecodeHotPathZeroAlloc pins the acceptance criterion outside the
-// bench run: steady-state pooled decode performs zero heap allocations.
+// bench run: steady-state pooled decode performs zero heap allocations, for
+// every hot kind and for an ALIVE of every packed width.
 func TestDecodeHotPathZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	var msgs []wire.Message
 	for _, kind := range benchKinds {
-		frame, err := AppendFrame(nil, randMessage(rng, kind, 13))
+		msgs = append(msgs, randMessage(rng, kind, 13))
+	}
+	for _, n := range []int{13, 251} {
+		for _, w := range []int{0, 1, 3, 56, 57, 63, 64} {
+			msgs = append(msgs, randMessageWidth(rng, wire.KindAlive, n, w))
+		}
+	}
+	for _, msg := range msgs {
+		kind := msg.Kind()
+		frame, err := AppendFrame(nil, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +103,7 @@ func TestDecodeHotPathZeroAlloc(t *testing.T) {
 			recycleAll(m)
 		})
 		if allocs != 0 {
-			t.Errorf("%v: %v allocs/op on the pooled decode path, want 0", kind, allocs)
+			t.Errorf("%v (%d bytes): %v allocs/op on the pooled decode path, want 0", kind, len(body), allocs)
 		}
 	}
 }

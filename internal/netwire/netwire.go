@@ -19,6 +19,17 @@
 // [kind][body] length equals wire.Message.Size() exactly, which keeps the
 // transports' byte accounting (NetStats.Bytes) equal to real bytes framed.
 //
+// Fields are fixed-width big-endian integers, bools are one 0/1 byte and a
+// Suspicion set is [universe u16] plus its 64-bit words. An int64 vector
+// (Alive.SuspLevel, Response.Counters) is packed as a frame of reference:
+//
+//	[n u16][base i64][w u8][n offsets v−base, w bits each, MSB-first]
+//
+// with base = min(v), w = the bit width of max−min (wire.Span) and the last
+// byte zero-padded. A Figure 3 ALIVE has w ≤ 1 (Lemma 8), so its vector is
+// one base plus an n-bit set; the encoding is lossless for every vector.
+// Counts above 65 535 do not fit their u16 and fail to encode.
+//
 // Encoding appends into a caller-owned buffer (AppendFrame) and decoding
 // draws payloads from caller-owned pools (Pools.Decode), so both directions
 // are allocation-free on the hot path: the encoder reuses its buffer, the
@@ -32,6 +43,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -39,7 +53,7 @@ import (
 const (
 	// Version is the netwire protocol version; bump on ANY frame or body
 	// layout change. Decoders reject every other value.
-	Version = 1
+	Version = 2
 
 	// MaxFrame bounds the length prefix: frames beyond it are rejected
 	// before any allocation, so a corrupt or hostile peer cannot make a
@@ -52,8 +66,8 @@ const (
 
 	// FrameOverhead is the per-frame byte cost beyond wire.Message.Size():
 	// the 4-byte length prefix plus the version byte (Size already counts
-	// the kind byte). Transports account Size()+FrameOverhead per framed
-	// send, which equals the real frame length exactly (tested).
+	// the kind byte). A frame is exactly Size()+FrameOverhead bytes
+	// (tested), the length tcpnet charges per destination.
 	FrameOverhead = 5
 )
 
@@ -70,7 +84,8 @@ var (
 )
 
 // AppendFrame appends the framed encoding of m to buf and returns the
-// extended slice. Errors only on message kinds the codec does not know.
+// extended slice. It fails with ErrFrame on a message kind the codec does
+// not know and on a vector or suspicion universe beyond 65 535 entries.
 func AppendFrame(buf []byte, m wire.Message) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, Version)
@@ -86,13 +101,18 @@ func AppendFrame(buf []byte, m wire.Message) ([]byte, error) {
 // appendBody appends [kind][body]; its length is exactly m.Size().
 func appendBody(buf []byte, m wire.Message) ([]byte, error) {
 	buf = append(buf, byte(m.Kind()))
+	var err error
 	switch v := m.(type) {
 	case *wire.Alive:
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.RN))
-		buf = appendInt64s(buf, v.SuspLevel)
+		buf, err = appendPacked(buf, v.SuspLevel)
 	case *wire.Suspicion:
+		u := v.Suspects.Len()
+		if u > math.MaxUint16 {
+			return buf, fmt.Errorf("%w: suspicion universe %d exceeds %d", ErrFrame, u, math.MaxUint16)
+		}
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.RN))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(v.Suspects.Len()))
+		buf = binary.BigEndian.AppendUint16(buf, uint16(u))
 		for _, w := range v.Suspects.Words() {
 			buf = binary.BigEndian.AppendUint64(buf, w)
 		}
@@ -105,7 +125,7 @@ func appendBody(buf []byte, m wire.Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
 	case *wire.Response:
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-		buf = appendInt64s(buf, v.Counters)
+		buf, err = appendPacked(buf, v.Counters)
 	case *wire.Prepare:
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
 		buf = appendBallot(buf, v.Ballot)
@@ -128,11 +148,7 @@ func appendBody(buf []byte, m wire.Message) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Value))
 	case *wire.Mux:
 		buf = append(buf, v.Lane)
-		var err error
 		buf, err = appendBody(buf, v.Inner)
-		if err != nil {
-			return buf, err
-		}
 	case *wire.ABCast:
 		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Sender))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.LocalID))
@@ -140,15 +156,44 @@ func appendBody(buf []byte, m wire.Message) ([]byte, error) {
 	default:
 		return buf, fmt.Errorf("%w: cannot encode %T", ErrFrame, m)
 	}
-	return buf, nil
+	return buf, err
 }
 
-func appendInt64s(buf []byte, xs []int64) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(xs)))
-	for _, x := range xs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(x))
+// appendPacked appends xs as a packed vector (see the package comment).
+func appendPacked(buf []byte, xs []int64) ([]byte, error) {
+	if len(xs) > math.MaxUint16 {
+		return buf, fmt.Errorf("%w: %d-entry vector exceeds %d", ErrFrame, len(xs), math.MaxUint16)
 	}
-	return buf
+	base, w := wire.Span(xs)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(xs)))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(base))
+	buf = append(buf, byte(w))
+	if w == 0 {
+		return buf, nil
+	}
+	buf = slices.Grow(buf, (len(xs)*w+7)/8)
+	// acc holds the pending output bits at its top and zeros in its low
+	// free bits (1 ≤ free ≤ 64); it is flushed whenever it fills. The
+	// "& 63" on a shift that is already below 64 spares the compiler's
+	// shift-overflow guard on the per-entry path.
+	var acc uint64
+	free := uint(64)
+	for _, x := range xs {
+		d := uint64(x) - uint64(base)
+		if uint(w) < free {
+			free -= uint(w)
+			acc |= d << (free & 63)
+			continue
+		}
+		spill := uint(w) - free // low bits of d that do not fit, 0..63
+		buf = binary.BigEndian.AppendUint64(buf, acc|d>>(spill&63))
+		acc, free = d<<(64-spill), 64-spill
+	}
+	for ; free < 64; free += 8 {
+		buf = append(buf, byte(acc>>56))
+		acc <<= 8
+	}
+	return buf, nil
 }
 
 func appendBallot(buf []byte, b wire.Ballot) []byte {
@@ -281,14 +326,11 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 	var m wire.Message
 	switch kind {
 	case wire.KindAlive:
-		n := 0
 		rn := r.int64()
-		if n = r.count(8); r.err == nil {
+		if n, base, w := r.vector(); r.err == nil {
 			v := p.alive.Get(n)
 			v.RN = rn
-			for i := range v.SuspLevel {
-				v.SuspLevel[i] = r.int64()
-			}
+			r.unpack(v.SuspLevel, base, w)
 			m = v
 		}
 	case wire.KindSuspicion:
@@ -325,11 +367,9 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 		m = &wire.Query{Seq: r.int64()}
 	case wire.KindResponse:
 		v := &wire.Response{Seq: r.int64()}
-		if n := r.count(8); r.err == nil {
+		if n, base, w := r.vector(); r.err == nil {
 			v.Counters = make([]int64, n)
-			for i := range v.Counters {
-				v.Counters[i] = r.int64()
-			}
+			r.unpack(v.Counters, base, w)
 		}
 		m = v
 	case wire.KindPrepare:
@@ -396,8 +436,8 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 	return m, r.buf, nil
 }
 
-// reader is a bounds-checked cursor with a sticky error, like wire's, plus
-// the pre-validated length reads the pooled decode paths need.
+// reader is a bounds-checked cursor with a sticky error, plus the
+// pre-validated length reads the pooled decode paths need.
 type reader struct {
 	buf []byte
 	err error
@@ -460,16 +500,79 @@ func (r *reader) uint64() uint64 {
 
 func (r *reader) int64() int64 { return int64(r.uint64()) }
 
-// count reads a u16 element count and validates that count*elemSize bytes
-// actually remain, BEFORE the caller sizes a payload by it — a corrupt
-// length must fail the frame, not allocate.
-func (r *reader) count(elemSize int) int {
-	n := int(r.uint16())
-	if r.err == nil && len(r.buf) < n*elemSize {
+// vector reads a packed vector's [n][base][w] header and validates it,
+// including that its ceil(n·w/8) offset bytes actually remain, BEFORE the
+// caller sizes a payload by n — a corrupt count must fail the frame, not
+// allocate.
+func (r *reader) vector() (n int, base int64, w uint) {
+	n = int(r.uint16())
+	base = r.int64()
+	w = uint(r.byte())
+	switch {
+	case r.err != nil:
+	case w > 64:
+		r.err = fmt.Errorf("%w: vector width %d", ErrFrame, w)
+	case n == 0 && (base != 0 || w != 0):
+		r.err = fmt.Errorf("%w: empty vector with base %d, width %d", ErrFrame, base, w)
+	case len(r.buf) < (n*int(w)+7)/8:
 		r.err = fmt.Errorf("%w: count %d exceeds body", ErrFrame, n)
-		return 0
 	}
-	return n
+	return n, base, w
+}
+
+// unpack reads len(dst) w-bit offsets and stores base+offset in dst. It
+// enforces the one canonical encoding: the smallest offset is 0 (base is
+// the minimum), w is the width of the largest (minimal), no entry passes
+// MaxInt64, and the padding bits are zero.
+func (r *reader) unpack(dst []int64, base int64, w uint) {
+	if w == 0 {
+		for i := range dst {
+			dst[i] = base
+		}
+		return
+	}
+	src := r.take((len(dst)*int(w) + 7) / 8)
+	// acc holds the next n ≤ 63 unread input bits at its top and zeros
+	// below them; it refills 64 bits at a time, fewer at the tail. On the
+	// per-entry path w ≤ n < 64, so "& 63" changes no shift (it spares the
+	// compiler's shift-overflow guard).
+	var acc uint64
+	var n uint
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range dst {
+		var d uint64
+		if n >= w {
+			d = acc >> ((64 - w) & 63)
+			acc <<= w & 63
+			n -= w
+		} else {
+			var next uint64
+			var got uint
+			if len(src) >= 8 {
+				next, got, src = binary.BigEndian.Uint64(src), 64, src[8:]
+			} else {
+				for k, b := range src {
+					next |= uint64(b) << (56 - 8*k)
+				}
+				got, src = uint(8*len(src)), nil
+			}
+			need := w - n // 1..64, and got ≥ need: the length was checked
+			d = acc>>(64-w) | next>>(64-need)
+			acc, n = next<<need, got-need
+		}
+		lo, hi = min(lo, d), max(hi, d)
+		dst[i] = int64(uint64(base) + d)
+	}
+	switch {
+	case acc != 0:
+		r.err = fmt.Errorf("%w: non-zero vector padding", ErrFrame)
+	case lo != 0:
+		r.err = fmt.Errorf("%w: vector base %d is not its minimum", ErrFrame, base)
+	case uint(bits.Len64(hi)) != w:
+		r.err = fmt.Errorf("%w: vector width %d is not minimal", ErrFrame, w)
+	case hi > uint64(math.MaxInt64)-uint64(base):
+		r.err = fmt.Errorf("%w: vector entry overflows int64", ErrFrame)
+	}
 }
 
 // universe reads a Suspicion universe size and validates the word count

@@ -5,27 +5,61 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/bitset"
 	"repro/internal/wire"
 )
 
+// widths are the packed-vector bit widths the tests draw from: the Figure 3
+// cases (0 and 1, the second twice as likely), a narrow Figure 1/2 width,
+// and the two widest, where the offsets no longer fit 56-bit reads.
+var widths = []int{0, 1, 1, 3, 63, 64}
+
 // randMessage builds a random instance of every wire kind. n is the cluster
-// size used for sized payloads.
+// size used for sized payloads; int64 vectors get a random width.
 func randMessage(rng *rand.Rand, kind wire.Kind, n int) wire.Message {
+	return randMessageWidth(rng, kind, n, widths[rng.Intn(len(widths))])
+}
+
+// vecOfWidth returns n int64s whose packed width is exactly w when n ≥ 2:
+// entry 0 is the base, entry 1 is base+2^w−1 and the rest lie between. At
+// w=64 that is MinInt64 and MaxInt64 in one vector.
+func vecOfWidth(rng *rand.Rand, n, w int) []int64 {
+	mask := uint64(1)<<w - 1 // w=64 shifts to 0, so the mask is all ones
+	base := -rng.Int63n(1 << 20)
+	if w == 64 {
+		base = math.MinInt64
+	}
+	xs := make([]int64, n)
+	for i := range xs {
+		var d uint64
+		switch i {
+		case 0:
+		case 1:
+			d = mask
+		default:
+			d = rng.Uint64() & mask
+		}
+		xs[i] = int64(uint64(base) + d)
+	}
+	return xs
+}
+
+// randMessageWidth is randMessage with the vectors' width fixed at w (a Mux
+// passes w to its inner message).
+func randMessageWidth(rng *rand.Rand, kind wire.Kind, n, w int) wire.Message {
 	i64 := func() int64 { return rng.Int63() - rng.Int63() }
+	id := func() int32 { return int32(rng.Intn(max(n, 1))) }
 	ballot := func() wire.Ballot {
-		return wire.Ballot{Counter: rng.Int63n(1 << 30), Proposer: int32(rng.Intn(n))}
+		return wire.Ballot{Counter: rng.Int63n(1 << 30), Proposer: id()}
 	}
 	switch kind {
 	case wire.KindAlive:
-		v := &wire.Alive{RN: i64(), SuspLevel: make([]int64, n)}
-		for i := range v.SuspLevel {
-			v.SuspLevel[i] = i64()
-		}
-		return v
+		return &wire.Alive{RN: i64(), SuspLevel: vecOfWidth(rng, n, w)}
 	case wire.KindSuspicion:
 		v := &wire.Suspicion{RN: i64(), Suspects: bitset.New(n)}
 		for i := 0; i < n; i++ {
@@ -37,15 +71,11 @@ func randMessage(rng *rand.Rand, kind wire.Kind, n int) wire.Message {
 	case wire.KindHeartbeat:
 		return &wire.Heartbeat{Seq: i64()}
 	case wire.KindAccusation:
-		return &wire.Accusation{Target: int32(rng.Intn(n)), Epoch: i64()}
+		return &wire.Accusation{Target: id(), Epoch: i64()}
 	case wire.KindQuery:
 		return &wire.Query{Seq: i64()}
 	case wire.KindResponse:
-		v := &wire.Response{Seq: i64(), Counters: make([]int64, n)}
-		for i := range v.Counters {
-			v.Counters[i] = i64()
-		}
-		return v
+		return &wire.Response{Seq: i64(), Counters: vecOfWidth(rng, n, w)}
 	case wire.KindPrepare:
 		return &wire.Prepare{Instance: i64(), Ballot: ballot()}
 	case wire.KindPromise:
@@ -58,10 +88,10 @@ func randMessage(rng *rand.Rand, kind wire.Kind, n int) wire.Message {
 	case wire.KindDecide:
 		return &wire.Decide{Instance: i64(), Value: i64()}
 	case wire.KindMux:
-		inner := randMessage(rng, innerKinds[rng.Intn(len(innerKinds))], n)
+		inner := randMessageWidth(rng, innerKinds[rng.Intn(len(innerKinds))], n, w)
 		return &wire.Mux{Lane: uint8(rng.Intn(3)), Inner: inner}
 	case wire.KindABCast:
-		return &wire.ABCast{Sender: int32(rng.Intn(n)), LocalID: i64(), Payload: i64()}
+		return &wire.ABCast{Sender: id(), LocalID: i64(), Payload: i64()}
 	}
 	panic(fmt.Sprintf("unhandled kind %v", kind))
 }
@@ -91,7 +121,7 @@ func allKinds() []wire.Kind {
 func TestRoundTripAllKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pools := &Pools{}
-	for _, n := range []int{1, 3, 5, 13, 64, 65, 128, 200} {
+	for _, n := range []int{0, 1, 3, 5, 13, 64, 65, 128, 200, 251} {
 		for _, kind := range allKinds() {
 			for rep := 0; rep < 20; rep++ {
 				msg := randMessage(rng, kind, n)
@@ -121,6 +151,119 @@ func TestRoundTripAllKinds(t *testing.T) {
 				recycleAll(dec)
 			}
 		}
+	}
+}
+
+// TestRoundTripSamples: hand-built edge cases decode to the values they were
+// built from (a per-field check, so an encoder and decoder that agree on a
+// wrong layout still fail): nil and empty vectors, a Mux-wrapped ALIVE, a
+// suspicion universe one past a word, and vectors at both extremes of int64.
+func TestRoundTripSamples(t *testing.T) {
+	samples := []wire.Message{
+		&wire.Alive{RN: 42, SuspLevel: []int64{0, 1, 2, 3, 4}},
+		&wire.Alive{RN: 0, SuspLevel: nil},
+		&wire.Alive{RN: -1, SuspLevel: []int64{}},
+		&wire.Alive{RN: 7, SuspLevel: []int64{math.MaxInt64, math.MinInt64, 0}},
+		&wire.Alive{RN: 8, SuspLevel: []int64{math.MaxInt64 - 1, math.MaxInt64}},
+		&wire.Suspicion{RN: 9, Suspects: bitset.FromMembers(7, 1, 3, 6)},
+		&wire.Suspicion{RN: 1, Suspects: bitset.FromMembers(65, 0, 64)},
+		&wire.Response{Seq: 5, Counters: []int64{9, 8, 7}},
+		&wire.Response{Seq: 6},
+		&wire.Mux{Lane: 0, Inner: &wire.Alive{RN: 1, SuspLevel: []int64{5}}},
+		&wire.Mux{Lane: 2, Inner: &wire.Alive{RN: 3, SuspLevel: []int64{4, 5, 5, 4}}},
+	}
+	pools := &Pools{}
+	for _, m := range samples {
+		frame, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatalf("%v: encode: %v", m, err)
+		}
+		if got, want := len(frame), m.Size()+FrameOverhead; got != want {
+			t.Errorf("%v: frame length %d, want %d", m, got, want)
+		}
+		dec, err := pools.Decode(frame[4:])
+		if err != nil {
+			t.Fatalf("%v: decode: %v", m, err)
+		}
+		if got, want := describe(dec), describe(m); got != want {
+			t.Errorf("round trip: got %s, want %s", got, want)
+		}
+		recycleAll(dec)
+	}
+}
+
+// describe renders the fields a packed vector or a bitset carries, with nil
+// and empty vectors alike (the wire does not tell them apart).
+func describe(m wire.Message) string {
+	switch v := m.(type) {
+	case *wire.Alive:
+		return fmt.Sprintf("ALIVE(%d, %v)", v.RN, append([]int64{}, v.SuspLevel...))
+	case *wire.Response:
+		return fmt.Sprintf("RESPONSE(%d, %v)", v.Seq, append([]int64{}, v.Counters...))
+	case *wire.Suspicion:
+		return fmt.Sprintf("SUSPICION(%d, %d, %v)", v.RN, v.Suspects.Len(), v.Suspects)
+	case *wire.Mux:
+		return fmt.Sprintf("MUX(%d, %s)", v.Lane, describe(v.Inner))
+	}
+	return fmt.Sprintf("%v", m)
+}
+
+// TestSizeMatchesBody: Size() is the exact [kind][body] length for every
+// kind, with the vectors at every width the encoding distinguishes, and
+// computing it allocates nothing.
+func TestSizeMatchesBody(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, n := range []int{0, 1, 5, 64, 65, 251} {
+		for _, w := range []int{0, 1, 3, 63, 64} {
+			for _, kind := range allKinds() {
+				msg := randMessageWidth(rng, kind, n, w)
+				body, err := appendBody(nil, msg)
+				if err != nil {
+					t.Fatalf("n=%d w=%d %v: %v", n, w, kind, err)
+				}
+				if got := msg.Size(); got != len(body) {
+					t.Errorf("n=%d w=%d %v: Size() %d, body %d bytes", n, w, kind, got, len(body))
+				}
+				if allocs := testing.AllocsPerRun(10, func() { _ = msg.Size() }); allocs != 0 {
+					t.Errorf("n=%d w=%d %v: Size() allocates %v", n, w, kind, allocs)
+				}
+			}
+			if n >= 2 {
+				if _, got := wire.Span(vecOfWidth(rng, n, w)); got != w {
+					t.Errorf("n=%d: vecOfWidth(%d) has width %d", n, w, got)
+				}
+			}
+		}
+	}
+	// Lemma 8's case at n=251: a base plus one 251-bit set.
+	if got := (&wire.Alive{SuspLevel: vecOfWidth(rng, 251, 1)}).Size(); got != 52 {
+		t.Errorf("n=251 width-1 ALIVE is %d bytes, want 52", got)
+	}
+}
+
+// TestAppendFrameRejectsOversizedCounts: a count that does not fit its u16
+// fails the encode with ErrFrame instead of wrapping to a corrupt frame,
+// and leaves the caller's buffer as it was.
+func TestAppendFrameRejectsOversizedCounts(t *testing.T) {
+	const n = math.MaxUint16 + 1
+	for _, m := range []wire.Message{
+		&wire.Alive{SuspLevel: make([]int64, n)},
+		&wire.Response{Counters: make([]int64, n)},
+		&wire.Suspicion{Suspects: bitset.New(n)},
+		&wire.Mux{Inner: &wire.Alive{SuspLevel: make([]int64, n)}},
+	} {
+		buf := []byte{0xAB}
+		out, err := AppendFrame(buf, m)
+		if !errors.Is(err, ErrFrame) {
+			t.Errorf("%v with a %d count: %v, want ErrFrame", m.Kind(), n, err)
+		}
+		if !bytes.Equal(out, buf) {
+			t.Errorf("%v: failed encode left %d bytes, want the caller's 1", m.Kind(), len(out))
+		}
+	}
+	// One below the limit still encodes.
+	if _, err := AppendFrame(nil, &wire.Alive{SuspLevel: make([]int64, n-1)}); err != nil {
+		t.Errorf("%d-entry vector: %v", n-1, err)
 	}
 }
 
@@ -209,12 +352,18 @@ func TestDecodeRejects(t *testing.T) {
 		}
 	}
 
-	// Oversized counts must be rejected BEFORE sizing a payload by them.
-	alive := []byte{Version, byte(wire.KindAlive)}
-	alive = binary.BigEndian.AppendUint64(alive, 1)
-	alive = binary.BigEndian.AppendUint16(alive, 0xFFFF) // claims 65535 levels, has none
-	if _, err := pools.Decode(alive); !errors.Is(err, ErrFrame) {
-		t.Errorf("oversized Alive count: %v, want ErrFrame", err)
+	// Every non-canonical or corrupt packed vector, bare, in a RESPONSE and
+	// inside a Mux. Oversized counts must be rejected BEFORE sizing a
+	// payload by them.
+	for _, c := range rejectedVectors() {
+		vec := c.frame[10:] // strip [version][kind][rn]
+		resp := append(binary.BigEndian.AppendUint64([]byte{Version, byte(wire.KindResponse)}, 1), vec...)
+		mux := append([]byte{Version, byte(wire.KindMux), 1}, c.frame[1:]...)
+		for _, frame := range [][]byte{c.frame, resp, mux} {
+			if m, err := pools.Decode(frame); !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), c.why) {
+				t.Errorf("%s (kind %d): decoded %v, error %v, want ErrFrame for %q", c.name, frame[1], m, err, c.why)
+			}
+		}
 	}
 	susp := []byte{Version, byte(wire.KindSuspicion)}
 	susp = binary.BigEndian.AppendUint64(susp, 1)
@@ -229,6 +378,39 @@ func TestDecodeRejects(t *testing.T) {
 	nested = append(nested, inner[5:]...) // inner [kind][body]
 	if _, err := pools.Decode(nested); !errors.Is(err, ErrFrame) {
 		t.Errorf("nested mux: %v, want ErrFrame", err)
+	}
+}
+
+// aliveFrame hand-builds an ALIVE frame as Decode sees it, with round 1 and
+// the given packed-vector header and offset bytes.
+func aliveFrame(n uint16, base int64, w byte, offsets ...byte) []byte {
+	b := binary.BigEndian.AppendUint64([]byte{Version, byte(wire.KindAlive)}, 1)
+	b = binary.BigEndian.AppendUint16(b, n)
+	b = binary.BigEndian.AppendUint64(b, uint64(base))
+	return append(append(b, w), offsets...)
+}
+
+// namedFrame is one hand-built frame for the reject table and the corpus;
+// why is a fragment of the error Decode must give for it.
+type namedFrame struct {
+	name, why string
+	frame     []byte
+}
+
+// rejectedVectors lists one ALIVE frame per rule of the packed vector's
+// canonical form, each of which Decode must reject.
+func rejectedVectors() []namedFrame {
+	return []namedFrame{
+		{"vec-base-not-min", "not its minimum", aliveFrame(2, 0, 1, 0b11000000)},
+		{"vec-width-not-minimal", "not minimal", aliveFrame(2, 0, 2, 0b00010000)},
+		{"vec-width64-not-minimal", "not minimal", aliveFrame(2, 0, 64, append(make([]byte, 15), 1)...)},
+		{"vec-width-over-64", "width 65", aliveFrame(1, 0, 65, make([]byte, 9)...)},
+		{"vec-padding-set", "padding", aliveFrame(2, 0, 1, 0b01000001)},
+		{"vec-empty-with-base", "empty vector", aliveFrame(0, 5, 0)},
+		{"vec-empty-with-width", "empty vector", aliveFrame(0, 0, 1)},
+		{"vec-entry-overflows", "overflows", aliveFrame(2, math.MaxInt64, 1, 0b01000000)},
+		{"vec-offsets-truncated", "exceeds body", aliveFrame(251, 0, 1, make([]byte, 31)...)},
+		{"vec-count-exceeds-body", "exceeds body", aliveFrame(0xFFFF, 0, 1)},
 	}
 }
 

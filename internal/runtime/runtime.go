@@ -204,7 +204,8 @@ func (e *renv) Send(to proc.ID, msg any) {
 	if e.Crashed() {
 		return
 	}
-	e.sendOne(to, msg)
+	k, size := measure(msg)
+	e.sendOne(to, msg, k, size)
 }
 
 // Multicast implements proc.Env: one transmission per destination over the
@@ -215,20 +216,31 @@ func (e *renv) Multicast(dests *bitset.Set, msg any) {
 	if e.Crashed() {
 		return
 	}
+	k, size := measure(msg)
 	for to := 0; to < dests.Len(); to++ {
 		if dests.Contains(to) {
-			e.sendOne(to, msg)
+			e.sendOne(to, msg, k, size)
 		}
 	}
 }
 
-// sendOne counts one copy of msg and routes it to its destination after the
-// injected delay. Arrival (the mailbox push) is where a down receiver drops
-// the message, mirroring the simulator's delivery-time drop.
-func (e *renv) sendOne(to proc.ID, msg any) {
+// measure returns msg's wire kind and encoded size, or (0, 0) for a payload
+// that is not a wire message. Senders call it once per send: Size is O(n)
+// for the vector kinds.
+func measure(msg any) (wire.Kind, int) {
+	if wm, ok := msg.(wire.Message); ok {
+		return wm.Kind(), wm.Size()
+	}
+	return 0, 0
+}
+
+// sendOne counts one copy of msg, of kind k and size bytes, and routes it
+// to its destination after the injected delay. Arrival (the mailbox push)
+// is where a down receiver drops the message, mirroring the simulator's
+// delivery-time drop.
+func (e *renv) sendOne(to proc.ID, msg any, k wire.Kind, size int) {
 	c, from := e.cluster, e.ID()
-	wm, _ := msg.(wire.Message)
-	c.stats.TapSent(wm, 0)
+	c.stats.TapSent(k, size)
 	lf := c.cfg.Fault
 	if lf != nil && !lf.Admit(from, to) {
 		// Chaos overlay refusal: the copy was sent and the link ate it.

@@ -35,8 +35,8 @@
 //
 // Stats taps every link on the sending side (Sent, Bytes, per-kind) and the
 // delivery point on the receiving side (Delivered, Dropped). Bytes count
-// real framed bytes — wire.Message.Size() + netwire.FrameOverhead per
-// destination, which equals the frame length on the socket exactly. In a
+// real framed bytes: the length of the one encoded frame, charged per
+// destination, which is wire.Message.Size() + netwire.FrameOverhead. In a
 // multi-process cluster each process naturally sees only its own taps.
 package tcpnet
 
@@ -711,8 +711,8 @@ func (e *env) Send(to proc.ID, msg any) {
 	if e.Crashed() {
 		return
 	}
-	b, wm := e.encode(msg)
-	e.c.stats.TapSent(wm, netwire.FrameOverhead)
+	b, k, size := e.encode(msg)
+	e.c.stats.TapSent(k, size)
 	if b == nil {
 		e.c.stats.TapDropped()
 		return
@@ -729,12 +729,12 @@ func (e *env) Multicast(dests *bitset.Set, msg any) {
 	if e.Crashed() {
 		return
 	}
-	b, wm := e.encode(msg)
+	b, k, size := e.encode(msg)
 	for to := 0; to < dests.Len(); to++ {
 		if !dests.Contains(to) {
 			continue
 		}
-		e.c.stats.TapSent(wm, netwire.FrameOverhead)
+		e.c.stats.TapSent(k, size)
 		if b == nil {
 			e.c.stats.TapDropped()
 			continue
@@ -747,23 +747,25 @@ func (e *env) Multicast(dests *bitset.Set, msg any) {
 }
 
 // encode frames msg into a pooled buffer holding one reference (the
-// caller's fan-out hold; release after fanning). A message the codec cannot
-// frame returns a nil buffer — the caller counts the loss. wm is the wire
-// message for byte accounting (nil if msg is not one).
-func (e *env) encode(msg any) (*buffer, wire.Message) {
+// caller's fan-out hold; release after fanning). It also returns what the
+// byte accounting needs, once per send: msg's wire kind (0 if msg is not a
+// wire message) and the frame length, the bytes each destination's socket
+// carries. A message the codec cannot frame returns a nil buffer and size
+// 0 — the caller counts the loss.
+func (e *env) encode(msg any) (b *buffer, k wire.Kind, size int) {
 	wm, ok := msg.(wire.Message)
 	if !ok {
-		return nil, nil
+		return nil, 0, 0
 	}
-	b := bufPool.Get().(*buffer)
+	b = bufPool.Get().(*buffer)
 	var err error
 	b.b, err = netwire.AppendFrame(b.b[:0], wm)
 	if err != nil {
 		bufPool.Put(b)
-		return nil, wm
+		return nil, wm.Kind(), 0
 	}
 	atomic.StoreInt32(&b.refs, 1)
-	return b, wm
+	return b, wm.Kind(), len(b.b)
 }
 
 // sendFrame routes one reference of the frame to destination to, applying

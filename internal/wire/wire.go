@@ -1,5 +1,5 @@
 // Package wire defines the message types exchanged by every protocol in this
-// repository, together with a compact binary codec.
+// repository.
 //
 // The paper's leader algorithms exchange two message kinds:
 //
@@ -10,22 +10,22 @@
 //     (Figure 1, line 10); suspects is the set of processes not heard from in
 //     receiving round rn.
 //
-// The baseline Ω algorithms and the consensus layer add further kinds. All
-// messages carry explicit integer tags so that the codec is self-describing,
-// and every type implements Size so experiments can report bytes on the wire
-// without actually serializing on the hot path.
+// The baseline Ω algorithms and the consensus layer add further kinds, each
+// with an explicit integer tag (Kind).
 //
 // The simulated and goroutine transports pass message values by pointer
 // without copying; messages are therefore immutable by convention once sent.
-// The codec exists to (1) pin down a concrete wire format, demonstrating the
-// paper's claim that all fields except round numbers are bounded-size, and
-// (2) account message bytes in experiments.
+// internal/netwire is the only codec: it frames a message as [kind][body]
+// for a byte stream, and every type's Size returns the exact length of that
+// encoding, so every transport accounts real wire bytes without serializing
+// on the hot path. An int64 vector (Alive.SuspLevel, Response.Counters)
+// travels as a frame of reference, one base plus a w-bit offset per entry
+// (Span); by Lemma 8 a Figure 3 ALIVE is a base plus an n-bit set.
 package wire
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 )
@@ -109,7 +109,7 @@ type Alive struct {
 func (*Alive) Kind() Kind { return KindAlive }
 
 // Size implements Message.
-func (m *Alive) Size() int { return 1 + 8 + 2 + 8*len(m.SuspLevel) }
+func (m *Alive) Size() int { return 1 + 8 + packedSize(m.SuspLevel) }
 
 func (m *Alive) String() string { return fmt.Sprintf("ALIVE(%d)", m.RN) }
 
@@ -181,7 +181,31 @@ type Response struct {
 func (*Response) Kind() Kind { return KindResponse }
 
 // Size implements Message.
-func (m *Response) Size() int { return 1 + 8 + 2 + 8*len(m.Counters) }
+func (m *Response) Size() int { return 1 + 8 + packedSize(m.Counters) }
+
+// Span returns the frame of reference of xs: base is min(xs) and w is the
+// bit width of max(xs)−min(xs), taken with wrapping subtraction, so
+// 0 ≤ w ≤ 64 for every input. An empty xs has base 0 and w 0.
+func Span(xs []int64) (base int64, w int) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo = min(lo, x)
+		hi = max(hi, x)
+	}
+	return lo, bits.Len64(uint64(hi) - uint64(lo))
+}
+
+// packedSize is the encoded length of xs as a packed vector:
+// [n u16][base i64][w u8], then n offsets x−base of w bits each, padded to
+// a whole byte (base and w from Span). It computes nothing it keeps: the
+// payload is shared by many readers and written without any seal step.
+func packedSize(xs []int64) int {
+	_, w := Span(xs)
+	return 2 + 8 + 1 + (len(xs)*w+7)/8
+}
 
 // Ballot identifies a consensus attempt; it totally orders attempts across
 // processes as (Counter, Proposer) lexicographically.
@@ -320,244 +344,3 @@ var (
 	_ Message = (*Mux)(nil)
 	_ Message = (*ABCast)(nil)
 )
-
-// ErrBadMessage reports a malformed encoded message.
-var ErrBadMessage = errors.New("wire: malformed message")
-
-// Marshal encodes m into a self-describing byte slice.
-func Marshal(m Message) ([]byte, error) {
-	buf := make([]byte, 0, m.Size())
-	return appendMessage(buf, m)
-}
-
-func appendMessage(buf []byte, m Message) ([]byte, error) {
-	buf = append(buf, byte(m.Kind()))
-	switch v := m.(type) {
-	case *Alive:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.RN))
-		buf = appendInt64s(buf, v.SuspLevel)
-	case *Suspicion:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.RN))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(v.Suspects.Len()))
-		for _, w := range v.Suspects.Words() {
-			buf = binary.BigEndian.AppendUint64(buf, w)
-		}
-	case *Heartbeat:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-	case *Accusation:
-		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Target))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Epoch))
-	case *Query:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-	case *Response:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-		buf = appendInt64s(buf, v.Counters)
-	case *Prepare:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
-		buf = appendBallot(buf, v.Ballot)
-	case *Promise:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
-		buf = appendBallot(buf, v.Ballot)
-		buf = appendBallot(buf, v.AcceptedAt)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Value))
-		buf = append(buf, boolByte(v.HasValue), boolByte(v.NACK))
-	case *Accept:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
-		buf = appendBallot(buf, v.Ballot)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Value))
-	case *Accepted:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
-		buf = appendBallot(buf, v.Ballot)
-		buf = append(buf, boolByte(v.NACK))
-	case *Decide:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Value))
-	case *Mux:
-		buf = append(buf, v.Lane)
-		var err error
-		buf, err = appendMessage(buf, v.Inner)
-		if err != nil {
-			return nil, err
-		}
-	case *ABCast:
-		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Sender))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.LocalID))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Payload))
-	default:
-		return nil, fmt.Errorf("wire: cannot marshal %T: %w", m, ErrBadMessage)
-	}
-	return buf, nil
-}
-
-func appendInt64s(buf []byte, xs []int64) []byte {
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(xs)))
-	for _, x := range xs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(x))
-	}
-	return buf
-}
-
-func appendBallot(buf []byte, b Ballot) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(b.Counter))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(b.Proposer))
-	return buf
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Unmarshal decodes a message previously produced by Marshal.
-func Unmarshal(data []byte) (Message, error) {
-	m, rest, err := consumeMessage(data)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes: %w", len(rest), ErrBadMessage)
-	}
-	return m, nil
-}
-
-func consumeMessage(data []byte) (Message, []byte, error) {
-	if len(data) < 1 {
-		return nil, nil, fmt.Errorf("wire: empty: %w", ErrBadMessage)
-	}
-	kind := Kind(data[0])
-	r := reader{buf: data[1:]}
-	var m Message
-	switch kind {
-	case KindAlive:
-		v := &Alive{RN: r.int64()}
-		v.SuspLevel = r.int64s()
-		m = v
-	case KindSuspicion:
-		v := &Suspicion{RN: r.int64()}
-		n := int(r.uint16())
-		words := make([]uint64, (n+63)/64)
-		for i := range words {
-			words[i] = r.uint64()
-		}
-		if r.err == nil {
-			v.Suspects = bitset.New(n)
-			v.Suspects.SetWords(words)
-		}
-		m = v
-	case KindHeartbeat:
-		m = &Heartbeat{Seq: r.int64()}
-	case KindAccusation:
-		m = &Accusation{Target: int32(r.uint32()), Epoch: r.int64()}
-	case KindQuery:
-		m = &Query{Seq: r.int64()}
-	case KindResponse:
-		v := &Response{Seq: r.int64()}
-		v.Counters = r.int64s()
-		m = v
-	case KindPrepare:
-		m = &Prepare{Instance: r.int64(), Ballot: r.ballot()}
-	case KindPromise:
-		v := &Promise{Instance: r.int64(), Ballot: r.ballot(), AcceptedAt: r.ballot()}
-		v.Value = r.int64()
-		v.HasValue = r.bool()
-		v.NACK = r.bool()
-		m = v
-	case KindAccept:
-		m = &Accept{Instance: r.int64(), Ballot: r.ballot(), Value: r.int64()}
-	case KindAccepted:
-		m = &Accepted{Instance: r.int64(), Ballot: r.ballot(), NACK: r.bool()}
-	case KindDecide:
-		m = &Decide{Instance: r.int64(), Value: r.int64()}
-	case KindMux:
-		lane := r.byte()
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		inner, rest, err := consumeMessage(r.buf)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &Mux{Lane: lane, Inner: inner}, rest, nil
-	case KindABCast:
-		m = &ABCast{Sender: int32(r.uint32()), LocalID: r.int64(), Payload: r.int64()}
-	default:
-		return nil, nil, fmt.Errorf("wire: unknown kind %d: %w", kind, ErrBadMessage)
-	}
-	if r.err != nil {
-		return nil, nil, r.err
-	}
-	return m, r.buf, nil
-}
-
-// reader is a cursor over an encoded message with sticky error handling.
-type reader struct {
-	buf []byte
-	err error
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf) < n {
-		r.err = fmt.Errorf("wire: truncated: %w", ErrBadMessage)
-		return nil
-	}
-	out := r.buf[:n]
-	r.buf = r.buf[n:]
-	return out
-}
-
-func (r *reader) byte() byte {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) bool() bool { return r.byte() != 0 }
-
-func (r *reader) uint16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(b)
-}
-
-func (r *reader) uint32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(b)
-}
-
-func (r *reader) uint64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *reader) int64() int64 { return int64(r.uint64()) }
-
-func (r *reader) int64s() []int64 {
-	n := int(r.uint16())
-	if r.err != nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.int64()
-	}
-	return out
-}
-
-func (r *reader) ballot() Ballot {
-	return Ballot{Counter: r.int64(), Proposer: int32(r.uint32())}
-}

@@ -1,130 +1,9 @@
 package wire
 
 import (
-	"errors"
-	"math/rand"
-	"reflect"
+	"math"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/bitset"
 )
-
-func allSamples() []Message {
-	sus := bitset.FromMembers(7, 1, 3, 6)
-	return []Message{
-		&Alive{RN: 42, SuspLevel: []int64{0, 1, 2, 3, 4}},
-		&Alive{RN: 0, SuspLevel: nil},
-		&Suspicion{RN: 9, Suspects: sus},
-		&Suspicion{RN: 1, Suspects: bitset.New(65)},
-		&Heartbeat{Seq: 77},
-		&Accusation{Target: 3, Epoch: 12},
-		&Query{Seq: 5},
-		&Response{Seq: 5, Counters: []int64{9, 8, 7}},
-		&Prepare{Instance: 2, Ballot: Ballot{Counter: 3, Proposer: 1}},
-		&Promise{Instance: 2, Ballot: Ballot{Counter: 3, Proposer: 1},
-			AcceptedAt: Ballot{Counter: 1, Proposer: 0}, Value: 99, HasValue: true},
-		&Promise{Instance: 2, Ballot: Ballot{Counter: 3, Proposer: 1}, NACK: true},
-		&Accept{Instance: 2, Ballot: Ballot{Counter: 3, Proposer: 1}, Value: -5},
-		&Accepted{Instance: 2, Ballot: Ballot{Counter: 3, Proposer: 1}},
-		&Accepted{Instance: 2, Ballot: Ballot{Counter: 3, Proposer: 1}, NACK: true},
-		&Decide{Instance: 7, Value: 123},
-		&Mux{Lane: 2, Inner: &Heartbeat{Seq: 4}},
-		&Mux{Lane: 0, Inner: &Alive{RN: 1, SuspLevel: []int64{5}}},
-		&ABCast{Sender: 2, LocalID: 10, Payload: -7},
-	}
-}
-
-func TestRoundTripAll(t *testing.T) {
-	for _, m := range allSamples() {
-		data, err := Marshal(m)
-		if err != nil {
-			t.Fatalf("Marshal(%v): %v", m, err)
-		}
-		back, err := Unmarshal(data)
-		if err != nil {
-			t.Fatalf("Unmarshal(%v): %v", m.Kind(), err)
-		}
-		if !messagesEqual(m, back) {
-			t.Errorf("round trip %v: got %#v want %#v", m.Kind(), back, m)
-		}
-	}
-}
-
-// messagesEqual compares messages structurally (bitsets via Equal).
-func messagesEqual(a, b Message) bool {
-	sa, ok1 := a.(*Suspicion)
-	sb, ok2 := b.(*Suspicion)
-	if ok1 && ok2 {
-		return sa.RN == sb.RN && sa.Suspects.Equal(sb.Suspects)
-	}
-	ma, ok1 := a.(*Mux)
-	mb, ok2 := b.(*Mux)
-	if ok1 && ok2 {
-		return ma.Lane == mb.Lane && messagesEqual(ma.Inner, mb.Inner)
-	}
-	// Alive with nil vs empty slice both decode as empty.
-	aa, ok1 := a.(*Alive)
-	ab, ok2 := b.(*Alive)
-	if ok1 && ok2 {
-		return aa.RN == ab.RN && int64sEqual(aa.SuspLevel, ab.SuspLevel)
-	}
-	ra, ok1 := a.(*Response)
-	rb, ok2 := b.(*Response)
-	if ok1 && ok2 {
-		return ra.Seq == rb.Seq && int64sEqual(ra.Counters, rb.Counters)
-	}
-	return reflect.DeepEqual(a, b)
-}
-
-func int64sEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestSizeMatchesEncoding(t *testing.T) {
-	for _, m := range allSamples() {
-		data, err := Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := len(data), m.Size(); got > want {
-			t.Errorf("%v: encoded %d bytes > Size() %d", m.Kind(), got, want)
-		}
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":     {},
-		"badKind":   {0xff, 0, 0},
-		"truncated": {byte(KindAlive), 1, 2},
-		"zeroKind":  {0},
-	}
-	for name, data := range cases {
-		if _, err := Unmarshal(data); !errors.Is(err, ErrBadMessage) {
-			t.Errorf("%s: err = %v, want ErrBadMessage", name, err)
-		}
-	}
-}
-
-func TestUnmarshalTrailing(t *testing.T) {
-	data, err := Marshal(&Heartbeat{Seq: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, 0)
-	if _, err := Unmarshal(data); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("trailing bytes: err = %v", err)
-	}
-}
 
 func TestBallotOrdering(t *testing.T) {
 	cases := []struct {
@@ -158,85 +37,31 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestQuickAliveRoundTrip(t *testing.T) {
-	f := func(rn int64, levels []int64) bool {
-		if len(levels) > 1000 {
-			levels = levels[:1000]
+// TestSpan: the frame of reference is (min, bit width of max−min), with the
+// subtraction wrapping so that the full int64 range is width 64.
+func TestSpan(t *testing.T) {
+	cases := []struct {
+		xs   []int64
+		base int64
+		w    int
+	}{
+		{nil, 0, 0},
+		{[]int64{}, 0, 0},
+		{[]int64{-7}, -7, 0},
+		{[]int64{4, 4, 4}, 4, 0},
+		{[]int64{3, 4, 3, 4}, 3, 1},
+		{[]int64{9, 2, 5}, 2, 3},
+		{[]int64{-1, 1}, -1, 2},
+		{[]int64{0, math.MaxInt64}, 0, 63},
+		{[]int64{math.MaxInt64, math.MinInt64}, math.MinInt64, 64},
+	}
+	for _, c := range cases {
+		base, w := Span(c.xs)
+		if base != c.base || w != c.w {
+			t.Errorf("Span(%v) = (%d, %d), want (%d, %d)", c.xs, base, w, c.base, c.w)
 		}
-		m := &Alive{RN: rn, SuspLevel: levels}
-		data, err := Marshal(m)
-		if err != nil {
-			return false
-		}
-		back, err := Unmarshal(data)
-		if err != nil {
-			return false
-		}
-		return messagesEqual(m, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickSuspicionRoundTrip(t *testing.T) {
-	f := func(seed int64, rn int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(150)
-		s := bitset.New(n)
-		for i := 0; i < n; i++ {
-			if r.Intn(2) == 0 {
-				s.Add(i)
-			}
-		}
-		m := &Suspicion{RN: rn, Suspects: s}
-		data, err := Marshal(m)
-		if err != nil {
-			return false
-		}
-		back, err := Unmarshal(data)
-		if err != nil {
-			return false
-		}
-		return messagesEqual(m, back)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickFuzzUnmarshalNoPanic(t *testing.T) {
-	f := func(data []byte) bool {
-		// Must never panic; error is fine.
-		_, _ = Unmarshal(data)
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func BenchmarkMarshalAlive(b *testing.B) {
-	m := &Alive{RN: 12345, SuspLevel: make([]int64, 16)}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Marshal(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUnmarshalSuspicion(b *testing.B) {
-	m := &Suspicion{RN: 7, Suspects: bitset.FromMembers(64, 1, 2, 3, 60)}
-	data, err := Marshal(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(data); err != nil {
-			b.Fatal(err)
+		if got, want := packedSize(c.xs), 11+(len(c.xs)*c.w+7)/8; got != want {
+			t.Errorf("packedSize(%v) = %d, want %d", c.xs, got, want)
 		}
 	}
 }

@@ -104,6 +104,43 @@ func TestSimDeterminism(t *testing.T) {
 	}
 }
 
+// TestLemma8OnTheWire: Lemma 8 keeps max−min of a Figure 3 process's
+// susp_level at most 1, so every ALIVE it sends packs its vector as a base
+// plus one bit per process — at most 20 + ceil(n/8) bytes with the kind and
+// round (the simulator counts no frame overhead). Checked on the simulator's
+// byte counters over a Combined run at n=13 and a short one at n=251.
+func TestLemma8OnTheWire(t *testing.T) {
+	for _, tc := range []struct {
+		n   int
+		run time.Duration
+	}{{13, 5 * time.Second}, {251, 60 * time.Millisecond}} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			c, err := star.New(star.N(tc.n), star.Resilience(tc.n/2), star.Seed(uint64(tc.n)),
+				star.Algorithm(star.Fig3), star.Scenario(star.Combined()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Run(tc.run); err != nil {
+				t.Fatal(err)
+			}
+			var alive star.KindStats
+			for _, ks := range c.Metrics().Net.PerKind {
+				if ks.Kind == "ALIVE" {
+					alive = ks
+				}
+			}
+			if alive.Count == 0 {
+				t.Fatalf("no ALIVE sent: %+v", c.Metrics().Net.PerKind)
+			}
+			if limit := alive.Count * uint64(20+(tc.n+7)/8); alive.Bytes > limit {
+				t.Fatalf("%d ALIVEs take %d bytes, above %d (%d each): some vector is wider than one bit",
+					alive.Count, alive.Bytes, limit, 20+(tc.n+7)/8)
+			}
+		})
+	}
+}
+
 // TestDefaultsAreSane: star.New(star.N(5)) alone gives a working Fig3
 // cluster under the Combined scenario with bounded retention.
 func TestDefaultsAreSane(t *testing.T) {
