@@ -105,21 +105,6 @@ type Config struct {
 	// contributes reports under the same alpha threshold as anyone else.
 	JoinCurrentRound bool
 
-	// ResyncStranded lets the node abandon a receiving round that can no
-	// longer reach its quorum. A rejoined process never sends the rounds
-	// it jumped over, and no process sends while it is down, so once more
-	// than t processes have been down at once some rounds are sent by
-	// fewer than alpha processes: line 8 waits for them forever. With
-	// this set, a round whose timer expired StrandedAfter sending rounds
-	// ago is given up as soon as a later round holds an alpha quorum; the
-	// rounds in between complete unreported (Metrics.Resyncs). Off by
-	// default, so absent from the base algorithm; a system that restarts
-	// processes sets it on every process, original incarnations included,
-	// since a survivor is what gets stranded. Abandoned rounds send no
-	// SUSPICION, so they can only withhold susp_level increments, never
-	// add one.
-	ResyncStranded bool
-
 	// WindowSlots sizes the ring of round-indexed bookkeeping rows
 	// (rounded up to a power of two). It must comfortably exceed the
 	// deepest window test (susp_level bound B+1 plus max F) and the

@@ -56,10 +56,6 @@
 //     processes "at the beginning"; a process rebooting mid-run is outside
 //     its model, and without the jump the rebooted sender's rounds would be
 //     permanently misaligned with everyone's round guards.
-//   - Config.ResyncStranded (off by default) is the jump's mirror image:
-//     after more than t processes were down at once, a round that fewer
-//     than alpha processes ever sent is abandoned for a later round at
-//     quorum once it has been overdue for StrandedAfter sending rounds.
 //
 // # Hot-path storage: ring windows and pooled payloads
 //

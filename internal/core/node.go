@@ -37,7 +37,6 @@ type Metrics struct {
 	MaxTimeout     time.Duration
 	LateAlive      uint64 // ALIVE messages discarded because rn < r_rn
 	DupSuspicion   uint64 // duplicated SUSPICION messages ignored
-	Resyncs        uint64 // stranded receiving rounds abandoned (ResyncStranded)
 
 	// Ring-window health: rounds whose data was evicted to the overflow
 	// map, and lookups served by it. Both ~0 in non-adversarial runs;
@@ -72,10 +71,8 @@ type Node struct {
 	alivePool wire.AlivePool
 	suspPool  wire.SuspicionPool
 
-	// timerExpired mirrors "timer_i has expired" for the current round;
-	// expiredAt is the sending round at that expiry (see maybeResync).
+	// timerExpired mirrors "timer_i has expired" for the current round.
 	timerExpired bool
-	expiredAt    int64
 
 	// joined records that the one-shot JoinCurrentRound synchronization
 	// already ran (see Config.JoinCurrentRound).
@@ -285,7 +282,6 @@ func (n *Node) OnTimer(key proc.TimerKey) {
 		n.aliveTick()
 	case TimerRound:
 		n.timerExpired = true
-		n.expiredAt = n.sRN
 		n.checkGuard()
 	default:
 		panic(fmt.Sprintf("core: unknown timer key %d", key))
@@ -338,35 +334,6 @@ func (n *Node) maybeJoin(rn int64) {
 	if rn > n.sRN {
 		n.sRN = rn
 	}
-	// A timer that expired before the jump says nothing about how long
-	// the adopted round has been overdue.
-	n.expiredAt = n.sRN
-}
-
-// StrandedAfter is how many sending rounds past its timer's expiry a
-// receiving round short of its quorum waits before Config.ResyncStranded
-// gives it up for a later round at quorum: well beyond the round skew of the
-// delay policies it is enabled under, yet short enough that members which
-// churn keeps taking down and bringing back still complete rounds together
-// between outages.
-const StrandedAfter = 16
-
-// maybeResync implements Config.ResyncStranded; onAlive calls it only with
-// the option set. Round rn, ahead of the receiving round, just gained a
-// reception (row is its rec_from row); if it now holds an alpha quorum
-// while the receiving round has been overdue for StrandedAfter sending
-// rounds, the node takes rn as its receiving round: the rounds in between
-// are abandoned unreported and the guard completes rn at once.
-func (n *Node) maybeResync(rn int64, row *rounds.Row) {
-	if !n.timerExpired || rn <= n.rRN ||
-		n.sRN-n.expiredAt < StrandedAfter || row.Rec.Count() < n.cfg.Alpha {
-		return
-	}
-	for x := n.rRN; x < rn; x++ {
-		n.win.CompleteRec(x)
-	}
-	n.rRN = rn
-	n.metrics.Resyncs++
 }
 
 // onAlive handles lines 4-7.
@@ -380,11 +347,7 @@ func (n *Node) onAlive(from proc.ID, m *wire.Alive) {
 	}
 	// Line 6: record reception unless the round is already over.
 	if m.RN >= n.rRN {
-		row := n.recFromRow(m.RN)
-		row.Rec.Add(from)
-		if n.cfg.ResyncStranded {
-			n.maybeResync(m.RN, row)
-		}
+		n.recFromRow(m.RN).Rec.Add(from)
 		n.checkGuard()
 	} else {
 		n.metrics.LateAlive++

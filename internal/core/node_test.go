@@ -276,123 +276,6 @@ func TestFutureAliveCountsLater(t *testing.T) {
 	}
 }
 
-// TestResyncStrandedRound: a receiving round that stays short of its quorum
-// for StrandedAfter sending rounds after its timer expired is abandoned for
-// a later round that holds one — the state a peer that rejoined past it
-// leaves behind.
-func TestResyncStrandedRound(t *testing.T) {
-	// N=4, T=1 -> alpha = 3 (self + 2 peers).
-	n, env := newStartedNode(t, 0, Config{N: 4, T: 1, ResyncStranded: true})
-	alive := func(from proc.ID, rn int64) {
-		n.OnMessage(from, &wire.Alive{RN: rn, SuspLevel: make([]int64, 4)})
-	}
-	alive(1, 1)
-	alive(2, 1)
-	n.OnTimer(TimerRound)
-	if sus := suspicionsIn(env.take()); len(sus) != 1 || sus[0].RN != 1 {
-		t.Fatalf("round 1 suspicion = %v", sus)
-	}
-
-	// p1 goes down before sending ALIVE(2); round 2's timer expires short
-	// of its quorum. Until StrandedAfter sending rounds have passed, a
-	// later quorum is taken for reordering, not stranding: the node keeps
-	// waiting.
-	n.OnTimer(TimerRound)
-	for i := int64(1); i < StrandedAfter; i++ {
-		n.OnTimer(TimerAlive)
-	}
-	alive(2, 20)
-	alive(3, 20)
-	if sus := suspicionsIn(env.take()); len(sus) != 0 {
-		t.Fatalf("round abandoned too early: %v", sus)
-	}
-
-	// One sending round later the round is overdue, but a later round
-	// short of its own quorum is no place to go.
-	n.OnTimer(TimerAlive)
-	alive(2, 21)
-	if _, r := n.Rounds(); r != 2 || n.Metrics().Resyncs != 0 {
-		t.Fatalf("rRN = %d, Resyncs = %d on a round short of quorum, want 2, 0", r, n.Metrics().Resyncs)
-	}
-
-	// p3's ALIVE(21) completes that quorum: p2 and p3 — which rejoined
-	// past round 2 and will never send it — strand the round.
-	alive(3, 21)
-	sus := suspicionsIn(env.take())
-	if len(sus) != 1 || sus[0].RN != 21 {
-		t.Fatalf("stranded round not abandoned: suspicions %v", sus)
-	}
-	if want := bitset.FromMembers(4, 1); !sus[0].Suspects.Equal(want) {
-		t.Errorf("round 21 suspects = %v, want %v", sus[0].Suspects, want)
-	}
-	if _, r := n.Rounds(); r != 22 {
-		t.Errorf("rRN = %d, want 22", r)
-	}
-	if got := n.Metrics().Resyncs; got != 1 {
-		t.Errorf("Resyncs = %d, want 1", got)
-	}
-	// The abandoned rounds are over: an ALIVE for one is late.
-	alive(1, 2)
-	if n.Metrics().LateAlive != 1 {
-		t.Errorf("LateAlive = %d, want 1", n.Metrics().LateAlive)
-	}
-}
-
-// TestResyncCountsFromJoin: a round timer that expired before the
-// JoinCurrentRound jump does not make the adopted round overdue.
-func TestResyncCountsFromJoin(t *testing.T) {
-	n, _ := newStartedNode(t, 0, Config{N: 3, T: 1, JoinCurrentRound: true, ResyncStranded: true})
-	n.OnTimer(TimerRound) // expires at sending round 1, before any message
-	// A SUSPICION is the first message: join at 100 with no ALIVE(100).
-	n.OnMessage(1, &wire.Suspicion{RN: 100, Suspects: bitset.New(3)})
-	n.OnMessage(2, &wire.Alive{RN: 101, SuspLevel: make([]int64, 3)})
-	if _, r := n.Rounds(); r != 100 || n.Metrics().Resyncs != 0 {
-		t.Fatalf("rRN = %d, Resyncs = %d right after the join, want 100, 0", r, n.Metrics().Resyncs)
-	}
-	for i := int64(0); i < StrandedAfter; i++ {
-		n.OnTimer(TimerAlive)
-	}
-	n.OnMessage(2, &wire.Alive{RN: 117, SuspLevel: make([]int64, 3)})
-	if _, r := n.Rounds(); r != 118 || n.Metrics().Resyncs != 1 {
-		t.Fatalf("rRN = %d, Resyncs = %d after StrandedAfter rounds, want 118, 1", r, n.Metrics().Resyncs)
-	}
-}
-
-// TestResyncWaitsForTimer: a round whose timer has not expired is not
-// overdue, however long ago the previous round's timer expired.
-func TestResyncWaitsForTimer(t *testing.T) {
-	n, _ := newStartedNode(t, 0, Config{N: 3, T: 1, ResyncStranded: true})
-	n.OnMessage(1, &wire.Alive{RN: 1, SuspLevel: make([]int64, 3)})
-	n.OnTimer(TimerRound) // completes round 1 and re-arms for round 2
-	for i := int64(0); i < 2*StrandedAfter; i++ {
-		n.OnTimer(TimerAlive)
-	}
-	n.OnMessage(2, &wire.Alive{RN: 40, SuspLevel: make([]int64, 3)})
-	if _, r := n.Rounds(); r != 2 || n.Metrics().Resyncs != 0 {
-		t.Fatalf("rRN = %d, Resyncs = %d before round 2's timer expired, want 2, 0", r, n.Metrics().Resyncs)
-	}
-}
-
-// TestStrandedRoundWaitsWithoutResync: the base algorithm never abandons a
-// round — line 8 waits for the quorum of the current round however long.
-func TestStrandedRoundWaitsWithoutResync(t *testing.T) {
-	n, env := newStartedNode(t, 0, Config{N: 3, T: 1})
-	n.OnTimer(TimerRound)
-	for i := int64(0); i < 2*StrandedAfter; i++ {
-		n.OnTimer(TimerAlive)
-	}
-	n.OnMessage(2, &wire.Alive{RN: 100, SuspLevel: make([]int64, 3)})
-	if sus := suspicionsIn(env.take()); len(sus) != 0 {
-		t.Fatalf("round completed without its quorum: %v", sus)
-	}
-	if _, r := n.Rounds(); r != 1 {
-		t.Fatalf("rRN = %d, want 1", r)
-	}
-	if got := n.Metrics().Resyncs; got != 0 {
-		t.Fatalf("Resyncs = %d, want 0", got)
-	}
-}
-
 func TestSuspicionThresholdIncrementsFig1(t *testing.T) {
 	n, _ := newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig1})
 	feedSuspicion(n, 5, 3, 0, 1)

@@ -36,6 +36,10 @@
 // decoder reuses recycled wire payloads and resizes their slices/bitsets
 // only when the cluster size changes. A Pools value is single-owner like
 // every wire pool — one per connection reader, never shared.
+//
+// Every count is checked before the decoder sizes anything by it: against
+// the bytes it needs, and against Pools.MaxEntries. The second check is
+// what bounds a width-0 vector, which needs no offset bytes at all.
 package netwire
 
 import (
@@ -56,8 +60,8 @@ const (
 	Version = 2
 
 	// MaxFrame bounds the length prefix: frames beyond it are rejected
-	// before any allocation, so a corrupt or hostile peer cannot make a
-	// reader allocate unbounded memory.
+	// before any allocation. With Pools.MaxEntries it keeps a corrupt or
+	// hostile peer from making a reader allocate unbounded memory.
 	MaxFrame = 1 << 20
 
 	// helloKind tags the connection handshake frame. wire kinds start at
@@ -279,6 +283,12 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 // hands out must be recycled by that same owner (the transport does so right
 // after the delivery callback returns).
 type Pools struct {
+	// MaxEntries caps the count of every decoded vector and suspicion
+	// universe; a frame above it fails with ErrFrame before anything is
+	// sized. Zero caps nothing beyond the u16 count. A reader facing a
+	// peer sets it to the cluster size (tcpnet does, from the hello).
+	MaxEntries int
+
 	alive wire.AlivePool
 	susp  wire.SuspicionPool
 	hb    wire.HeartbeatPool
@@ -327,7 +337,7 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 	switch kind {
 	case wire.KindAlive:
 		rn := r.int64()
-		if n, base, w := r.vector(); r.err == nil {
+		if n, base, w := r.vector(p.MaxEntries); r.err == nil {
 			v := p.alive.Get(n)
 			v.RN = rn
 			r.unpack(v.SuspLevel, base, w)
@@ -335,7 +345,7 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 		}
 	case wire.KindSuspicion:
 		rn := r.int64()
-		n := r.universe()
+		n := r.universe(p.MaxEntries)
 		if r.err == nil {
 			words := (n + 63) / 64
 			if cap(p.words) < words {
@@ -367,7 +377,7 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 		m = &wire.Query{Seq: r.int64()}
 	case wire.KindResponse:
 		v := &wire.Response{Seq: r.int64()}
-		if n, base, w := r.vector(); r.err == nil {
+		if n, base, w := r.vector(p.MaxEntries); r.err == nil {
 			v.Counters = make([]int64, n)
 			r.unpack(v.Counters, base, w)
 		}
@@ -501,15 +511,17 @@ func (r *reader) uint64() uint64 {
 func (r *reader) int64() int64 { return int64(r.uint64()) }
 
 // vector reads a packed vector's [n][base][w] header and validates it,
-// including that its ceil(n·w/8) offset bytes actually remain, BEFORE the
-// caller sizes a payload by n — a corrupt count must fail the frame, not
-// allocate.
-func (r *reader) vector() (n int, base int64, w uint) {
+// including that n is within limit (when set) and that its ceil(n·w/8)
+// offset bytes actually remain, BEFORE the caller sizes a payload by n — a
+// corrupt count must fail the frame, not allocate.
+func (r *reader) vector(limit int) (n int, base int64, w uint) {
 	n = int(r.uint16())
 	base = r.int64()
 	w = uint(r.byte())
 	switch {
 	case r.err != nil:
+	case limit > 0 && n > limit:
+		r.err = fmt.Errorf("%w: vector count %d exceeds %d", ErrFrame, n, limit)
 	case w > 64:
 		r.err = fmt.Errorf("%w: vector width %d", ErrFrame, w)
 	case n == 0 && (base != 0 || w != 0):
@@ -575,10 +587,14 @@ func (r *reader) unpack(dst []int64, base int64, w uint) {
 	}
 }
 
-// universe reads a Suspicion universe size and validates the word count
-// against the remaining bytes.
-func (r *reader) universe() int {
+// universe reads a Suspicion universe size and validates it against limit
+// (when set) and its word count against the remaining bytes.
+func (r *reader) universe(limit int) int {
 	n := int(r.uint16())
+	if r.err == nil && limit > 0 && n > limit {
+		r.err = fmt.Errorf("%w: universe %d exceeds %d", ErrFrame, n, limit)
+		return 0
+	}
 	if r.err == nil && len(r.buf) < ((n+63)/64)*8 {
 		r.err = fmt.Errorf("%w: universe %d exceeds body", ErrFrame, n)
 		return 0

@@ -372,6 +372,24 @@ func TestDecodeRejects(t *testing.T) {
 		t.Errorf("oversized Suspicion universe: %v, want ErrFrame", err)
 	}
 
+	// A width-0 vector needs no offset bytes, so only MaxEntries bounds its
+	// count: 20 body bytes claiming 65 535 entries must fail, not size a payload.
+	capped := &Pools{MaxEntries: 251}
+	wide := aliveFrame(0xFFFF, 0, 0)
+	for name, frame := range map[string][]byte{
+		"alive":    wide,
+		"response": append(binary.BigEndian.AppendUint64([]byte{Version, byte(wire.KindResponse)}, 1), wide[10:]...),
+		"mux":      append([]byte{Version, byte(wire.KindMux), 1}, wide[1:]...),
+		"universe": binary.BigEndian.AppendUint16(binary.BigEndian.AppendUint64([]byte{Version, byte(wire.KindSuspicion)}, 1), 252),
+	} {
+		if m, err := capped.Decode(frame); !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "exceeds 251") {
+			t.Errorf("%s over MaxEntries: decoded %v, error %v, want ErrFrame", name, m != nil, err)
+		}
+	}
+	if m, err := capped.Decode(aliveFrame(251, 7, 0)); err != nil || len(m.(*wire.Alive).SuspLevel) != 251 {
+		t.Errorf("width-0 ALIVE at MaxEntries: %v, %v", m, err)
+	}
+
 	// Nested Mux is a decoder DoS vector; reject it outright.
 	inner, _ := AppendFrame(nil, &wire.Mux{Lane: 0, Inner: &wire.Heartbeat{Seq: 1}})
 	nested := []byte{Version, byte(wire.KindMux), 0}

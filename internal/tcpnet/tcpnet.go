@@ -421,7 +421,7 @@ func (c *Cluster) serveConn(id proc.ID, conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{})
-	pools := &netwire.Pools{}
+	pools := &netwire.Pools{MaxEntries: n}
 	e := c.envs[id]
 	for {
 		buf, err = netwire.ReadFrame(conn, buf)
@@ -615,7 +615,7 @@ func (l *link) run() {
 // runLoopback consumes the self-link: decode through this goroutine's own
 // pools (the bytes are as real as a socket's) and deliver.
 func (l *link) runLoopback() {
-	pools := &netwire.Pools{}
+	pools := &netwire.Pools{MaxEntries: l.c.cfg.N}
 	e := l.c.envs[l.from]
 	for {
 		b, ok := l.pop()

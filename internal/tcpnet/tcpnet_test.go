@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"net"
+	"os"
 	"testing"
 	"time"
 
@@ -308,6 +309,56 @@ func TestStrangerRejected(t *testing.T) {
 			t.Error("frame from a stranger was delivered")
 		}
 	})
+}
+
+// TestOversizedVectorCutsConnection: a reader caps every vector at the
+// cluster size it checked in the hello, so a 25-byte width-0 ALIVE that
+// claims 65 535 entries kills the connection instead of sizing a payload.
+func TestOversizedVectorCutsConnection(t *testing.T) {
+	// Quiet members: each sends one heartbeat at start, so the fake peer's
+	// -7 is the last one member 0 hears from id 1 once it has arrived.
+	c, err := New(Config{N: 2, Addrs: []string{"127.0.0.1:0", "127.0.0.1:0"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := []*ticker{newTicker(time.Hour), newTicker(time.Hour)}
+	for i, n := range nodes {
+		c.Register(i, n)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	waitFor(t, 5*time.Second, "member 1's first heartbeat", func() (ok bool) {
+		c.Inspect(0, func() { ok = nodes[0].got[1] == 1 })
+		return ok
+	})
+	conn, err := net.Dial("tcp", c.Addr(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := netwire.AppendHello(nil, 1, 2)
+	frame, _ = netwire.AppendFrame(frame, &wire.Heartbeat{Seq: -7})
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, "the fake peer's heartbeat", func() (ok bool) {
+		c.Inspect(0, func() { ok = nodes[0].last[1] == -7 })
+		return ok
+	})
+	frame, err = netwire.AppendFrame(nil, &wire.Alive{RN: 1, SuspLevel: make([]int64, 0xFFFF)})
+	if err != nil || len(frame) != 25 {
+		t.Fatalf("width-0 frame: %d bytes, %v", len(frame), err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(buf); err == nil || os.IsTimeout(err) {
+		t.Fatalf("connection stayed open after an oversized vector: %v", err)
+	}
 }
 
 // freePorts reserves n distinct loopback ports by binding and releasing

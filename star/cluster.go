@@ -319,7 +319,6 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 			Retention:        c.cfg.retention,
 			WindowSlots:      c.cfg.windowSlots(),
 			JoinCurrentRound: useJump,
-			ResyncStranded:   c.cfg.resyncStranded,
 		}
 		if variant == core.VariantFG {
 			// §7: the algorithm knows f and g (the scenario's).

@@ -96,13 +96,12 @@ type Federation struct {
 	// mu guards the bridge state below (epoch loop writes; accessors and
 	// Report read).
 	mu           sync.Mutex
-	seen         map[int64]bool  // handoff payloads already consumed
-	shardLeaders []int           // last observed agreed leader per shard (local ids)
-	pressBase    []int64         // per-shard tier-suspicion baseline since last handoff
-	handoffAt    []time.Duration // per-shard time the current handoff record was last sent
-	pressure     uint64          // pressure deposals applied
-	epochs       uint64          // polls completed (drives the retransmit tick)
-	migrations   uint64          // committed migrations executed
+	seen         map[int64]bool // handoff payloads already consumed
+	shardLeaders []int          // last observed agreed leader per shard (local ids)
+	pressBase    []int64        // per-shard tier-suspicion baseline since last handoff
+	pressure     uint64         // pressure deposals applied
+	epochs       uint64         // polls completed (drives the retransmit tick)
+	migrations   uint64         // committed migrations executed
 	now          time.Duration
 	closed       bool
 
@@ -146,11 +145,6 @@ const (
 	laneTickEvery   = 4
 	laneDecideBatch = 64
 )
-
-// handoffRetry is how long a handoff record may stay undecided on the tier
-// lane before the bridge sends it again: half the monitor bound, so a lost
-// record is repaired before the stale-global rule could flag it.
-const handoffRetry = DefaultChaosBound / 2
 
 // FedOption configures a federation (NewFederation).
 type FedOption interface {
@@ -312,7 +306,6 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 		seen:         make(map[int64]bool),
 		shardLeaders: make([]int, cfg.shards),
 		pressBase:    make([]int64, cfg.shards),
-		handoffAt:    make([]time.Duration, cfg.shards),
 		restartDue:   make([]time.Duration, cfg.shards),
 		churnNext:    cfg.churnStart,
 	}
@@ -374,11 +367,6 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 	)
 	if cfg.chaos != nil {
 		tierOpts = append(tierOpts, WithChaos(cfg.chaos))
-	}
-	if cfg.churnSet {
-		// Delegate churn on top of a dead seat takes more than t of a small
-		// tier down at once, leaving rounds too few members ever sent.
-		tierOpts = append(tierOpts, optionFunc(func(c *config) error { c.resyncStranded = true; return nil }))
 	}
 	tier, err := New(tierOpts...)
 	if err != nil {
@@ -715,25 +703,6 @@ func (f *Federation) poll() {
 		}
 	}
 
-	// 3b. Handoff retransmit: a record submitted through a seat that
-	// crashed before the tier lane decided it is lost, which would leave
-	// the committed delegate stale for good. Once undecided for
-	// handoffRetry it goes out again, unchanged, through the shard's seat
-	// or, with that seat down, any live one — the table checks the
-	// incarnation stamp, not the sender.
-	for s := range f.shards {
-		if _, inc := f.tab.Committed(s); inc == f.tab.Incarnation(s) || f.now-f.handoffAt[s] < handoffRetry {
-			continue
-		}
-		seat := f.liveTierSeat(s)
-		payload, err := hier.EncodeHandoff(s, f.tab.Leader(s), f.tab.Incarnation(s))
-		if seat == None || err != nil {
-			continue
-		}
-		f.tier.Broadcast(seat, payload)
-		f.handoffAt[s] = f.now
-	}
-
 	// 4. Pressure: tier-2 suspicion of a delegate rising past the
 	// threshold (above its post-handoff baseline) deposes the shard's
 	// current leader, forcing shard-local re-election and a fresh handoff.
@@ -782,7 +751,6 @@ func (f *Federation) handoff(s, leader int) {
 		return // unreachable: FedShape bounds shard and leader ids
 	}
 	f.tier.Broadcast(s, payload)
-	f.handoffAt[s] = f.now
 	f.pressBase[s] = f.tierSuspMax(s)
 }
 

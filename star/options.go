@@ -75,7 +75,6 @@ type config struct {
 	snapshotEvery    time.Duration
 	snapshotSet      bool
 	churn            *churnWindows
-	resyncStranded   bool // core.Config.ResyncStranded on every process (a federation tier under delegate churn)
 	observer         func(Event)
 	observeMask      EventKind
 	consensusEnabled bool
