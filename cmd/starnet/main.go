@@ -229,7 +229,7 @@ func runMember(topo *topology, member int, deadline time.Time, chaosPath string)
 		netOpts = append(netOpts, star.HostMembers(member))
 	}
 	if topo.Loss > 0 {
-		policy := star.NewLinkPolicy(topo.Seed + uint64(member+1))
+		policy := star.NewLinkPolicy(topo.N, topo.Seed+uint64(member+1))
 		policy.SetLoss(topo.Loss)
 		netOpts = append(netOpts, star.WithLinkPolicy(policy))
 	}

@@ -168,14 +168,15 @@ func (p *Process) Incarnation() (inc uint64, up bool) {
 
 // Crash marks the process crashed, like a crash-stop failure: it stops
 // sending, receiving and firing timers, and the node's OnCrash (if any) has
-// run when Crash returns. Crashing a crashed process does nothing.
-func (p *Process) Crash() {
+// run when Crash returns. Crashing a crashed process does nothing; Crash
+// reports whether the process was up.
+func (p *Process) Crash() bool {
 	p.handleMu.Lock()
 	defer p.handleMu.Unlock()
 	p.mu.Lock()
 	if p.crashed {
 		p.mu.Unlock()
-		return
+		return false
 	}
 	p.crashed = true
 	p.disarmLocked()
@@ -184,6 +185,7 @@ func (p *Process) Crash() {
 	if cr, ok := node.(proc.Crashable); ok {
 		cr.OnCrash()
 	}
+	return true
 }
 
 // Restart replaces the crashed process with the fresh incarnation built by

@@ -116,7 +116,6 @@ const (
 	evTimer                    // a = packTimer(process, key)
 	evStart                    // a = process id
 	evCrash                    // a = process id
-	evRestart                  // a = process id, p = func() proc.Node
 	evMcast                    // p = *mcast (next leg of a multicast)
 )
 
@@ -133,19 +132,18 @@ func unpackTimer(a uint64) (proc.ID, proc.TimerKey) {
 
 // Network simulates the complete system: processes plus links.
 type Network struct {
-	sched       *sim.Scheduler
-	rand        *sim.Rand
-	policy      DelayPolicy
-	gate        Gate
-	nodes       []proc.Node
-	envs        []*env
-	crashed     []bool
-	everCrashed []bool
-	started     []bool
-	preStart    [][]*Envelope // messages arrived before the receiver started
-	nextSeq     uint64
-	stats       host.Stats // counted on the event loop, no taps needed
-	churnEpoch  uint64     // bumped on every crash/restart; see ChurnEpoch
+	sched      *sim.Scheduler
+	rand       *sim.Rand
+	policy     DelayPolicy
+	gate       Gate
+	nodes      []proc.Node
+	envs       []*env
+	crashed    []bool
+	started    []bool
+	preStart   [][]*Envelope // messages arrived before the receiver started
+	nextSeq    uint64
+	stats      host.Stats // counted on the event loop, no taps needed
+	churnEpoch uint64     // bumped on every crash/restart; see ChurnEpoch
 
 	// envFree is the envelope free list; chainBuf is the reusable BFS
 	// queue of deliverChain. Both exist to keep the delivery hot path
@@ -163,8 +161,6 @@ type Network struct {
 	// the node processed it). The envelope is recycled when the callback
 	// returns; copy fields, do not retain the pointer.
 	OnDeliver func(ev *Envelope)
-	// OnCrashHook, when non-nil, observes crashes.
-	OnCrashHook func(id proc.ID, at sim.Time)
 
 	// fault, when non-nil, is the chaos-layer link-fault overlay: it can
 	// refuse sends (cuts, loss) and add latency (jitter, slow nodes) on top
@@ -196,16 +192,15 @@ func New(sched *sim.Scheduler, cfg Config) (*Network, error) {
 		return nil, fmt.Errorf("netsim: Config.Policy is required")
 	}
 	n := &Network{
-		sched:       sched,
-		rand:        sim.NewRand(cfg.Seed ^ 0x6e657473696d2121),
-		policy:      cfg.Policy,
-		gate:        cfg.Gate,
-		nodes:       make([]proc.Node, cfg.N),
-		envs:        make([]*env, cfg.N),
-		crashed:     make([]bool, cfg.N),
-		everCrashed: make([]bool, cfg.N),
-		started:     make([]bool, cfg.N),
-		preStart:    make([][]*Envelope, cfg.N),
+		sched:    sched,
+		rand:     sim.NewRand(cfg.Seed ^ 0x6e657473696d2121),
+		policy:   cfg.Policy,
+		gate:     cfg.Gate,
+		nodes:    make([]proc.Node, cfg.N),
+		envs:     make([]*env, cfg.N),
+		crashed:  make([]bool, cfg.N),
+		started:  make([]bool, cfg.N),
+		preStart: make([][]*Envelope, cfg.N),
 	}
 	for i := 0; i < cfg.N; i++ {
 		n.envs[i] = &env{net: n, id: i, timers: make(map[proc.TimerKey]sim.EventID)}
@@ -311,16 +306,14 @@ func (n *Network) CrashAt(id proc.ID, at sim.Time) {
 
 // Crash crashes process id immediately: equivalent to CrashAt(id, Now())
 // except the crash state applies before the call returns (Crashed(id) holds
-// afterwards), mirroring the runtime transport's synchronous Crash. Only
-// call it from outside the event loop (between scheduler runs).
-func (n *Network) Crash(id proc.ID) { n.crashNow(id) }
-
-func (n *Network) crashNow(id proc.ID) {
+// afterwards), mirroring the runtime transport's synchronous Crash. It may
+// be called between scheduler runs or from inside the event loop (a timed
+// action's callback), and reports whether the process was up.
+func (n *Network) Crash(id proc.ID) bool {
 	if n.crashed[id] {
-		return
+		return false
 	}
 	n.crashed[id] = true
-	n.everCrashed[id] = true
 	n.churnEpoch++
 	// Disarm all of the process's timers.
 	for key, ev := range n.envs[id].timers {
@@ -336,9 +329,7 @@ func (n *Network) crashNow(id proc.ID) {
 	if c, ok := n.nodes[id].(proc.Crashable); ok && n.started[id] {
 		c.OnCrash()
 	}
-	if n.OnCrashHook != nil {
-		n.OnCrashHook(id, n.sched.Now())
-	}
+	return true
 }
 
 // Crashed reports whether process id is currently crashed (down).
@@ -350,45 +341,20 @@ func (n *Network) Crashed(id proc.ID) bool { return n.crashed[id] }
 // it instead of rescanning every process per event.
 func (n *Network) ChurnEpoch() uint64 { return n.churnEpoch }
 
-// EverCrashed reports whether process id has crashed at any point, even if a
-// later RestartAt brought a fresh incarnation up. Correctness checkers use
-// this: in the crash-stop model a crash-recovery process is faulty, so
-// eventual leadership is owed only to the never-crashed set.
-func (n *Network) EverCrashed(id proc.ID) bool { return n.everCrashed[id] }
-
-// RestartAt schedules a fresh incarnation of process id at virtual time at:
-// factory builds the replacement node (with empty state — this is churn in a
+// Restart brings a fresh incarnation of process id up immediately: factory
+// builds the replacement node (with empty state — this is churn in a
 // crash-stop world, not crash-recovery with stable storage) and the network
-// starts it immediately. Restarting a process that is not down at that time
-// is a no-op. Messages that were in flight to the process across its downtime
-// are delivered to the new incarnation if they arrive after at; messages that
-// arrived while it was down were dropped, exactly like deliveries to any
-// crashed process.
-func (n *Network) RestartAt(id proc.ID, at sim.Time, factory func() proc.Node) {
-	if factory == nil {
-		panic("netsim: RestartAt with nil factory")
-	}
-	n.sched.AtTyped(at, n, evRestart, uint64(uint32(id)), factory)
-}
-
-// Restart brings a fresh incarnation of process id up immediately (the
-// within-event-loop twin of RestartAt, used by chaos timelines whose actions
-// fire as scheduler events). It reports whether a restart happened — false
-// when the process was not down.
+// starts it before Restart returns. It reports whether a restart happened —
+// false when the process was not down. Messages that were in flight to the
+// process across its downtime are delivered to the new incarnation if they
+// arrive after the restart; messages that arrived while it was down were
+// dropped, exactly like deliveries to any crashed process.
 func (n *Network) Restart(id proc.ID, factory func() proc.Node) bool {
 	if factory == nil {
 		panic("netsim: Restart with nil factory")
 	}
 	if !n.crashed[id] {
 		return false
-	}
-	n.restartNow(id, factory)
-	return true
-}
-
-func (n *Network) restartNow(id proc.ID, factory func() proc.Node) {
-	if !n.crashed[id] {
-		return
 	}
 	node := factory()
 	if node == nil {
@@ -399,17 +365,7 @@ func (n *Network) restartNow(id proc.ID, factory func() proc.Node) {
 	n.churnEpoch++
 	n.nodes[id] = node
 	n.startNow(id)
-}
-
-// Correct returns the ids of processes that have not crashed (so far).
-func (n *Network) Correct() []proc.ID {
-	var out []proc.ID
-	for id, c := range n.crashed {
-		if !c {
-			out = append(out, id)
-		}
-	}
-	return out
+	return true
 }
 
 // Node returns the node registered as process id.
@@ -432,9 +388,7 @@ func (n *Network) OnSimEvent(kind uint8, a uint64, p any) {
 	case evStart:
 		n.startNow(proc.ID(uint32(a)))
 	case evCrash:
-		n.crashNow(proc.ID(uint32(a)))
-	case evRestart:
-		n.restartNow(proc.ID(uint32(a)), p.(func() proc.Node))
+		n.Crash(proc.ID(uint32(a)))
 	case evMcast:
 		n.mcastStep(p.(*mcast))
 	default:

@@ -103,9 +103,6 @@ func TestCrashStopsDelivery(t *testing.T) {
 	if !net.Crashed(1) || net.Crashed(0) {
 		t.Error("Crashed flags wrong")
 	}
-	if got := net.Correct(); len(got) != 1 || got[0] != 0 {
-		t.Errorf("Correct = %v", got)
-	}
 	if !nodes[1].crashed {
 		t.Error("OnCrash not called")
 	}
@@ -411,18 +408,6 @@ func TestEnvelopePoolSteadyStateDoesNotGrow(t *testing.T) {
 	}
 }
 
-func TestOnCrashHook(t *testing.T) {
-	net, _, sched := newTestNet(t, 2, constDelay(0), nil)
-	var crashedID proc.ID = -1
-	var at sim.Time
-	net.OnCrashHook = func(id proc.ID, t sim.Time) { crashedID, at = id, t }
-	net.CrashAt(1, sim.Time(7*time.Millisecond))
-	sched.RunFor(time.Second)
-	if crashedID != 1 || at != sim.Time(7*time.Millisecond) {
-		t.Fatalf("crash hook: id=%d at=%v", crashedID, at)
-	}
-}
-
 // TestPooledPayloadRecycledAfterLastDelivery verifies the payload recycle
 // point: a pooled message broadcast to several receivers returns to its pool
 // only after the last copy is consumed, including drops at crashed receivers.
@@ -460,8 +445,8 @@ func TestPooledPayloadRecycledAfterLastDelivery(t *testing.T) {
 }
 
 // TestRestartBringsFreshIncarnation covers the churn primitive: a crashed
-// process restarted with a fresh node receives again, EverCrashed stays
-// true, and restarting a live process is a no-op.
+// process restarted with a fresh node receives again, and restarting a live
+// process is a no-op.
 func TestRestartBringsFreshIncarnation(t *testing.T) {
 	net, nodes, sched := newTestNet(t, 2, constDelay(time.Millisecond), nil)
 	sched.RunFor(time.Millisecond)
@@ -475,16 +460,14 @@ func TestRestartBringsFreshIncarnation(t *testing.T) {
 	}
 
 	fresh := &echoNode{}
-	net.RestartAt(1, sched.Now(), func() proc.Node {
+	if !net.Restart(1, func() proc.Node {
 		nodes[1] = fresh
 		return fresh
-	})
-	sched.RunFor(time.Millisecond)
+	}) {
+		t.Fatal("Restart of a down process reported no restart")
+	}
 	if net.Crashed(1) {
 		t.Fatal("process still down after restart")
-	}
-	if !net.EverCrashed(1) {
-		t.Fatal("EverCrashed forgotten by restart")
 	}
 	if fresh.env == nil {
 		t.Fatal("fresh incarnation not started")
@@ -496,11 +479,12 @@ func TestRestartBringsFreshIncarnation(t *testing.T) {
 	}
 
 	// Restarting a live process must be a no-op.
-	net.RestartAt(1, sched.Now(), func() proc.Node {
+	if net.Restart(1, func() proc.Node {
 		t.Error("factory invoked for a live process")
 		return &echoNode{}
-	})
-	sched.RunFor(time.Millisecond)
+	}) {
+		t.Error("Restart of a live process reported a restart")
+	}
 	if net.Node(1) != fresh {
 		t.Fatal("live process replaced by restart")
 	}

@@ -143,8 +143,9 @@ func (c *Cluster) runProcess(e *renv) {
 }
 
 // Crash marks process id crashed (host.Process.Crash): synchronous, so
-// Crashed(id) holds when Crash returns.
-func (c *Cluster) Crash(id proc.ID) { c.envs[id].Crash() }
+// Crashed(id) holds when Crash returns. It reports whether the process was
+// up.
+func (c *Cluster) Crash(id proc.ID) bool { return c.envs[id].Crash() }
 
 // Crashed reports whether the process was crashed via Crash.
 func (c *Cluster) Crashed(id proc.ID) bool { return c.envs[id].Crashed() }

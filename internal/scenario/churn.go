@@ -21,7 +21,7 @@ import (
 // discard path), while the survivors keep suspecting and re-counting it
 // round after round. In the crash-stop model a recovered process is faulty;
 // eventual leadership is owed only to the never-crashed set (see
-// netsim.EverCrashed), which churn leaves intact — the center and any
+// star.Cluster.EverCrashed), which churn leaves intact — the center and any
 // process outside the rotation.
 func WithChurn(p Params, start, period, downtime time.Duration, horizon time.Duration) Params {
 	if period <= 0 || downtime <= 0 || downtime >= period {

@@ -79,7 +79,7 @@ type Crash struct {
 // (the churn scenarios pair every Crash with a later Restart). The restarted
 // process starts from empty state — this is churn in a crash-stop world, not
 // crash-recovery with stable storage — so correctness checkers must treat it
-// as faulty (netsim.EverCrashed); what churn exercises is everyone ELSE's
+// as faulty (star.Cluster.EverCrashed); what churn exercises is everyone ELSE's
 // bookkeeping under the adversarial round skew a rebooting peer produces.
 type Restart struct {
 	ID proc.ID

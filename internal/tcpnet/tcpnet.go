@@ -95,7 +95,7 @@ type Config struct {
 	// Policy, when non-nil, filters and delays outbound frames (loss,
 	// partitions, jitter): a refused frame is counted Dropped and never
 	// reaches the socket, a delayed one is held back on a timer before it
-	// reaches the link queue. See Faults for the standard implementation.
+	// reaches the link queue. chaos.Faults is the standard implementation.
 	Policy proc.LinkFault
 }
 
@@ -261,8 +261,8 @@ func (c *Cluster) Addr(id proc.ID) string { return c.addrs[id] }
 // Crashed(id) holds when Crash returns. The member's listener and links stay
 // up — a crashed process's link endpoints silently eat frames, which is
 // indistinguishable from reception by a dead process (and mirrors the other
-// transports).
-func (c *Cluster) Crash(id proc.ID) { c.mustLocal(id).Crash() }
+// transports). It reports whether the process was up.
+func (c *Cluster) Crash(id proc.ID) bool { return c.mustLocal(id).Crash() }
 
 // Crashed reports whether local process id was crashed via Crash.
 func (c *Cluster) Crashed(id proc.ID) bool { return c.mustLocal(id).Crashed() }

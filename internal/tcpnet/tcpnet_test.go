@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netwire"
 	"repro/internal/proc"
 	"repro/internal/wire"
@@ -120,7 +121,7 @@ func TestAllPairsDelivery(t *testing.T) {
 // TestLossDropsAndCounts: a fully lossy policy stops delivery between
 // distinct members and every refusal is counted.
 func TestLossDropsAndCounts(t *testing.T) {
-	f := NewFaults(1)
+	f := chaos.NewFaults(2, 1)
 	f.SetLoss(1)
 	c, nodes := startLocal(t, 2, f)
 	waitFor(t, 5*time.Second, "drops under full loss", func() bool {
@@ -140,7 +141,7 @@ func TestLossDropsAndCounts(t *testing.T) {
 // TestOneWayCutAndHeal: cutting 0->1 silences exactly that direction; the
 // reverse keeps flowing; healing restores it.
 func TestOneWayCutAndHeal(t *testing.T) {
-	f := NewFaults(2)
+	f := chaos.NewFaults(2, 2)
 	f.Cut(0, 1)
 	c, nodes := startLocal(t, 2, f)
 
@@ -156,7 +157,7 @@ func TestOneWayCutAndHeal(t *testing.T) {
 		}
 	})
 
-	f.Heal(0, 1)
+	f.HealLink(0, 1)
 	waitFor(t, 5*time.Second, "healed direction", func() bool {
 		var ok bool
 		c.Inspect(1, func() { ok = nodes[1].got[0] >= 3 })
@@ -166,7 +167,7 @@ func TestOneWayCutAndHeal(t *testing.T) {
 
 // TestJitterDelays: a [lo, hi] jitter window still delivers (just later).
 func TestJitterDelays(t *testing.T) {
-	f := NewFaults(3)
+	f := chaos.NewFaults(2, 3)
 	f.SetJitter(time.Millisecond, 5*time.Millisecond)
 	c, nodes := startLocal(t, 2, f)
 	waitFor(t, 5*time.Second, "jittered delivery", func() bool {

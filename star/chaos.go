@@ -125,7 +125,7 @@ func (s *ChaosSchedule) JournalFault(at time.Duration, id int, mode string, wind
 	return s.add(chaos.Step{At: at, Kind: chaos.StepJournal, Proc: id, Fault: m, Window: window})
 }
 
-// WithChaos installs a fault timeline: the engine fires each step at its
+// WithChaos installs a fault timeline: the cluster fires each step at its
 // offset on the transport's clock, and a continuous invariant monitor checks
 // re-election and agreement against the ChaosBound deadline plus the safety
 // rules (no deliveries to dead or superseded incarnations, restores never
@@ -198,7 +198,7 @@ type ChaosReport struct {
 
 // chaosInjector adapts the cluster's seams to the orchestrator: link faults
 // land on the shared Faults state (wired into the transport's send path),
-// kill/restart on the engine's crash machinery, journal faults on the
+// kill/restart on the cluster's one crash path, journal faults on the
 // FaultStore wrapped around the recovery store.
 type chaosInjector struct{ c *Cluster }
 
@@ -220,16 +220,14 @@ func (j chaosInjector) SetSlow(id int, extra time.Duration) {
 // the same schedule step, and killing an already-down process is a no-op
 // (Validate rejects such schedules; manual crashes can still race one).
 func (j chaosInjector) Kill(id int) {
-	c := j.c
-	if id < 0 || id >= c.n || !c.hosts(id) || c.eng.crashed(id) {
-		return
+	if id >= 0 && id < j.c.n {
+		j.c.crash(id)
 	}
-	c.eng.crash(id)
 }
 
 func (j chaosInjector) Restart(id int) {
 	if id >= 0 && id < j.c.n {
-		j.c.eng.restart(id)
+		j.c.restart(id)
 	}
 }
 

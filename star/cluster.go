@@ -26,7 +26,7 @@ type snapshotter interface {
 	RestoreSnapshot(*journal.Snapshot) error
 }
 
-// recOutcome records how one restart's recovery resolved, for the engine to
+// recOutcome records how one restart's recovery resolved, for restart to
 // emit as EventRecovery after the restart completes (emitting from inside
 // buildProcess would run under the process's callback lock on the live
 // transport and invert the collector's mu -> callback-lock order).
@@ -73,7 +73,7 @@ type Cluster struct {
 
 	// Recovery state (WithRecovery): the per-process snapshot seams, the
 	// incarnation counters stamped into saved snapshots, the per-process
-	// outcome of the last restart's recovery (read by the engines for
+	// outcome of the last restart's recovery (read by restart for
 	// EventRecovery), and a scratch snapshot reused by the sweep. All of
 	// it is written under the owning process's engine lock (buildProcess
 	// runs inside the restart path, which holds it) or by the single
@@ -123,6 +123,11 @@ type Cluster struct {
 	// that already hold a callback lock; taking mu there would invert
 	// the collector's mu -> callback-lock order.
 	spreadViolations atomic.Uint64
+
+	// everCrashed[id] records that member id has crashed at least once:
+	// in the crash-stop model a restarted process is still faulty, so the
+	// verdicts are owed to the never-crashed set. Written only by crash.
+	everCrashed []atomic.Bool
 }
 
 // New builds a cluster from functional options. At minimum pass N; every
@@ -188,6 +193,7 @@ func New(opts ...Option) (*Cluster, error) {
 		timeoutSeries: make([][]time.Duration, cfg.n),
 		lastLeaders:   make([]int, cfg.n),
 		lastRounds:    make([]int64, cfg.n),
+		everCrashed:   make([]atomic.Bool, cfg.n),
 	}
 	for i := range c.lastLeaders {
 		c.lastLeaders[i] = None
@@ -223,13 +229,119 @@ func New(opts ...Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A transport whose engine has concurrent parts (the live sampler)
-	// installs itself before starting them; don't overwrite the pointer
-	// its goroutines already read.
+	// A wall-clock engine installs itself before starting its processes;
+	// don't overwrite the pointer their goroutines already read.
 	if c.eng == nil {
 		c.eng = eng
 	}
+	c.schedule()
 	return c, nil
+}
+
+// schedule hands the engine every timed action of the run, in this order:
+// the scenario's crashes and restarts, the chaos timeline, the sampling tick
+// and (with WithRecovery) the journal cadence. The order is part of a
+// simulated run's determinism: equal-time events fire in scheduling order.
+func (c *Cluster) schedule() {
+	for _, cr := range c.sc.Crashes {
+		id := cr.ID
+		c.eng.at(time.Duration(cr.At), func() { c.crash(id) })
+	}
+	for _, r := range c.sc.Restarts {
+		id := r.ID
+		c.eng.at(time.Duration(r.At), func() { c.restart(id) })
+	}
+	if c.chaosOrch != nil {
+		for _, a := range c.chaosOrch.Actions() {
+			c.eng.at(a.At, func() { a.Fire(c.eng.now()) })
+		}
+	}
+	c.eng.every(c.cfg.sampleEvery, func() { c.collect(c.eng.now()) })
+	if c.cfg.recovery != nil {
+		c.eng.every(c.cfg.snapshotEvery, c.snapshotAll)
+	}
+}
+
+// crash takes hosted member id down now. It is the one crash path — Crash,
+// scenario schedules, chaos kills and federation churn all come here — so a
+// crash is recorded in EverCrashed, noted by the chaos monitor and announced
+// as EventCrash exactly once. Crashing a down or remote member does nothing.
+func (c *Cluster) crash(id int) {
+	if !c.hosts(id) {
+		return
+	}
+	// Set before the host crash, so whoever sees the member down also sees
+	// it faulty.
+	c.everCrashed[id].Store(true)
+	if !c.eng.crash(id) {
+		return
+	}
+	at := c.eng.now()
+	if c.chaosMon != nil {
+		c.chaosMon.NoteCrash(at, id)
+	}
+	c.mu.Lock()
+	c.emit(Event{At: at, Kind: EventCrash, Proc: id})
+	c.mu.Unlock()
+}
+
+// restart brings down hosted member id back as a fresh incarnation built
+// like the original process (fresh state plus the round-frontier jump, or a
+// journal restore), then announces EventRecovery (with WithRecovery) and
+// EventRestart. The config was validated when the initial processes were
+// built, so the rebuild cannot fail. Restarting an up or remote member does
+// nothing.
+func (c *Cluster) restart(id int) {
+	if !c.hosts(id) {
+		return
+	}
+	ok := c.eng.restart(id, func() proc.Node {
+		if err := c.buildProcess(id, true); err != nil {
+			panic(fmt.Sprintf("star: rebuilding process %d: %v", id, err))
+		}
+		return c.endpoints[id]
+	})
+	if !ok {
+		return
+	}
+	// The recovery outcome was recorded by buildProcess inside the restart.
+	// Events are emitted under the collector mutex, which serializes them
+	// with the sampler's on wall clocks.
+	at := c.eng.now()
+	c.mu.Lock()
+	if c.cfg.recovery != nil {
+		out := c.recOutcomes[id]
+		c.emit(Event{At: at, Kind: EventRecovery, Proc: id, Round: out.round, Err: out.err})
+	}
+	c.emit(Event{At: at, Kind: EventRestart, Proc: id})
+	c.mu.Unlock()
+}
+
+// spreadHook returns the CheckSpread per-delivery Lemma 8 check (nil
+// without CheckSpread): the pseudocode's statement blocks are atomic, so
+// deliveries are the state boundaries. The hook runs with the receiving
+// process's callback lock held, so reading that node's susp_level is
+// already serialized; spreadMu only guards the shared scratch buffer, which
+// keeps the check allocation-free per delivery.
+func (c *Cluster) spreadHook() func(to proc.ID) {
+	if !c.cfg.checkSpread {
+		return nil
+	}
+	var spreadMu sync.Mutex
+	var spreadBuf []int64
+	return func(to proc.ID) {
+		cn := c.cores[to]
+		if cn == nil {
+			return
+		}
+		spreadMu.Lock()
+		spreadBuf = cn.SuspLevelInto(spreadBuf)
+		ok := check.SpreadOK(spreadBuf)
+		spreadMu.Unlock()
+		if !ok {
+			c.spreadViolations.Add(1)
+		}
+	}
 }
 
 // hosts reports whether member id runs in this cluster value.
@@ -281,7 +393,7 @@ func checkCapabilities(cfg *config, sc *scenario.Scenario) error {
 // frontier instead of counting from 1. With WithRecovery, the incarnation
 // restores its journaled snapshot instead; a missing or corrupt journal
 // degrades to exactly that frontier jump (the graceful-degradation ladder's
-// last rung), with the typed error recorded for the engine's EventRecovery.
+// last rung), with the typed error recorded for restart's EventRecovery.
 func (c *Cluster) buildProcess(id int, rejoin bool) error {
 	p := c.sc.Params
 
@@ -483,7 +595,7 @@ func (c *Cluster) emit(ev Event) {
 	}
 }
 
-// collect is the sampling tick shared by both engines: it records one
+// collect is the sampling tick every engine runs: it records one
 // leader sample, feeds the bound tracker and timeout series, and emits the
 // sampled event classes. The engine serializes each per-process read.
 func (c *Cluster) collect(at time.Duration) {
@@ -532,13 +644,12 @@ func (c *Cluster) collect(at time.Duration) {
 	c.emit(Event{At: at, Kind: EventSample, Proc: None})
 }
 
-// snapshotAll is the recovery-journal sweep shared by both engines (the
-// SnapshotEvery cadence): every live, snapshot-capable process's state is
-// exported under its engine lock and saved. The save itself runs outside
-// the lock — file I/O must not stall protocol callbacks. One scratch
-// snapshot is reused across processes and ticks (each engine drives the
-// sweep from exactly one context: the simulator's event loop, or the live
-// engine's snapshot goroutine).
+// snapshotAll is the recovery-journal sweep (the SnapshotEvery cadence):
+// every live, snapshot-capable process's state is exported under its engine
+// lock and saved. The save itself runs outside the lock — file I/O must not
+// stall protocol callbacks. One scratch snapshot is reused across processes
+// and ticks (each engine runs an every action from exactly one context: the
+// simulator's event loop, or one wall-clock ticker goroutine).
 func (c *Cluster) snapshotAll() {
 	if c.cfg.recovery == nil {
 		return
@@ -571,8 +682,8 @@ func (c *Cluster) N() int { return c.n }
 // Transport names the transport in use ("sim", "live" or "net").
 func (c *Cluster) Transport() string { return c.cfg.transport.String() }
 
-// Capabilities returns the running engine's declared capability set.
-func (c *Cluster) Capabilities() Capability { return c.eng.capabilities() }
+// Capabilities returns the transport's declared capability set.
+func (c *Cluster) Capabilities() Capability { return c.cfg.transport.Capabilities() }
 
 // ScenarioName returns the assumption family's name; ScenarioDescription a
 // one-line human-readable summary.
@@ -655,7 +766,7 @@ func (c *Cluster) Crash(id int) error {
 	if id < 0 || id >= c.n || !c.hosts(id) {
 		return fmt.Errorf("%w: %d", ErrBadProcess, id)
 	}
-	c.eng.crash(id)
+	c.crash(id)
 	return nil
 }
 
@@ -668,7 +779,7 @@ func (c *Cluster) Crashed(id int) bool {
 
 // EverCrashed reports whether process id ever crashed.
 func (c *Cluster) EverCrashed(id int) bool {
-	return id >= 0 && id < c.n && c.eng.everCrashed(id)
+	return id >= 0 && id < c.n && c.everCrashed[id].Load()
 }
 
 // SuspLevel returns a copy of process id's susp_level array (core
@@ -725,7 +836,7 @@ func (c *Cluster) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rep := &Report{BoundOK: true, TimeoutsStable: true}
-	st := check.AnalyzeLeaders(c.samples, func(id proc.ID) bool { return !c.eng.everCrashed(id) })
+	st := check.AnalyzeLeaders(c.samples, func(id proc.ID) bool { return !c.everCrashed[id].Load() })
 	rep.Stabilization = stabilizationFrom(st)
 	rep.BoundB = c.bounds.B()
 	rep.MaxSuspLevel = c.bounds.MaxEver()
@@ -760,7 +871,7 @@ func (c *Cluster) Report() *Report {
 			}
 		}
 		c.eng.unlock(id)
-		if isCore && !c.eng.everCrashed(id) && !check.TimeoutStable(c.timeoutSeries[id], 0.25) {
+		if isCore && !c.everCrashed[id].Load() && !check.TimeoutStable(c.timeoutSeries[id], 0.25) {
 			rep.TimeoutsStable = false
 		}
 	}

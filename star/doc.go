@@ -37,12 +37,13 @@
 //
 // Each transport declares a Capability set (Capabilities) and New validates
 // the requested options against it, rejecting mismatches with ErrUnsupported
-// naming the missing capability. Both transports count traffic (real
-// NetStats), execute churn schedules, and support CheckSpread; only the
-// simulator offers determinism and the MaxEvents budget. New transports
-// (sharded, multi-backend) slot in by implementing the engine seam and
-// declaring what they provide — the façade has no per-transport special
-// cases.
+// naming the missing capability. Every transport counts traffic (real
+// NetStats) and executes churn schedules; only the simulator offers
+// determinism and the MaxEvents budget. New transports (sharded,
+// multi-backend) slot in by implementing the engine seam — a clock and a
+// process host — and declaring what they provide; crashes, restarts and
+// every timed action are written once in Cluster, so the façade has no
+// per-transport special cases.
 //
 // # Observation
 //

@@ -4,16 +4,15 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/netsim"
 	"repro/internal/proc"
 	"repro/internal/sim"
 )
 
-// simEngine drives a cluster on the deterministic discrete-event simulator.
-// Everything — message delays, order gates, crash and churn schedules, the
-// sampling tick — happens in virtual time inside Run, on the caller's
-// goroutine.
+// simEngine drives a cluster on the deterministic discrete-event simulator:
+// its clock is the scheduler and its host the simulated network. Everything
+// — message delays, order gates, the cluster's schedules and sampling tick —
+// happens in virtual time inside Run, on the caller's goroutine.
 type simEngine struct {
 	c     *Cluster
 	sched *sim.Scheduler
@@ -80,99 +79,17 @@ func newSimEngine(c *Cluster) (*simEngine, error) {
 	for id := 0; id < p.N; id++ {
 		net.StartAt(id, sim.Time(jitter.Duration(0, c.cfg.startSpread)))
 	}
-	for _, cr := range c.sc.Crashes {
-		net.CrashAt(cr.ID, cr.At)
-		if c.chaosMon != nil {
-			id, at := cr.ID, cr.At
-			sched.At(at, func() { c.chaosMon.NoteCrash(time.Duration(at), id) })
-		}
-		if c.cfg.observer != nil && c.cfg.observeMask&EventCrash != 0 {
-			id := cr.ID
-			sched.At(cr.At, func() {
-				c.emit(Event{At: time.Duration(sched.Now()), Kind: EventCrash, Proc: id})
-			})
-		}
-	}
-	// Churn: every restart brings up a fresh incarnation built like the
-	// original process; the cluster's tables follow so probes, accessors
-	// and end-of-run collection observe the live incarnation. The config
-	// was validated when the initial processes were built, so the factory
-	// cannot fail.
-	for _, r := range c.sc.Restarts {
-		id := r.ID
-		net.RestartAt(id, r.At, func() proc.Node {
-			if err := c.buildProcess(id, true); err != nil {
-				panic(fmt.Sprintf("star: rebuilding process %d: %v", id, err))
-			}
-			if c.cfg.recovery != nil {
-				out := c.recOutcomes[id]
-				c.emit(Event{At: time.Duration(sched.Now()), Kind: EventRecovery,
-					Proc: id, Round: out.round, Err: out.err})
-			}
-			return c.endpoints[id]
-		})
-		if c.cfg.observer != nil && c.cfg.observeMask&EventRestart != 0 {
-			sched.At(r.At, func() {
-				c.emit(Event{At: time.Duration(sched.Now()), Kind: EventRestart, Proc: id})
-			})
-		}
-	}
 
-	// The chaos timeline, in virtual time: the link-fault state plugs into
-	// the network's send path, and every expanded action fires at its exact
-	// schedule offset inside the event loop — so a chaos run stays a pure
-	// function of (options, seed, schedule).
+	// The chaos link-fault state plugs into the network's send path; the
+	// cluster schedules the timeline's actions on this engine's clock.
 	if c.chaosFaults != nil {
 		net.SetLinkFault(c.chaosFaults)
 	}
-	if c.chaosOrch != nil {
-		for _, a := range c.chaosOrch.Actions() {
-			a := a
-			sched.At(sim.Time(a.At), func() { a.Fire(time.Duration(sched.Now())) })
-		}
+	if hook := c.spreadHook(); hook != nil {
+		net.OnDeliver = func(ev *netsim.Envelope) { hook(ev.To) }
 	}
-
-	// Lemma 8 spread checking after every delivery (the pseudocode's
-	// statement blocks are atomic; deliveries are our state boundaries).
-	// The probe reads susp_level through a reused scratch buffer so
-	// checking costs no allocation per event.
-	if c.cfg.checkSpread {
-		var spreadBuf []int64
-		net.OnDeliver = func(ev *netsim.Envelope) {
-			if cn := c.cores[ev.To]; cn != nil {
-				spreadBuf = cn.SuspLevelInto(spreadBuf)
-				if !check.SpreadOK(spreadBuf) {
-					c.spreadViolations.Add(1)
-				}
-			}
-		}
-	}
-
-	// The periodic observation tick.
-	var tick func()
-	tick = func() {
-		c.collect(time.Duration(sched.Now()))
-		sched.After(c.cfg.sampleEvery, tick)
-	}
-	sched.After(c.cfg.sampleEvery, tick)
-
-	// The recovery-journal cadence, in virtual time: with a deterministic
-	// store (MemJournal) the journal contents — and therefore every
-	// restore — are a pure function of (options, seed) like the rest of
-	// the run.
-	if c.cfg.recovery != nil {
-		var snapTick func()
-		snapTick = func() {
-			c.snapshotAll()
-			sched.After(c.cfg.snapshotEvery, snapTick)
-		}
-		sched.After(c.cfg.snapshotEvery, snapTick)
-	}
-
 	return e, nil
 }
-
-func (e *simEngine) capabilities() Capability { return simCapabilities }
 
 func (e *simEngine) run(d time.Duration) error {
 	horizon := e.sched.Now().Add(d)
@@ -196,42 +113,26 @@ func (e *simEngine) now() time.Duration { return time.Duration(e.sched.Now()) }
 func (e *simEngine) lock(id int)   {}
 func (e *simEngine) unlock(id int) {}
 
-func (e *simEngine) crash(id int) {
-	// Synchronous, like the live transport: Crashed(id) holds when
-	// Cluster.Crash returns. (Scheduled scenario crashes still flow
-	// through CrashAt in virtual time.)
-	e.net.Crash(id)
-	if e.c.chaosMon != nil {
-		e.c.chaosMon.NoteCrash(time.Duration(e.sched.Now()), id)
+// at and every fire inside the event loop, at exact virtual times, so a
+// run — chaos timeline included — stays a pure function of (options, seed).
+func (e *simEngine) at(t time.Duration, f func()) { e.sched.At(sim.Time(t), f) }
+
+func (e *simEngine) every(period time.Duration, f func()) {
+	var tick func()
+	tick = func() {
+		f()
+		e.sched.After(period, tick)
 	}
-	e.c.emit(Event{At: time.Duration(e.sched.Now()), Kind: EventCrash, Proc: id})
+	e.sched.After(period, tick)
 }
 
-// restart brings a crashed process back immediately — the chaos timeline's
-// path, firing inside the event loop. (Scenario churn restarts still flow
-// through RestartAt in virtual time.)
-func (e *simEngine) restart(id int) {
-	ok := e.net.Restart(id, func() proc.Node {
-		if err := e.c.buildProcess(id, true); err != nil {
-			panic(fmt.Sprintf("star: rebuilding process %d: %v", id, err))
-		}
-		return e.c.endpoints[id]
-	})
-	if !ok {
-		return
-	}
-	if e.c.cfg.recovery != nil {
-		out := e.c.recOutcomes[id]
-		e.c.emit(Event{At: time.Duration(e.sched.Now()), Kind: EventRecovery,
-			Proc: id, Round: out.round, Err: out.err})
-	}
-	e.c.emit(Event{At: time.Duration(e.sched.Now()), Kind: EventRestart, Proc: id})
+func (e *simEngine) crash(id int) bool { return e.net.Crash(id) }
+func (e *simEngine) restart(id int, build func() proc.Node) bool {
+	return e.net.Restart(id, build)
 }
-
-func (e *simEngine) crashed(id int) bool     { return e.net.Crashed(id) }
-func (e *simEngine) everCrashed(id int) bool { return e.net.EverCrashed(id) }
-func (e *simEngine) events() uint64          { return e.sched.Processed }
-func (e *simEngine) netStats() NetStats      { return netStatsFrom(e.net.Stats()) }
-func (e *simEngine) close() error            { return nil }
+func (e *simEngine) crashed(id int) bool { return e.net.Crashed(id) }
+func (e *simEngine) events() uint64      { return e.sched.Processed }
+func (e *simEngine) netStats() NetStats  { return netStatsFrom(e.net.Stats()) }
+func (e *simEngine) close() error        { return nil }
 
 var _ engine = (*simEngine)(nil)

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/check"
 	"repro/internal/host"
 	"repro/internal/proc"
 	"repro/internal/runtime"
@@ -18,7 +17,7 @@ import (
 // are; how they start and stop differs and is passed to newWallEngine.
 type wallHost interface {
 	Register(id proc.ID, node proc.Node)
-	Crash(id proc.ID)
+	Crash(id proc.ID) bool
 	Crashed(id proc.ID) bool
 	Restart(id proc.ID, build func() proc.Node) bool
 	LockProcess(id proc.ID)
@@ -27,31 +26,29 @@ type wallHost interface {
 }
 
 // wallEngine drives a cluster on real time — the Live transport's goroutine
-// runtime or the Network transport's TCP sockets: wall-clock timers inside
-// the host, the scenario's crash/restart schedule and the chaos timeline on
-// time.AfterFunc, a sampling goroutine and (with WithRecovery) a snapshot
-// ticker. It starts the processes at New time (wall clocks do not wait) and
-// samples until Close.
+// runtime or the Network transport's TCP sockets. Its clock runs the
+// cluster's timed actions on time.AfterFunc and its periodic ones on ticker
+// goroutines; its host starts the processes at New time (wall clocks do not
+// wait) and stops them at Close, after every timer and ticker.
 //
 // The engine acts on hosted members only (Cluster.hosts). Live hosts all of
 // them; a Network cluster may host a subset (the rest run in other processes
 // on the shared topology, each executing its own share of a cluster-wide
-// schedule), and for a remote member lock/unlock, crash and restart are
-// no-ops and crashed reads false.
+// schedule), and for a remote member lock/unlock are no-ops and crashed
+// reads false.
 type wallEngine struct {
 	c    *Cluster
 	host wallHost
 	stop func() // tears the host down, after everything that uses it
 
 	start  time.Time
-	timers []*time.Timer // schedule and chaos timers
+	timers []*time.Timer // one per at call
 
 	quit    chan struct{}
 	tickers sync.WaitGroup // the sampler and, with WithRecovery, the snapshot goroutine
 
-	mu             sync.Mutex
-	everCrashedSet []bool
-	closed         bool
+	mu     sync.Mutex
+	closed bool
 
 	// pending tracks timer callbacks (crashes, restarts, chaos actions) that
 	// passed the closed check and are executing; close waits for them before
@@ -78,27 +75,7 @@ func newLiveEngine(c *Cluster) (engine, error) {
 	if c.chaosFaults != nil {
 		cfg.Fault = c.chaosFaults
 	}
-	if c.cfg.checkSpread {
-		// Lemma 8 spread checking per delivery. The hook runs with the
-		// receiving process's callback lock held, so reading that node's
-		// susp_level is already serialized; spreadMu only guards the shared
-		// scratch buffer across receivers.
-		var spreadMu sync.Mutex
-		var spreadBuf []int64
-		cfg.OnDeliver = func(to proc.ID) {
-			cn := c.cores[to]
-			if cn == nil {
-				return
-			}
-			spreadMu.Lock()
-			spreadBuf = cn.SuspLevelInto(spreadBuf)
-			ok := check.SpreadOK(spreadBuf)
-			spreadMu.Unlock()
-			if !ok {
-				c.spreadViolations.Add(1)
-			}
-		}
-	}
+	cfg.OnDeliver = c.spreadHook()
 	rt, err := runtime.New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidParams, err)
@@ -138,65 +115,34 @@ func newNetEngine(c *Cluster, t *netTransport) (engine, error) {
 }
 
 func newWallEngine(c *Cluster, h wallHost, start func() error, stop func()) (engine, error) {
-	n := c.sc.Params.N
 	e := &wallEngine{
-		c:              c,
-		host:           h,
-		stop:           stop,
-		start:          time.Now(),
-		quit:           make(chan struct{}),
-		everCrashedSet: make([]bool, n),
+		c:     c,
+		host:  h,
+		stop:  stop,
+		start: time.Now(),
+		quit:  make(chan struct{}),
 	}
-	for id := 0; id < n; id++ {
+	for id := 0; id < c.sc.Params.N; id++ {
 		if c.hosts(id) {
 			h.Register(id, c.endpoints[id])
 		}
 	}
-	// Install the engine before anything concurrent (sampler, schedule
-	// timers) can observe the cluster: both reach c.eng through collect and
-	// emit. New keeps this assignment (it re-checks for nil only).
+	// Install the engine before the processes start: their callbacks reach
+	// c.eng through emit and the chaos guard. New keeps this assignment (it
+	// re-checks for nil only).
 	c.eng = e
 	if err := start(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}
-
-	// The scenario's crash and churn schedules and the chaos timeline. A
-	// restart rebuilds the process exactly like the simulated transport —
-	// fresh state plus the round-frontier jump. Steps aimed at remote
-	// members no-op inside crash/restart.
-	for _, cr := range c.sc.Crashes {
-		id := cr.ID
-		e.schedule(time.Duration(cr.At), func() { e.crash(id) })
-	}
-	for _, r := range c.sc.Restarts {
-		id := r.ID
-		e.schedule(time.Duration(r.At), func() { e.restart(id) })
-	}
-	if c.chaosOrch != nil {
-		for _, a := range c.chaosOrch.Actions() {
-			e.schedule(a.At, func() { a.Fire(e.now()) })
-		}
-	}
-
-	// The sampling goroutine: collect drives the same analysis pipeline as
-	// the simulated transport, at wall-clock granularity, over the hosted
-	// members.
-	e.every(c.cfg.sampleEvery, func() { c.collect(e.now()) })
-
-	// The recovery-journal cadence, on its own goroutine: the sweep exports
-	// under the per-process callback locks and saves outside them, so
-	// journal I/O never stalls protocol callbacks.
-	if c.cfg.recovery != nil {
-		e.every(c.cfg.snapshotEvery, c.snapshotAll)
-	}
 	return e, nil
 }
 
-// schedule runs f at engine time at unless the engine has closed by then; a
+// at runs f at engine time t unless the engine has closed by then; a
 // callback that got past the closed check holds off close until it returns,
-// so close never tears the host down under a firing action.
-func (e *wallEngine) schedule(at time.Duration, f func()) {
-	e.timers = append(e.timers, time.AfterFunc(at, func() {
+// so close never tears the host down under a firing action. Only New calls
+// at (through Cluster.schedule), so timers needs no lock.
+func (e *wallEngine) at(t time.Duration, f func()) {
+	e.timers = append(e.timers, time.AfterFunc(t-e.now(), func() {
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
@@ -228,8 +174,6 @@ func (e *wallEngine) every(period time.Duration, f func()) {
 	}()
 }
 
-func (e *wallEngine) capabilities() Capability { return e.c.cfg.transport.Capabilities() }
-
 func (e *wallEngine) run(d time.Duration) error {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -257,60 +201,16 @@ func (e *wallEngine) unlock(id int) {
 	}
 }
 
-func (e *wallEngine) crash(id int) {
-	if !e.c.hosts(id) {
-		return
-	}
-	e.mu.Lock()
-	e.everCrashedSet[id] = true
-	e.mu.Unlock()
-	e.host.Crash(id)
-	if e.c.chaosMon != nil {
-		e.c.chaosMon.NoteCrash(e.now(), id)
-	}
-	// Serialize the emission with the sampler's (the collector mutex is the
-	// wall-clock observer serialization point).
-	e.c.mu.Lock()
-	e.c.emit(Event{At: e.now(), Kind: EventCrash, Proc: id})
-	e.c.mu.Unlock()
-}
+func (e *wallEngine) crash(id int) bool { return e.host.Crash(id) }
 
-// restart brings a churned member back as a fresh incarnation. The rebuild
-// runs inside the host's Restart, i.e. while the process's callback lock is
-// held, which makes the cluster-table swap atomic with respect to samplers,
-// accessors and the spread hook.
-func (e *wallEngine) restart(id int) {
-	if !e.c.hosts(id) {
-		return
-	}
-	ok := e.host.Restart(id, func() proc.Node {
-		if err := e.c.buildProcess(id, true); err != nil {
-			panic(fmt.Sprintf("star: rebuilding process %d: %v", id, err))
-		}
-		return e.c.endpoints[id]
-	})
-	if !ok {
-		return
-	}
-	// The recovery outcome was recorded by buildProcess inside Restart
-	// (same goroutine); emit it before the restart event, serialized with
-	// the sampler's emissions by the collector mutex.
-	e.c.mu.Lock()
-	if e.c.cfg.recovery != nil {
-		out := e.c.recOutcomes[id]
-		e.c.emit(Event{At: e.now(), Kind: EventRecovery, Proc: id, Round: out.round, Err: out.err})
-	}
-	e.c.emit(Event{At: e.now(), Kind: EventRestart, Proc: id})
-	e.c.mu.Unlock()
+// restart runs build inside the host's Restart, i.e. while the process's
+// callback lock is held, which makes the cluster-table swap atomic with
+// respect to samplers, accessors and the spread hook.
+func (e *wallEngine) restart(id int, build func() proc.Node) bool {
+	return e.host.Restart(id, build)
 }
 
 func (e *wallEngine) crashed(id int) bool { return e.c.hosts(id) && e.host.Crashed(id) }
-
-func (e *wallEngine) everCrashed(id int) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.everCrashedSet[id]
-}
 
 func (e *wallEngine) events() uint64 { return 0 }
 

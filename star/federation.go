@@ -668,7 +668,7 @@ func (f *Federation) poll() {
 		for s, due := range f.restartDue {
 			if due > 0 && f.now >= due {
 				f.restartDue[s] = 0
-				f.tier.eng.restart(s)
+				f.tier.restart(s)
 			}
 		}
 		for f.churnNext < f.cfg.churnUntil && f.now >= f.churnNext {
@@ -676,7 +676,7 @@ func (f *Federation) poll() {
 			f.churnVictim++
 			f.churnNext += f.cfg.churnPeriod
 			if !f.tier.eng.crashed(victim) {
-				f.tier.eng.crash(victim)
+				f.tier.crash(victim)
 				f.restartDue[victim] = f.now + f.cfg.churnDowntime
 			}
 		}
@@ -713,8 +713,8 @@ func (f *Federation) poll() {
 		}
 		f.pressBase[s] = m
 		if l := f.shardLeaders[s]; l != None && !f.shards[s].Crashed(l) {
-			f.shards[s].eng.crash(l)
-			f.shards[s].eng.restart(l)
+			f.shards[s].crash(l)
+			f.shards[s].restart(l)
 			f.pressure++
 		}
 	}
@@ -786,13 +786,11 @@ func (f *Federation) execMigrate(e fedlane.Entry) {
 			break
 		}
 	}
-	if !f.shards[from].Crashed(p) {
-		f.shards[from].eng.crash(p)
-	}
+	f.shards[from].crash(p)
 	if slot == None {
 		return
 	}
-	f.shards[to].eng.restart(slot)
+	f.shards[to].restart(slot)
 	f.migrations++
 	f.emit(Event{At: f.now, Kind: EventMigrate, Proc: from*f.cfg.shardSize + p, Leader: to*f.cfg.shardSize + slot})
 }

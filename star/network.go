@@ -3,7 +3,7 @@ package star
 import (
 	"time"
 
-	"repro/internal/tcpnet"
+	"repro/internal/chaos"
 )
 
 // Network returns the TCP socket transport: the protocols run over real
@@ -66,7 +66,8 @@ func WithLinkPolicy(p *LinkPolicy) NetworkOption {
 
 // LinkPolicy injects socket-layer faults into a Network transport: uniform
 // frame loss, per-frame jitter, and one-way link cuts (asymmetric
-// partitions — the paper's intermittent connectivity, over real TCP). All
+// partitions — the paper's intermittent connectivity, over real TCP). It is
+// the chaos timeline's link-fault state (chaos.Faults), driven by hand. All
 // knobs are safe to turn while the cluster runs. A refused frame counts as
 // Dropped in Report().Net, exactly like a frame addressed to a crashed
 // process.
@@ -74,28 +75,30 @@ func WithLinkPolicy(p *LinkPolicy) NetworkOption {
 // In a multi-process cluster the policy only governs this process's
 // outbound links; inject on each member's own process.
 type LinkPolicy struct {
-	faults *tcpnet.Faults
+	faults *chaos.Faults
 }
 
-// NewLinkPolicy returns a LinkPolicy whose loss decisions draw from a
-// deterministic stream seeded with seed (the loss pattern is pinned; the
-// run around it is still real TCP).
-func NewLinkPolicy(seed uint64) *LinkPolicy {
-	return &LinkPolicy{faults: tcpnet.NewFaults(seed)}
+// NewLinkPolicy returns a LinkPolicy for an n-member cluster whose loss and
+// jitter draws come from a deterministic stream seeded with seed (the loss
+// pattern is pinned; the run around it is still real TCP).
+func NewLinkPolicy(n int, seed uint64) *LinkPolicy {
+	return &LinkPolicy{faults: chaos.NewFaults(n, seed)}
 }
 
-// SetLoss sets the independent per-frame drop probability in [0, 1].
+// SetLoss sets the independent per-frame drop probability, clamped to
+// [0, 1].
 func (p *LinkPolicy) SetLoss(prob float64) { p.faults.SetLoss(prob) }
 
-// SetJitter holds every admitted frame back a uniform duration in [lo, hi].
+// SetJitter holds every admitted frame back a uniform duration in [lo, hi]
+// (hi == 0 disables; an inverted range is clamped to lo).
 func (p *LinkPolicy) SetJitter(lo, hi time.Duration) { p.faults.SetJitter(lo, hi) }
 
 // Cut severs the directed link from -> to until Heal (cutting one direction
-// only is an asymmetric partition).
+// only is an asymmetric partition). A member's link to itself is never cut.
 func (p *LinkPolicy) Cut(from, to int) { p.faults.Cut(from, to) }
 
 // Heal restores the directed link from -> to.
-func (p *LinkPolicy) Heal(from, to int) { p.faults.Heal(from, to) }
+func (p *LinkPolicy) Heal(from, to int) { p.faults.HealLink(from, to) }
 
 // HealAll removes every cut (loss and jitter are separate knobs).
 func (p *LinkPolicy) HealAll() { p.faults.HealAll() }

@@ -62,7 +62,7 @@ func pollAgreement(t *testing.T, c *star.Cluster, within time.Duration) int {
 // protocols are loss-tolerant by periodicity, so injected loss must not
 // prevent (re-)election — only delay it.
 func TestNetworkLoopbackSoak(t *testing.T) {
-	policy := star.NewLinkPolicy(42)
+	policy := star.NewLinkPolicy(5, 42)
 	c, err := star.New(
 		star.N(5), star.Seed(7),
 		star.Network(loopbackAddrs(5), star.WithLinkPolicy(policy)),

@@ -3,6 +3,8 @@ package star
 import (
 	"strings"
 	"time"
+
+	"repro/internal/proc"
 )
 
 // Capability is a bit set declaring what a Transport can provide beyond the
@@ -31,10 +33,10 @@ const (
 	// (the harness's regression suites only make sense with it).
 	CapDeterminism
 	// CapRecovery: the transport's restart path can restore a journaled
-	// snapshot into the new incarnation (WithRecovery), and the engine
-	// drives the periodic snapshot cadence.
+	// snapshot into the new incarnation (WithRecovery), and its clock runs
+	// the periodic snapshot cadence.
 	CapRecovery
-	// CapChaos: the engine can execute a WithChaos fault timeline — link
+	// CapChaos: the transport can execute a WithChaos fault timeline — link
 	// cuts, loss/jitter/slow-node windows, kill/restart steps and journal
 	// faults fired at schedule offsets on the transport's clock, with the
 	// invariant monitor fed from the collection tick.
@@ -137,30 +139,36 @@ func (t liveTransport) newEngine(c *Cluster) (engine, error) {
 	return newLiveEngine(c)
 }
 
-// engine is the transport-side half of a Cluster.
+// engine is the transport-side half of a Cluster: a clock that runs timed
+// actions and a host that runs, crashes and restarts processes. Everything
+// above it is written once in Cluster — the crash and restart path (with its
+// EverCrashed set, chaos-monitor notes and events), the scenario and chaos
+// schedules, the sampling tick and the journal cadence — so a transport
+// contributes a clock and a host and nothing else.
 type engine interface {
-	// capabilities echoes the transport's declared capability set (the
-	// engine must actually provide what its transport declared).
-	capabilities() Capability
 	// run advances the cluster by d (virtual or wall time).
 	run(d time.Duration) error
 	// now returns elapsed cluster time.
 	now() time.Duration
+	// at runs f at cluster time t; every runs f each period until close.
+	// The simulator fires both inside its event loop; the wall clocks on
+	// timers and ticker goroutines that close waits for.
+	at(t time.Duration, f func())
+	every(period time.Duration, f func())
 	// lock/unlock serialize the caller against process id's callbacks,
 	// so protocol state may be inspected (or poked) between them. No-ops
 	// on the single-threaded simulator; allocation-free by design (the
 	// sampling tick takes them once per process).
 	lock(id int)
 	unlock(id int)
-	// crash crashes process id now.
-	crash(id int)
-	// restart brings a crashed process back as a fresh incarnation now
-	// (no-op when the process is up, not hosted, or the engine cannot
-	// rebuild it). Chaos timelines and churn share this path.
-	restart(id int)
-	// crashed and everCrashed report failure state.
+	// crash takes hosted process id down now and reports whether it was
+	// up. restart brings a down process back as the fresh incarnation
+	// build returns, started before restart returns, and reports whether
+	// it was down. Only Cluster.crash and Cluster.restart call them.
+	crash(id int) bool
+	restart(id int, build func() proc.Node) bool
+	// crashed reports whether process id is down now.
 	crashed(id int) bool
-	everCrashed(id int) bool
 	// events returns the number of simulated events executed (0 without
 	// CapEventBudget).
 	events() uint64
