@@ -3,6 +3,13 @@
 // non-FIFO, directed links with arbitrary (policy-controlled) transfer
 // delays, where processes may crash.
 //
+// The processes are host.Process values, the same ones the wall-clock
+// transports run, on a host.SimClock over the scheduler and with the no-op
+// host.NoLock: their timers, crash-stop and restarts are that package's.
+// This package is the links: envelopes and multicast carriers, the order
+// gate, the link-fault overlay, and the pre-start buffer that holds the
+// envelopes arriving before a member's staggered start.
+//
 // The network realizes exactly the model of §2.1:
 //
 //   - Links are reliable: messages are never created, altered or lost. A
@@ -22,9 +29,10 @@
 //
 // The send/arrive/deliver path is allocation-free in steady state:
 //
-//   - The network schedules typed events (deliver, timer, start, crash) via
+//   - The network schedules typed events (deliver, start, crash) via
 //     sim.Scheduler.AtTyped instead of per-event closures; Network itself is
-//     the sim.Handler that demultiplexes them.
+//     the sim.Handler that demultiplexes them. Timers are the host.SimClock's
+//     typed events.
 //   - Envelopes are recycled through a per-network free list: an envelope
 //     returns to the pool once its delivery (or drop) is complete. Observers
 //     (OnDeliver, gates, delay policies) must therefore not retain an
@@ -39,6 +47,8 @@
 //   - A message arriving before its receiver's (staggered) start is buffered
 //     per process in arrival order and flushed synchronously when the
 //     process starts — reliable-link semantics without redelivery polling.
+//     A crash before the start drops and counts the buffer at the crash
+//     instant (the host.Process crash hook).
 //   - Per-kind counters are fixed arrays indexed by wire.Kind, not maps.
 //   - A multicast (proc.Env.Multicast; every protocol broadcast) travels as
 //     ONE pooled carrier holding the payload, the destination set and the
@@ -113,37 +123,21 @@ type Gate interface {
 // Typed event kinds demultiplexed by Network.OnSimEvent.
 const (
 	evDeliver uint8 = iota + 1 // p = *Envelope
-	evTimer                    // a = packTimer(process, key)
 	evStart                    // a = process id
 	evCrash                    // a = process id
 	evMcast                    // p = *mcast (next leg of a multicast)
 )
 
-func packTimer(id proc.ID, key proc.TimerKey) uint64 {
-	if int(int32(key)) != int(key) {
-		panic(fmt.Sprintf("netsim: timer key %d overflows the packed event payload", key))
-	}
-	return uint64(uint32(id))<<32 | uint64(uint32(int32(key)))
-}
-
-func unpackTimer(a uint64) (proc.ID, proc.TimerKey) {
-	return proc.ID(uint32(a >> 32)), proc.TimerKey(int32(uint32(a)))
-}
-
 // Network simulates the complete system: processes plus links.
 type Network struct {
-	sched      *sim.Scheduler
-	rand       *sim.Rand
-	policy     DelayPolicy
-	gate       Gate
-	nodes      []proc.Node
-	envs       []*env
-	crashed    []bool
-	started    []bool
-	preStart   [][]*Envelope // messages arrived before the receiver started
-	nextSeq    uint64
-	stats      host.Stats // counted on the event loop, no taps needed
-	churnEpoch uint64     // bumped on every crash/restart; see ChurnEpoch
+	sched    *sim.Scheduler
+	rand     *sim.Rand
+	policy   DelayPolicy
+	gate     Gate
+	envs     []*env
+	preStart [][]*Envelope // messages arrived before the receiver started
+	nextSeq  uint64
+	stats    host.Stats // counted on the event loop, no taps needed
 
 	// envFree is the envelope free list; chainBuf is the reusable BFS
 	// queue of deliverChain. Both exist to keep the delivery hot path
@@ -196,20 +190,20 @@ func New(sched *sim.Scheduler, cfg Config) (*Network, error) {
 		rand:     sim.NewRand(cfg.Seed ^ 0x6e657473696d2121),
 		policy:   cfg.Policy,
 		gate:     cfg.Gate,
-		nodes:    make([]proc.Node, cfg.N),
 		envs:     make([]*env, cfg.N),
-		crashed:  make([]bool, cfg.N),
-		started:  make([]bool, cfg.N),
 		preStart: make([][]*Envelope, cfg.N),
 	}
+	clock, dropPreStart := host.SimClock(sched), n.dropPreStart
 	for i := 0; i < cfg.N; i++ {
-		n.envs[i] = &env{net: n, id: i, timers: make(map[proc.TimerKey]sim.EventID)}
+		e := &env{net: n}
+		e.Init(e, i, cfg.N, clock, host.NoLock, nil, dropPreStart)
+		n.envs[i] = e
 	}
 	return n, nil
 }
 
 // N returns the number of processes.
-func (n *Network) N() int { return len(n.nodes) }
+func (n *Network) N() int { return len(n.envs) }
 
 // Scheduler returns the underlying scheduler (for running the simulation).
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
@@ -250,21 +244,17 @@ func (n *Network) putEnvelope(ev *Envelope) {
 	n.envFree = append(n.envFree, ev)
 }
 
-// Register installs node as process id. Must be called before the node is
-// started.
-func (n *Network) Register(id proc.ID, node proc.Node) {
-	if n.nodes[id] != nil {
-		panic(fmt.Sprintf("netsim: process %d registered twice", id))
-	}
-	if node == nil {
-		panic("netsim: Register with nil node")
-	}
-	n.nodes[id] = node
-}
+// Register installs node as process id (host.Process.Register). Must be
+// called before the node is started.
+func (n *Network) Register(id proc.ID, node proc.Node) { n.envs[id].Register(node) }
+
+// Process returns member id's process: crash it, restart it or read its
+// node there.
+func (n *Network) Process(id proc.ID) *host.Process { return &n.envs[id].Process }
 
 // StartAt schedules process id's Start callback at virtual time at.
 func (n *Network) StartAt(id proc.ID, at sim.Time) {
-	if n.nodes[id] == nil {
+	if n.envs[id].Node() == nil {
 		panic(fmt.Sprintf("netsim: starting unregistered process %d", id))
 	}
 	n.sched.AtTyped(at, n, evStart, uint64(uint32(id)), nil)
@@ -272,7 +262,7 @@ func (n *Network) StartAt(id proc.ID, at sim.Time) {
 
 // StartAll starts every registered process at time 0.
 func (n *Network) StartAll() {
-	for id := range n.nodes {
+	for id := range n.envs {
 		n.StartAt(id, 0)
 	}
 }
@@ -280,115 +270,48 @@ func (n *Network) StartAll() {
 // startNow runs a process's Start callback and flushes, in arrival order,
 // any messages that reached it before it started.
 func (n *Network) startNow(id proc.ID) {
-	if n.crashed[id] || n.started[id] {
+	e := n.envs[id]
+	if !e.Start() {
 		return
 	}
-	n.started[id] = true
-	n.nodes[id].Start(n.envs[id])
 	buf := n.preStart[id]
 	n.preStart[id] = nil
 	for _, ev := range buf {
-		n.stats.Delivered++
-		n.nodes[id].OnMessage(ev.From, ev.Payload)
-		if n.OnDeliver != nil {
-			n.OnDeliver(ev)
-		}
+		n.deliver(e, ev)
 		n.putEnvelope(ev)
 	}
 }
 
-// CrashAt schedules process id to crash at virtual time at. Crashing is
-// idempotent. Messages already in flight to other processes are still
-// delivered (they left the sender before the crash).
-func (n *Network) CrashAt(id proc.ID, at sim.Time) {
-	n.sched.AtTyped(at, n, evCrash, uint64(uint32(id)), nil)
-}
-
-// Crash crashes process id immediately: equivalent to CrashAt(id, Now())
-// except the crash state applies before the call returns (Crashed(id) holds
-// afterwards), mirroring the runtime transport's synchronous Crash. It may
-// be called between scheduler runs or from inside the event loop (a timed
-// action's callback), and reports whether the process was up.
-func (n *Network) Crash(id proc.ID) bool {
-	if n.crashed[id] {
-		return false
-	}
-	n.crashed[id] = true
-	n.churnEpoch++
-	// Disarm all of the process's timers.
-	for key, ev := range n.envs[id].timers {
-		n.sched.Cancel(ev)
-		delete(n.envs[id].timers, key)
-	}
-	// Messages buffered for a start that will never happen are drops.
+// dropPreStart is every process's crash hook: messages buffered for a start
+// that will never happen are drops, counted at the crash instant.
+func (n *Network) dropPreStart(id proc.ID) {
 	for _, ev := range n.preStart[id] {
 		n.stats.Dropped++
 		n.putEnvelope(ev)
 	}
 	n.preStart[id] = nil
-	if c, ok := n.nodes[id].(proc.Crashable); ok && n.started[id] {
-		c.OnCrash()
-	}
-	return true
+}
+
+// CrashAt schedules process id to crash (host.Process.Crash) at virtual time
+// at. Crashing is idempotent. Messages already in flight to other processes
+// are still delivered (they left the sender before the crash).
+func (n *Network) CrashAt(id proc.ID, at sim.Time) {
+	n.sched.AtTyped(at, n, evCrash, uint64(uint32(id)), nil)
 }
 
 // Crashed reports whether process id is currently crashed (down).
-func (n *Network) Crashed(id proc.ID) bool { return n.crashed[id] }
-
-// ChurnEpoch counts crash and restart events so far. Any value derived from
-// the crashed set (like the winning gate's losable-message budget) stays
-// valid for as long as the epoch does not change, which lets hot paths cache
-// it instead of rescanning every process per event.
-func (n *Network) ChurnEpoch() uint64 { return n.churnEpoch }
-
-// Restart brings a fresh incarnation of process id up immediately: factory
-// builds the replacement node (with empty state — this is churn in a
-// crash-stop world, not crash-recovery with stable storage) and the network
-// starts it before Restart returns. It reports whether a restart happened —
-// false when the process was not down. Messages that were in flight to the
-// process across its downtime are delivered to the new incarnation if they
-// arrive after the restart; messages that arrived while it was down were
-// dropped, exactly like deliveries to any crashed process.
-func (n *Network) Restart(id proc.ID, factory func() proc.Node) bool {
-	if factory == nil {
-		panic("netsim: Restart with nil factory")
-	}
-	if !n.crashed[id] {
-		return false
-	}
-	node := factory()
-	if node == nil {
-		panic("netsim: restart factory returned nil node")
-	}
-	n.crashed[id] = false
-	n.started[id] = false
-	n.churnEpoch++
-	n.nodes[id] = node
-	n.startNow(id)
-	return true
-}
-
-// Node returns the node registered as process id.
-func (n *Network) Node(id proc.ID) proc.Node { return n.nodes[id] }
+func (n *Network) Crashed(id proc.ID) bool { return n.envs[id].Crashed() }
 
 // OnSimEvent implements sim.Handler: it demultiplexes the network's typed
-// scheduler events (message arrival, timer expiry, process start, crash).
+// scheduler events (message arrival, process start, crash).
 func (n *Network) OnSimEvent(kind uint8, a uint64, p any) {
 	switch kind {
 	case evDeliver:
 		n.arrive(p.(*Envelope))
-	case evTimer:
-		id, key := unpackTimer(a)
-		e := n.envs[id]
-		delete(e.timers, key)
-		if n.crashed[id] {
-			return
-		}
-		n.nodes[id].OnTimer(key)
 	case evStart:
 		n.startNow(proc.ID(uint32(a)))
 	case evCrash:
-		n.Crash(proc.ID(uint32(a)))
+		n.envs[uint32(a)].Crash()
 	case evMcast:
 		n.mcastStep(p.(*mcast))
 	default:
@@ -398,10 +321,10 @@ func (n *Network) OnSimEvent(kind uint8, a uint64, p any) {
 
 // send is called by a process env.
 func (n *Network) send(from, to proc.ID, msg any) {
-	if n.crashed[from] {
+	if n.envs[from].Crashed() {
 		return // a crashed process executes nothing
 	}
-	if to < 0 || to >= len(n.nodes) {
+	if to < 0 || to >= len(n.envs) {
 		panic(fmt.Sprintf("netsim: send to invalid process %d", to))
 	}
 	n.nextSeq++
@@ -498,11 +421,11 @@ func (n *Network) putMcast(mc *mcast) {
 // including ties — is bit-for-bit unchanged. Only the cost moves: one
 // pooled carrier and one pending scheduler event replace n of each.
 func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
-	if n.crashed[from] {
+	if n.envs[from].Crashed() {
 		return // a crashed process executes nothing
 	}
-	if dests.Len() != len(n.nodes) {
-		panic(fmt.Sprintf("netsim: multicast destination universe %d, want %d", dests.Len(), len(n.nodes)))
+	if dests.Len() != len(n.envs) {
+		panic(fmt.Sprintf("netsim: multicast destination universe %d, want %d", dests.Len(), len(n.envs)))
 	}
 	k := dests.Count()
 	if k == 0 {
@@ -525,7 +448,7 @@ func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 	scratch := &n.policyScratch
 	scratch.From, scratch.Payload, scratch.SentAt, scratch.Released = from, msg, now, false
 	legs := mc.legs[:0]
-	for to := 0; to < len(n.nodes); to++ {
+	for to := 0; to < len(n.envs); to++ {
 		if !dests.Contains(to) {
 			continue
 		}
@@ -644,11 +567,8 @@ func (n *Network) deliverChain(first *Envelope) {
 // one — as opposed to buffered for a not-yet-started receiver, in which case
 // the pre-start buffer owns it until the start flush.
 func (n *Network) deliverOne(ev *Envelope) bool {
-	if n.crashed[ev.To] {
-		n.stats.Dropped++
-		return true
-	}
-	if !n.started[ev.To] {
+	e := n.envs[ev.To]
+	if !e.Started() && !e.Crashed() {
 		// The model starts all processes "at the beginning"; a message
 		// arriving before the (staggered) start is buffered in arrival
 		// order and flushed when the process starts. This keeps
@@ -656,27 +576,30 @@ func (n *Network) deliverOne(ev *Envelope) bool {
 		n.preStart[ev.To] = append(n.preStart[ev.To], ev)
 		return false
 	}
-	n.stats.Delivered++
-	n.nodes[ev.To].OnMessage(ev.From, ev.Payload)
-	if n.OnDeliver != nil {
-		n.OnDeliver(ev)
-	}
+	n.deliver(e, ev)
 	return true
 }
 
-// env implements proc.Env for one simulated process.
-type env struct {
-	net    *Network
-	id     proc.ID
-	timers map[proc.TimerKey]sim.EventID
+// deliver hands ev to its started or crashed receiver and counts the outcome.
+func (n *Network) deliver(e *env, ev *Envelope) {
+	if !e.Deliver(ev.From, ev.Payload) {
+		n.stats.Dropped++
+		return
+	}
+	n.stats.Delivered++
+	if n.OnDeliver != nil {
+		n.OnDeliver(ev)
+	}
 }
 
-func (e *env) ID() proc.ID { return e.id }
-func (e *env) N() int      { return e.net.N() }
+// env implements proc.Env for one simulated process: the host.Process plus
+// the sending side of its links.
+type env struct {
+	host.Process
+	net *Network
+}
 
-func (e *env) Now() time.Duration { return time.Duration(e.net.sched.Now()) }
-
-func (e *env) Send(to proc.ID, msg any) { e.net.send(e.id, to, msg) }
+func (e *env) Send(to proc.ID, msg any) { e.net.send(e.ID(), to, msg) }
 
 // Multicast implements proc.Env. Single-destination sets take the plain
 // unicast path (same behaviour, less machinery).
@@ -684,29 +607,12 @@ func (e *env) Multicast(dests *bitset.Set, msg any) {
 	if dests.Count() == 1 {
 		for to := 0; to < dests.Len(); to++ {
 			if dests.Contains(to) {
-				e.net.send(e.id, to, msg)
+				e.net.send(e.ID(), to, msg)
 				return
 			}
 		}
 	}
-	e.net.multicast(e.id, dests, msg)
-}
-
-func (e *env) SetTimer(key proc.TimerKey, d time.Duration) {
-	if old, ok := e.timers[key]; ok {
-		e.net.sched.Cancel(old)
-	}
-	if d < 0 {
-		d = 0
-	}
-	e.timers[key] = e.net.sched.AfterTyped(d, e.net, evTimer, packTimer(e.id, key), nil)
-}
-
-func (e *env) StopTimer(key proc.TimerKey) {
-	if old, ok := e.timers[key]; ok {
-		e.net.sched.Cancel(old)
-		delete(e.timers, key)
-	}
+	e.net.multicast(e.ID(), dests, msg)
 }
 
 var (

@@ -110,15 +110,15 @@ func TestRapidChurnIncarnationIsolation(t *testing.T) {
 	}()
 
 	for i := 0; i < cycles; i++ {
-		c.Crash(1)
-		if !c.Crashed(1) {
+		c.Process(1).Crash()
+		if !c.Process(1).Crashed() {
 			t.Fatal("Crash did not take")
 		}
 		time.Sleep(200 * time.Microsecond)
-		if !c.Restart(1, func() proc.Node { return mkNode() }) {
+		if !c.Process(1).Restart(func() proc.Node { return mkNode() }) {
 			t.Fatalf("cycle %d: Restart refused", i)
 		}
-		if c.Crashed(1) {
+		if c.Process(1).Crashed() {
 			t.Fatalf("cycle %d: process still down after Restart", i)
 		}
 		time.Sleep(200 * time.Microsecond)

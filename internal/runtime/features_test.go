@@ -64,11 +64,11 @@ func TestRestartBringsFreshIncarnation(t *testing.T) {
 	env := a.env
 	a.mu.Unlock()
 
-	c.Crash(1)
-	if !c.Crashed(1) {
+	c.Process(1).Crash()
+	if !c.Process(1).Crashed() {
 		t.Fatal("Crash not synchronous")
 	}
-	if c.Restart(0, func() proc.Node { return &pingNode{} }) {
+	if c.Process(0).Restart(func() proc.Node { return &pingNode{} }) {
 		t.Fatal("Restart revived a process that was not down")
 	}
 	env.Send(1, "lost") // addressed to a crashed process: dropped at arrival
@@ -77,10 +77,10 @@ func TestRestartBringsFreshIncarnation(t *testing.T) {
 	}
 
 	b2 := &pingNode{}
-	if !c.Restart(1, func() proc.Node { return b2 }) {
+	if !c.Process(1).Restart(func() proc.Node { return b2 }) {
 		t.Fatal("Restart refused a crashed process")
 	}
-	if c.Crashed(1) {
+	if c.Process(1).Crashed() {
 		t.Fatal("Restart not synchronous")
 	}
 	b2.mu.Lock()

@@ -5,8 +5,9 @@
 // use it) and to exercise the implementations under true concurrency (the
 // race detector runs over these tests).
 //
-// Each process is a host.Process — callback lock, timers, crash/restart and
-// the delivery tap are that package's — and this package adds the links:
+// Each process is a host.Process on a host.WallClock with a sync.Mutex as its
+// callback lock — timers, crash/restart and the delivery hook are that
+// package's; reach a member through Process — and this package adds the links:
 // sends enqueue into the destination's unbounded mailbox after the injected
 // delay, and one consumer goroutine per process drains it into Deliver.
 // Links are reliable and unordered, like the model's. The mailbox is not an
@@ -47,7 +48,7 @@ type Config struct {
 	// OnDeliver, when non-nil, observes every message delivery, after the
 	// receiving node processed it. It runs on the receiver's consumer
 	// goroutine while that process's callback lock is held (the same lock
-	// LockProcess/Inspect take), so it may read process to's protocol
+	// Inspect takes), so it may read process to's protocol
 	// state without further synchronization. It must be safe for
 	// concurrent invocation across DIFFERENT receivers, and must not call
 	// back into the cluster.
@@ -84,11 +85,12 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("runtime: N must be >= 1, got %d", cfg.N)
 	}
 	c := &Cluster{cfg: cfg, envs: make([]renv, cfg.N), stopped: make(chan struct{})}
+	clock := host.WallClock()
 	for id := range c.envs {
 		e := &c.envs[id]
 		e.cluster = c
 		e.box.signal = make(chan struct{}, 1)
-		e.Init(e, id, cfg.N, &c.stats, cfg.OnDeliver)
+		e.Init(e, id, cfg.N, clock, &e.mu, cfg.OnDeliver, nil)
 	}
 	return c, nil
 }
@@ -98,11 +100,12 @@ func (c *Cluster) Register(id proc.ID, node proc.Node) {
 	if c.started {
 		panic("runtime: Register after Start")
 	}
-	if c.envs[id].Node() != nil {
-		panic(fmt.Sprintf("runtime: process %d registered twice", id))
-	}
 	c.envs[id].Register(node)
 }
+
+// Process returns member id's process: crash it, restart it or lock it
+// there.
+func (c *Cluster) Process(id proc.ID) *host.Process { return &c.envs[id].Process }
 
 // Start runs every node's Start callback (synchronously, so the cluster is
 // fully initialized when Start returns) and launches the process
@@ -137,30 +140,16 @@ func (c *Cluster) runProcess(e *renv) {
 			return
 		}
 		// Crashed after arrival, or a leftover of a previous incarnation:
-		// the message dies with its addressee.
-		e.DeliverTo(ev.inc, ev.from, ev.msg)
+		// the message dies with its addressee. Across a Restart, messages
+		// that arrived while the process was down were dropped at arrival,
+		// and messages still in flight reach the new incarnation, exactly
+		// like the simulator's churn semantics.
+		if e.DeliverTo(ev.inc, ev.from, ev.msg) {
+			c.stats.TapDelivered()
+		} else {
+			c.stats.TapDropped()
+		}
 	}
-}
-
-// Crash marks process id crashed (host.Process.Crash): synchronous, so
-// Crashed(id) holds when Crash returns. It reports whether the process was
-// up.
-func (c *Cluster) Crash(id proc.ID) bool { return c.envs[id].Crash() }
-
-// Crashed reports whether the process was crashed via Crash.
-func (c *Cluster) Crashed(id proc.ID) bool { return c.envs[id].Crashed() }
-
-// Restart replaces crashed process id with the fresh incarnation built by
-// build and starts it (host.Process.Restart); a no-op reporting false when
-// the process is not down.
-//
-// Messages that arrived while the process was down were dropped at arrival;
-// messages still in flight across the downtime reach the new incarnation,
-// exactly like the simulator's churn semantics. Messages already queued to
-// the OLD incarnation but not yet processed are dropped by the incarnation
-// stamp (the live analogue of "a crashed process receives nothing").
-func (c *Cluster) Restart(id proc.ID, build func() proc.Node) bool {
-	return c.envs[id].Restart(build)
 }
 
 // Stats returns a snapshot of the link counters.
@@ -171,16 +160,11 @@ func (c *Cluster) Stats() host.Stats { return c.stats.Snapshot() }
 // safely read (or, carefully, poke) the node's protocol state from any
 // goroutine. f must not call Inspect or block on the cluster.
 func (c *Cluster) Inspect(id proc.ID, f func()) {
-	c.LockProcess(id)
-	defer c.UnlockProcess(id)
+	e := &c.envs[id]
+	e.Lock()
+	defer e.Unlock()
 	f()
 }
-
-// LockProcess and UnlockProcess are Inspect's primitive form, for callers
-// that must avoid the closure: between them, no callback of process id
-// executes. Allocation-free.
-func (c *Cluster) LockProcess(id proc.ID)   { c.envs[id].Lock() }
-func (c *Cluster) UnlockProcess(id proc.ID) { c.envs[id].Unlock() }
 
 // Stop shuts the cluster down and waits for all process goroutines and
 // timer callbacks to finish. The cluster cannot be restarted.
@@ -196,6 +180,7 @@ func (c *Cluster) Stop() {
 // sending side of its links and its mailbox.
 type renv struct {
 	host.Process
+	mu      sync.Mutex // the callback lock
 	cluster *Cluster
 	box     mailbox
 }

@@ -67,7 +67,7 @@ func TestDeliveryAndTimers(t *testing.T) {
 	env := a.env
 	a.mu.Unlock()
 	env.Send(1, "hello")
-	env.SetTimer(1, 5*time.Millisecond)
+	c.Inspect(0, func() { env.SetTimer(1, 5*time.Millisecond) }) // timers are the node's: arm under its lock
 
 	if !waitFor(t, time.Second, func() bool { n, _ := b.counts(); return n == 1 }) {
 		t.Fatal("message not delivered")
@@ -153,11 +153,11 @@ func TestLiveLeaderElection(t *testing.T) {
 	agreeOnCorrect := func() bool {
 		leader := proc.None
 		for id := range nodes {
-			if cluster.Crashed(id) {
+			if cluster.Process(id).Crashed() {
 				continue
 			}
 			l := leaderOf(id)
-			if cluster.Crashed(l) {
+			if cluster.Process(l).Crashed() {
 				return false
 			}
 			if leader == proc.None {
@@ -174,7 +174,7 @@ func TestLiveLeaderElection(t *testing.T) {
 
 	// Crash the current leader; a new common correct leader must emerge.
 	victim := leaderOf(0)
-	cluster.Crash(victim)
+	cluster.Process(victim).Crash()
 	if !waitFor(t, 20*time.Second, agreeOnCorrect) {
 		t.Fatalf("no re-election after crashing leader %d", victim)
 	}

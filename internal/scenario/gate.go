@@ -66,7 +66,7 @@ type winningGate struct {
 	// current leader (the chase target); see SetLeaderProbe.
 	leaderProbe func() proc.ID
 
-	// epochProbe, when set, returns the network's churn epoch (bumped on
+	// epochProbe, when set, returns the cluster's churn epoch (bumped on
 	// every crash/restart). The lose budget depends only on the crashed
 	// set, so its value is cached per epoch instead of rescanning all n
 	// processes on every arrival and delivery.

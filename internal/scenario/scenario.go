@@ -164,11 +164,11 @@ func (s *Scenario) SetCrashedProbe(crashed func(proc.ID) bool) {
 	}
 }
 
-// SetChurnEpochProbe installs the network's churn-epoch counter
-// (netsim.Network.ChurnEpoch): the gate caches its crash-dependent lose
-// budget per epoch so the per-arrival cost drops from O(n) to O(1). Purely
-// an optimization — with or without the probe the computed budgets are
-// identical, so determinism is unaffected.
+// SetChurnEpochProbe installs a counter of crashes and restarts (a star
+// cluster's, bumped on its one crash path): the gate caches its
+// crash-dependent lose budget per epoch so the per-arrival cost drops from
+// O(n) to O(1). Purely an optimization — with or without the probe the
+// computed budgets are identical, so determinism is unaffected.
 func (s *Scenario) SetChurnEpochProbe(probe func() uint64) {
 	if s.gate != nil {
 		s.gate.epochProbe = probe

@@ -16,13 +16,14 @@
 // in-process queue but still round-trip through the codec, so the bytes a
 // node receives from itself are as real as everyone else's.
 //
-// Concurrency model: each hosted member is a host.Process — callback lock,
-// timers, crash/restart and the delivery tap are that package's — and this
-// package adds the links. Connection readers call Deliver synchronously (it
-// takes the member's callback lock) and recycle the decoded payload when it
-// returns, so each reader's netwire.Pools stays single-owner. No mailbox is
-// needed for that: a reader holds no callback lock of its own while it
-// waits for the receiver's.
+// Concurrency model: each hosted member is a host.Process on a
+// host.WallClock with a sync.Mutex as its callback lock — timers and
+// crash/restart are that package's; reach a member through Process — and
+// this package adds the links. Connection readers call Deliver
+// synchronously (it takes the member's callback lock) and recycle the
+// decoded payload when it returns, so each reader's netwire.Pools stays
+// single-owner. No mailbox is needed for that: a reader holds no callback
+// lock of its own while it waits for the receiver's.
 //
 // Fidelity to the model: the paper assumes reliable links; a TCP cluster
 // under churn does not have them (frames die with a broken connection, in
@@ -31,7 +32,10 @@
 // the next tick — which is precisely why the paper's scenarios of
 // intermittent connectivity are runnable here at all. Crash/Restart model
 // crash-stop at the process-abstraction level (the OS process stays up);
-// real process death and re-exec is cmd/starnet's job.
+// real process death and re-exec is cmd/starnet's job. A crashed member's
+// listener and links stay up: its endpoints silently eat frames, which is
+// indistinguishable from reception by a dead process, and a restarted
+// incarnation hears its peers immediately.
 //
 // Stats taps every link on the sending side (Sent, Bytes, per-kind) and the
 // delivery point on the receiving side (Delivered, Dropped). Bytes count
@@ -168,10 +172,11 @@ func New(cfg Config) (*Cluster, error) {
 		cancel:    cancel,
 		conns:     make(map[net.Conn]struct{}),
 	}
+	clock := host.WallClock()
 	for id := range c.envs {
 		if local[id] {
 			e := &env{c: c}
-			e.Init(e, id, cfg.N, &c.stats, nil)
+			e.Init(e, id, cfg.N, clock, &e.mu, nil, nil)
 			c.envs[id] = e
 		}
 	}
@@ -186,13 +191,16 @@ func (c *Cluster) Register(id proc.ID, node proc.Node) {
 	if c.started {
 		panic("tcpnet: Register after Start")
 	}
-	if !c.local[id] {
-		panic(fmt.Sprintf("tcpnet: process %d is not local", id))
+	c.mustLocal(id).Register(node)
+}
+
+// Process returns local member id's process (nil for a remote member):
+// crash it, restart it or lock it there.
+func (c *Cluster) Process(id proc.ID) *host.Process {
+	if e := c.envs[id]; e != nil {
+		return &e.Process
 	}
-	if c.envs[id].Node() != nil {
-		panic(fmt.Sprintf("tcpnet: process %d registered twice", id))
-	}
-	c.envs[id].Register(node)
+	return nil
 }
 
 // Start binds every local listener (resolving :0 ports), creates the
@@ -257,40 +265,17 @@ func (c *Cluster) Start() error {
 // after Start).
 func (c *Cluster) Addr(id proc.ID) string { return c.addrs[id] }
 
-// Crash marks local process id crashed (host.Process.Crash): synchronous, so
-// Crashed(id) holds when Crash returns. The member's listener and links stay
-// up — a crashed process's link endpoints silently eat frames, which is
-// indistinguishable from reception by a dead process (and mirrors the other
-// transports). It reports whether the process was up.
-func (c *Cluster) Crash(id proc.ID) bool { return c.mustLocal(id).Crash() }
-
-// Crashed reports whether local process id was crashed via Crash.
-func (c *Cluster) Crashed(id proc.ID) bool { return c.mustLocal(id).Crashed() }
-
-// Restart replaces crashed local process id with the fresh incarnation built
-// by build and starts it (host.Process.Restart); a no-op reporting false when
-// the process is not down. Frames that arrived during the downtime were
-// dropped at delivery; connections were never torn down, so the new
-// incarnation hears its peers immediately.
-func (c *Cluster) Restart(id proc.ID, build func() proc.Node) bool {
-	return c.mustLocal(id).Restart(build)
-}
-
 // Stats returns a snapshot of the link counters.
 func (c *Cluster) Stats() host.Stats { return c.stats.Snapshot() }
 
 // Inspect runs f serialized against local process id's callbacks, so f may
 // safely read the node's protocol state from any goroutine.
 func (c *Cluster) Inspect(id proc.ID, f func()) {
-	c.LockProcess(id)
-	defer c.UnlockProcess(id)
+	e := c.mustLocal(id)
+	e.Lock()
+	defer e.Unlock()
 	f()
 }
-
-// LockProcess and UnlockProcess are Inspect's primitive form: between them,
-// no callback of local process id executes. Allocation-free.
-func (c *Cluster) LockProcess(id proc.ID)   { c.mustLocal(id).Lock() }
-func (c *Cluster) UnlockProcess(id proc.ID) { c.mustLocal(id).Unlock() }
 
 // Drain waits — up to grace — for every outbound link to go idle: queues
 // empty and no writer goroutine holding a frame mid-write. Call it before
@@ -703,7 +688,8 @@ func (l *link) dropConn(conn net.Conn) {
 // sending side of its links.
 type env struct {
 	host.Process
-	c *Cluster
+	mu sync.Mutex // the callback lock
+	c  *Cluster
 }
 
 // Send implements proc.Env.
@@ -792,7 +778,11 @@ func (e *env) sendFrame(to proc.ID, b *buffer) {
 // payload afterwards (the caller's pools stay single-owner because deliver
 // runs on the caller's goroutine).
 func (e *env) deliver(from proc.ID, m wire.Message) {
-	e.Deliver(from, m)
+	if e.Deliver(from, m) {
+		e.c.stats.TapDelivered()
+	} else {
+		e.c.stats.TapDropped()
+	}
 	if rc, ok := m.(wire.Recyclable); ok {
 		rc.Retain()
 		rc.Recycle()

@@ -189,8 +189,8 @@ func TestCrashRestart(t *testing.T) {
 		return ok
 	})
 
-	c.Crash(1)
-	if !c.Crashed(1) {
+	c.Process(1).Crash()
+	if !c.Process(1).Crashed() {
 		t.Fatal("Crashed(1) false after Crash")
 	}
 	dropped := c.Stats().Dropped
@@ -209,10 +209,10 @@ func TestCrashRestart(t *testing.T) {
 	})
 
 	fresh := newTicker(5 * time.Millisecond)
-	if !c.Restart(1, func() proc.Node { return fresh }) {
+	if !c.Process(1).Restart(func() proc.Node { return fresh }) {
 		t.Fatal("Restart reported no swap")
 	}
-	if c.Crashed(1) {
+	if c.Process(1).Crashed() {
 		t.Fatal("Crashed(1) true after Restart")
 	}
 	nodes[1] = fresh
@@ -222,7 +222,7 @@ func TestCrashRestart(t *testing.T) {
 		return ok
 	})
 	// Restarting a live member is a no-op.
-	if c.Restart(1, func() proc.Node { return newTicker(time.Hour) }) {
+	if c.Process(1).Restart(func() proc.Node { return newTicker(time.Hour) }) {
 		t.Fatal("Restart swapped a live member")
 	}
 }

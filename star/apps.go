@@ -22,13 +22,13 @@ func (c *Cluster) Propose(p int, instance, value int64) error {
 	if !c.cfg.consensusEnabled {
 		return fmt.Errorf("%w: WithConsensus", ErrNoApp)
 	}
-	if c.eng.crashed(p) {
+	if c.down(p) {
 		return nil // a crashed process proposes nothing
 	}
 	// App-lane slots, like all protocol tables, are read under the process
 	// lock: live churn rebuilds them from a restart timer goroutine.
-	c.eng.lock(p)
-	defer c.eng.unlock(p)
+	c.lock(p)
+	defer c.unlock(p)
 	if cons := c.conss[p]; cons != nil {
 		cons.Propose(instance, value)
 	}
@@ -41,8 +41,8 @@ func (c *Cluster) Decided(p int, instance int64) (int64, bool) {
 	if p < 0 || p >= c.n || !c.cfg.consensusEnabled {
 		return 0, false
 	}
-	c.eng.lock(p)
-	defer c.eng.unlock(p)
+	c.lock(p)
+	defer c.unlock(p)
 	cons := c.conss[p]
 	if cons == nil {
 		return 0, false
@@ -55,11 +55,11 @@ func (c *Cluster) Decided(p int, instance int64) (int64, bool) {
 func (c *Cluster) Ballots() uint64 {
 	var total uint64
 	for p := 0; p < c.n; p++ {
-		c.eng.lock(p)
+		c.lock(p)
 		if cons := c.conss[p]; cons != nil {
 			total += cons.Ballots
 		}
-		c.eng.unlock(p)
+		c.unlock(p)
 	}
 	return total
 }
@@ -75,11 +75,11 @@ func (c *Cluster) Broadcast(p int, payload int64) error {
 	if !c.cfg.abcastEnabled {
 		return fmt.Errorf("%w: WithAtomicBroadcast", ErrNoApp)
 	}
-	if c.eng.crashed(p) {
+	if c.down(p) {
 		return nil
 	}
-	c.eng.lock(p)
-	defer c.eng.unlock(p)
+	c.lock(p)
+	defer c.unlock(p)
 	if ab := c.abs[p]; ab != nil {
 		ab.Broadcast(payload)
 	}
@@ -91,8 +91,8 @@ func (c *Cluster) Deliveries(p int) []Delivery {
 	if p < 0 || p >= c.n || !c.cfg.abcastEnabled {
 		return nil
 	}
-	c.eng.lock(p)
-	defer c.eng.unlock(p)
+	c.lock(p)
+	defer c.unlock(p)
 	ab := c.abs[p]
 	if ab == nil {
 		return nil

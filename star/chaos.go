@@ -301,7 +301,7 @@ func (c *Cluster) checkChaosDelivery(id int, inc uint64) {
 	if c.eng == nil {
 		return
 	}
-	if c.eng.crashed(id) {
+	if c.down(id) {
 		c.chaosMon.Violate(c.eng.now(), chaos.RuleDeadDelivery,
 			fmt.Sprintf("message delivered to crashed process %d", id))
 	}

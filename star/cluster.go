@@ -12,6 +12,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/consensus"
 	"repro/internal/core"
+	"repro/internal/host"
 	"repro/internal/journal"
 	"repro/internal/proc"
 	"repro/internal/scenario"
@@ -58,6 +59,11 @@ type Cluster struct {
 	// unlike the per-process tables below, which a restart rewrites under
 	// them.
 	hosted []bool
+
+	// procs[id] is hosted member id's process (nil for a remote member):
+	// the one place it is crashed, restarted and locked, on every
+	// transport. The engine fills it before any process starts (adopt).
+	procs []*host.Process
 
 	// Per-process protocol handles. The transport endpoint (entry in
 	// endpoints) is the registered node — a mux when application lanes
@@ -128,6 +134,9 @@ type Cluster struct {
 	// in the crash-stop model a restarted process is still faulty, so the
 	// verdicts are owed to the never-crashed set. Written only by crash.
 	everCrashed []atomic.Bool
+	// churnEpoch counts crashes and restarts: anything derived from the
+	// crashed set (the order gate's lose budget) is valid while it holds.
+	churnEpoch atomic.Uint64
 }
 
 // New builds a cluster from functional options. At minimum pass N; every
@@ -177,6 +186,7 @@ func New(opts ...Option) (*Cluster, error) {
 		sc:  sc,
 		n:   cfg.n,
 
+		procs:     make([]*host.Process, cfg.n),
 		endpoints: make([]proc.Node, cfg.n),
 		oracles:   make([]proc.LeaderOracle, cfg.n),
 		cores:     make([]*core.Node, cfg.n),
@@ -262,6 +272,37 @@ func (c *Cluster) schedule() {
 	}
 }
 
+// adopt makes p hosted member id's process: it runs id's endpoint, and the
+// cluster crashes, restarts and locks the member through it. Engines call it
+// for every hosted member before any of them starts.
+func (c *Cluster) adopt(id int, p *host.Process) {
+	p.Register(c.endpoints[id])
+	c.procs[id] = p
+}
+
+// lock and unlock serialize the caller against hosted member id's callbacks
+// (its process's callback lock), so protocol state may be read between
+// them; for a remote member they do nothing. Allocation-free: the sampling
+// tick takes them once per process.
+func (c *Cluster) lock(id int) {
+	if p := c.procs[id]; p != nil {
+		p.Lock()
+	}
+}
+
+func (c *Cluster) unlock(id int) {
+	if p := c.procs[id]; p != nil {
+		p.Unlock()
+	}
+}
+
+// down reports whether hosted member id is down now; a remote member reads
+// as up.
+func (c *Cluster) down(id int) bool {
+	p := c.procs[id]
+	return p != nil && p.Crashed()
+}
+
 // crash takes hosted member id down now. It is the one crash path — Crash,
 // scenario schedules, chaos kills and federation churn all come here — so a
 // crash is recorded in EverCrashed, noted by the chaos monitor and announced
@@ -273,9 +314,10 @@ func (c *Cluster) crash(id int) {
 	// Set before the host crash, so whoever sees the member down also sees
 	// it faulty.
 	c.everCrashed[id].Store(true)
-	if !c.eng.crash(id) {
+	if !c.procs[id].Crash() {
 		return
 	}
+	c.churnEpoch.Add(1)
 	at := c.eng.now()
 	if c.chaosMon != nil {
 		c.chaosMon.NoteCrash(at, id)
@@ -295,7 +337,10 @@ func (c *Cluster) restart(id int) {
 	if !c.hosts(id) {
 		return
 	}
-	ok := c.eng.restart(id, func() proc.Node {
+	// build runs inside the process's Restart, i.e. while its callback lock
+	// is held, which makes the cluster-table swap atomic with respect to
+	// samplers, accessors and the spread hook.
+	ok := c.procs[id].Restart(func() proc.Node {
 		if err := c.buildProcess(id, true); err != nil {
 			panic(fmt.Sprintf("star: rebuilding process %d: %v", id, err))
 		}
@@ -304,6 +349,7 @@ func (c *Cluster) restart(id int) {
 	if !ok {
 		return
 	}
+	c.churnEpoch.Add(1)
 	// The recovery outcome was recorded by buildProcess inside the restart.
 	// Events are emitted under the collector mutex, which serializes them
 	// with the sampler's on wall clocks.
@@ -603,12 +649,13 @@ func (c *Cluster) collect(at time.Duration) {
 	defer c.mu.Unlock()
 	ls := check.LeaderSample{At: sim.Time(at), Leaders: make([]proc.ID, c.n)}
 	for id := 0; id < c.n; id++ {
-		if !c.hosts(id) || c.eng.crashed(id) {
+		p := c.procs[id]
+		if p == nil || p.Crashed() {
 			ls.Leaders[id] = proc.None
 			c.lastLeaders[id] = None
 			continue
 		}
-		c.eng.lock(id)
+		p.Lock()
 		ls.Leaders[id] = c.oracles[id].Leader()
 		if cn := c.cores[id]; cn != nil {
 			c.levelBuf = cn.SuspLevelInto(c.levelBuf)
@@ -622,7 +669,7 @@ func (c *Cluster) collect(at time.Duration) {
 				roundAdv = r
 			}
 		}
-		c.eng.unlock(id)
+		p.Unlock()
 		if roundAdv > 0 {
 			c.emit(Event{At: at, Kind: EventRoundAdvance, Proc: id, Round: roundAdv})
 		}
@@ -636,7 +683,7 @@ func (c *Cluster) collect(at time.Duration) {
 		// as up with an unknown leader (the hosted mask keeps them out of
 		// the agreement check; their own process monitors them).
 		for id := 0; id < c.n; id++ {
-			c.chaosDown[id] = c.eng.crashed(id)
+			c.chaosDown[id] = c.down(id)
 		}
 		c.chaosMon.OnSample(at, ls.Leaders, c.chaosDown)
 	}
@@ -655,19 +702,20 @@ func (c *Cluster) snapshotAll() {
 		return
 	}
 	for id := 0; id < c.n; id++ {
-		if !c.hosts(id) || c.eng.crashed(id) {
+		p := c.procs[id]
+		if p == nil || p.Crashed() {
 			continue
 		}
-		c.eng.lock(id)
+		p.Lock()
 		sn := c.snaps[id]
-		if sn == nil || c.eng.crashed(id) {
-			c.eng.unlock(id)
+		if sn == nil || p.Crashed() {
+			p.Unlock()
 			continue
 		}
 		c.scratchSnap.Proc = id
 		c.scratchSnap.Incarnation = c.incarnations[id]
 		sn.ExportSnapshot(&c.scratchSnap)
-		c.eng.unlock(id)
+		p.Unlock()
 		if err := c.cfg.recovery.Save(&c.scratchSnap); err != nil {
 			c.recStats.saveErrors.Add(1)
 		} else {
@@ -717,11 +765,11 @@ func (c *Cluster) Run(d time.Duration) error {
 // process is crashed, hosted by another process (network transport), or id
 // is out of range.
 func (c *Cluster) Leader(id int) int {
-	if id < 0 || id >= c.n || !c.hosts(id) || c.eng.crashed(id) {
+	if id < 0 || id >= c.n || !c.hosts(id) || c.down(id) {
 		return None
 	}
-	c.eng.lock(id)
-	defer c.eng.unlock(id)
+	c.lock(id)
+	defer c.unlock(id)
 	return c.oracles[id].Leader()
 }
 
@@ -742,7 +790,7 @@ func (c *Cluster) Leaders() []int {
 func (c *Cluster) Agreement() (int, bool) {
 	leader := None
 	for id := 0; id < c.n; id++ {
-		if !c.hosts(id) || c.eng.crashed(id) {
+		if !c.hosts(id) || c.down(id) {
 			continue
 		}
 		l := c.Leader(id)
@@ -752,7 +800,7 @@ func (c *Cluster) Agreement() (int, bool) {
 			return None, false
 		}
 	}
-	if leader == None || c.eng.crashed(leader) {
+	if leader == None || c.down(leader) {
 		return None, false
 	}
 	return leader, true
@@ -774,7 +822,7 @@ func (c *Cluster) Crash(id int) error {
 // it ever crashed (a churned process is faulty in the crash-stop model even
 // after it returns).
 func (c *Cluster) Crashed(id int) bool {
-	return id >= 0 && id < c.n && c.eng.crashed(id)
+	return id >= 0 && id < c.n && c.down(id)
 }
 
 // EverCrashed reports whether process id ever crashed.
@@ -787,11 +835,11 @@ func (c *Cluster) EverCrashed(id int) bool {
 // process lock: live churn rebuilds the tables from a restart timer
 // goroutine, serialized by exactly that lock.
 func (c *Cluster) SuspLevel(id int) []int64 {
-	if id < 0 || id >= c.n || c.eng.crashed(id) {
+	if id < 0 || id >= c.n || c.down(id) {
 		return nil
 	}
-	c.eng.lock(id)
-	defer c.eng.unlock(id)
+	c.lock(id)
+	defer c.unlock(id)
 	cn := c.cores[id]
 	if cn == nil {
 		return nil
@@ -802,11 +850,11 @@ func (c *Cluster) SuspLevel(id int) []int64 {
 // CurrentTimeout returns process id's current receiving-round timeout
 // (0 for algorithms without timers).
 func (c *Cluster) CurrentTimeout(id int) time.Duration {
-	if id < 0 || id >= c.n || c.eng.crashed(id) {
+	if id < 0 || id >= c.n || c.down(id) {
 		return 0
 	}
-	c.eng.lock(id)
-	defer c.eng.unlock(id)
+	c.lock(id)
+	defer c.unlock(id)
 	tm := c.timers[id]
 	if tm == nil {
 		return 0
@@ -817,11 +865,11 @@ func (c *Cluster) CurrentTimeout(id int) time.Duration {
 // Rounds returns process id's sending and receiving round numbers (0, 0
 // for algorithms without rounds).
 func (c *Cluster) Rounds(id int) (sending, receiving int64) {
-	if id < 0 || id >= c.n || c.eng.crashed(id) {
+	if id < 0 || id >= c.n || c.down(id) {
 		return 0, 0
 	}
-	c.eng.lock(id)
-	defer c.eng.unlock(id)
+	c.lock(id)
+	defer c.unlock(id)
 	rd := c.rounders[id]
 	if rd == nil {
 		return 0, 0
@@ -854,12 +902,13 @@ func (c *Cluster) Report() *Report {
 	rep.FinalLevels = make([][]int64, c.n)
 	for id := 0; id < c.n; id++ {
 		rep.LeaderAtEnd[id] = None
-		if !c.hosts(id) {
+		p := c.procs[id]
+		if p == nil {
 			continue
 		}
-		c.eng.lock(id)
+		p.Lock()
 		isCore := false
-		if !c.eng.crashed(id) {
+		if !p.Crashed() {
 			rep.LeaderAtEnd[id] = c.oracles[id].Leader()
 		}
 		if cn := c.cores[id]; cn != nil {
@@ -870,7 +919,7 @@ func (c *Cluster) Report() *Report {
 				rep.RoundsDone = r - 1
 			}
 		}
-		c.eng.unlock(id)
+		p.Unlock()
 		if isCore && !c.everCrashed[id].Load() && !check.TimeoutStable(c.timeoutSeries[id], 0.25) {
 			rep.TimeoutsStable = false
 		}
@@ -905,14 +954,14 @@ func (c *Cluster) Metrics() Metrics {
 	}
 	m.GateHeldWinning, m.GateHeldLose = c.sc.GateStats()
 	for id := 0; id < c.n; id++ {
-		c.eng.lock(id)
+		c.lock(id)
 		if cn := c.cores[id]; cn != nil {
 			if m.Nodes == nil {
 				m.Nodes = make([]NodeMetrics, c.n)
 			}
 			m.Nodes[id] = nodeMetricsFrom(cn.Metrics())
 		}
-		c.eng.unlock(id)
+		c.unlock(id)
 	}
 	return m
 }

@@ -40,10 +40,10 @@
 // naming the missing capability. Every transport counts traffic (real
 // NetStats) and executes churn schedules; only the simulator offers
 // determinism and the MaxEvents budget. New transports (sharded,
-// multi-backend) slot in by implementing the engine seam — a clock and a
-// process host — and declaring what they provide; crashes, restarts and
-// every timed action are written once in Cluster, so the façade has no
-// per-transport special cases.
+// multi-backend) slot in by implementing the engine seam — a clock — over
+// links whose members are internal/host processes, and declaring what they
+// provide; crashes, restarts and every timed action are written once in
+// Cluster, so the façade has no per-transport special cases.
 //
 // # Observation
 //

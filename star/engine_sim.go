@@ -10,8 +10,9 @@ import (
 )
 
 // simEngine drives a cluster on the deterministic discrete-event simulator:
-// its clock is the scheduler and its host the simulated network. Everything
-// — message delays, order gates, the cluster's schedules and sampling tick —
+// its clock is the scheduler and its links the simulated network, whose
+// members are host.Process values on the scheduler's clock. Everything —
+// message delays, order gates, the cluster's schedules and sampling tick —
 // happens in virtual time inside Run, on the caller's goroutine.
 type simEngine struct {
 	c     *Cluster
@@ -34,14 +35,14 @@ func newSimEngine(c *Cluster) (*simEngine, error) {
 	e := &simEngine{c: c, sched: sched, net: net}
 
 	for id := 0; id < p.N; id++ {
-		net.Register(id, c.endpoints[id])
+		c.adopt(id, net.Process(id))
 	}
 
 	// Wire the adversary's introspection probes. The scenario's order and
 	// lose adversaries observe the system through these; consumers of the
 	// public API never see them.
 	c.sc.SetCrashedProbe(net.Crashed)
-	c.sc.SetChurnEpochProbe(net.ChurnEpoch)
+	c.sc.SetChurnEpochProbe(c.churnEpoch.Load)
 	c.sc.SetRoundProbe(func(q proc.ID) int64 {
 		if rd := c.rounders[q]; rd != nil {
 			_, r := rd.Rounds()
@@ -108,11 +109,6 @@ func (e *simEngine) run(d time.Duration) error {
 
 func (e *simEngine) now() time.Duration { return time.Duration(e.sched.Now()) }
 
-// lock/unlock are no-ops: the simulator is single-threaded, so every call
-// site is already serialized with the process callbacks.
-func (e *simEngine) lock(id int)   {}
-func (e *simEngine) unlock(id int) {}
-
 // at and every fire inside the event loop, at exact virtual times, so a
 // run — chaos timeline included — stays a pure function of (options, seed).
 func (e *simEngine) at(t time.Duration, f func()) { e.sched.At(sim.Time(t), f) }
@@ -126,13 +122,8 @@ func (e *simEngine) every(period time.Duration, f func()) {
 	e.sched.After(period, tick)
 }
 
-func (e *simEngine) crash(id int) bool { return e.net.Crash(id) }
-func (e *simEngine) restart(id int, build func() proc.Node) bool {
-	return e.net.Restart(id, build)
-}
-func (e *simEngine) crashed(id int) bool { return e.net.Crashed(id) }
-func (e *simEngine) events() uint64      { return e.sched.Processed }
-func (e *simEngine) netStats() NetStats  { return netStatsFrom(e.net.Stats()) }
-func (e *simEngine) close() error        { return nil }
+func (e *simEngine) events() uint64     { return e.sched.Processed }
+func (e *simEngine) netStats() NetStats { return netStatsFrom(e.net.Stats()) }
+func (e *simEngine) close() error       { return nil }
 
 var _ engine = (*simEngine)(nil)

@@ -12,34 +12,20 @@ import (
 	"repro/internal/tcpnet"
 )
 
-// wallHost is what the wall-clock engine drives: a transport cluster whose
-// members are host.Process values. internal/runtime and internal/tcpnet both
-// are; how they start and stop differs and is passed to newWallEngine.
-type wallHost interface {
-	Register(id proc.ID, node proc.Node)
-	Crash(id proc.ID) bool
-	Crashed(id proc.ID) bool
-	Restart(id proc.ID, build func() proc.Node) bool
-	LockProcess(id proc.ID)
-	UnlockProcess(id proc.ID)
-	Stats() host.Stats
-}
-
 // wallEngine drives a cluster on real time — the Live transport's goroutine
 // runtime or the Network transport's TCP sockets. Its clock runs the
 // cluster's timed actions on time.AfterFunc and its periodic ones on ticker
-// goroutines; its host starts the processes at New time (wall clocks do not
-// wait) and stops them at Close, after every timer and ticker.
+// goroutines; its transport starts the processes at New time (wall clocks do
+// not wait) and stops them at Close, after every timer and ticker.
 //
-// The engine acts on hosted members only (Cluster.hosts). Live hosts all of
-// them; a Network cluster may host a subset (the rest run in other processes
-// on the shared topology, each executing its own share of a cluster-wide
-// schedule), and for a remote member lock/unlock are no-ops and crashed
-// reads false.
+// The engine hands the cluster hosted members only (Cluster.hosts). Live
+// hosts all of them; a Network cluster may host a subset (the rest run in
+// other processes on the shared topology, each executing its own share of a
+// cluster-wide schedule).
 type wallEngine struct {
-	c    *Cluster
-	host wallHost
-	stop func() // tears the host down, after everything that uses it
+	c     *Cluster
+	stats func() host.Stats
+	stop  func() // tears the transport down, after everything that uses it
 
 	start  time.Time
 	timers []*time.Timer // one per at call
@@ -80,7 +66,7 @@ func newLiveEngine(c *Cluster) (engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}
-	return newWallEngine(c, rt, func() error { rt.Start(); return nil }, rt.Stop)
+	return newWallEngine(c, rt.Process, rt.Stats, func() error { rt.Start(); return nil }, rt.Stop)
 }
 
 // newNetEngine hosts the transport's HostMembers over TCP. Delays and loss
@@ -104,7 +90,7 @@ func newNetEngine(c *Cluster, t *netTransport) (engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}
-	return newWallEngine(c, tc, tc.Start, func() {
+	return newWallEngine(c, tc.Process, tc.Stats, tc.Start, func() {
 		// Drain in-flight link writers with a bounded grace before teardown:
 		// frames already popped from a queue get their write out instead of
 		// racing Stop's connection close (best effort — a dead peer's open
@@ -114,17 +100,17 @@ func newNetEngine(c *Cluster, t *netTransport) (engine, error) {
 	})
 }
 
-func newWallEngine(c *Cluster, h wallHost, start func() error, stop func()) (engine, error) {
+func newWallEngine(c *Cluster, process func(proc.ID) *host.Process, stats func() host.Stats, start func() error, stop func()) (engine, error) {
 	e := &wallEngine{
 		c:     c,
-		host:  h,
+		stats: stats,
 		stop:  stop,
 		start: time.Now(),
 		quit:  make(chan struct{}),
 	}
-	for id := 0; id < c.sc.Params.N; id++ {
+	for id := 0; id < c.n; id++ {
 		if c.hosts(id) {
-			h.Register(id, c.endpoints[id])
+			c.adopt(id, process(id))
 		}
 	}
 	// Install the engine before the processes start: their callbacks reach
@@ -187,34 +173,9 @@ func (e *wallEngine) run(d time.Duration) error {
 
 func (e *wallEngine) now() time.Duration { return time.Since(e.start) }
 
-// lock/unlock serialize the caller against a hosted member's callbacks via
-// its host.Process lock, so protocol state reads are race-free.
-func (e *wallEngine) lock(id int) {
-	if e.c.hosts(id) {
-		e.host.LockProcess(id)
-	}
-}
-
-func (e *wallEngine) unlock(id int) {
-	if e.c.hosts(id) {
-		e.host.UnlockProcess(id)
-	}
-}
-
-func (e *wallEngine) crash(id int) bool { return e.host.Crash(id) }
-
-// restart runs build inside the host's Restart, i.e. while the process's
-// callback lock is held, which makes the cluster-table swap atomic with
-// respect to samplers, accessors and the spread hook.
-func (e *wallEngine) restart(id int, build func() proc.Node) bool {
-	return e.host.Restart(id, build)
-}
-
-func (e *wallEngine) crashed(id int) bool { return e.c.hosts(id) && e.host.Crashed(id) }
-
 func (e *wallEngine) events() uint64 { return 0 }
 
-func (e *wallEngine) netStats() NetStats { return netStatsFrom(e.host.Stats()) }
+func (e *wallEngine) netStats() NetStats { return netStatsFrom(e.stats()) }
 
 func (e *wallEngine) close() error {
 	e.mu.Lock()

@@ -675,7 +675,7 @@ func (f *Federation) poll() {
 			victim := f.churnVictim % f.cfg.shards
 			f.churnVictim++
 			f.churnNext += f.cfg.churnPeriod
-			if !f.tier.eng.crashed(victim) {
+			if !f.tier.down(victim) {
 				f.tier.crash(victim)
 				f.restartDue[victim] = f.now + f.cfg.churnDowntime
 			}
@@ -812,11 +812,11 @@ func (f *Federation) liveMember(s int) int {
 // liveTierSeat picks the tier member to relay shard s's overdue submits:
 // the shard's own seat when live, else the lowest live seat, else None.
 func (f *Federation) liveTierSeat(s int) int {
-	if !f.tier.eng.crashed(s) {
+	if !f.tier.down(s) {
 		return s
 	}
 	for m := 0; m < f.cfg.shards; m++ {
-		if !f.tier.eng.crashed(m) {
+		if !f.tier.down(m) {
 			return m
 		}
 	}

@@ -26,7 +26,8 @@ const (
 	// incarnation. Proc is the process.
 	EventRestart
 	// EventDecide fires on every consensus decision (WithConsensus).
-	// Proc is the deciding process, Round the instance number.
+	// Proc is the deciding process, Round the instance number. It is
+	// emitted inside the deciding process's callback (see Observe).
 	EventDecide
 	// EventRecovery fires when a restarted incarnation resolved its
 	// recovery (WithRecovery), immediately before that restart's

@@ -299,11 +299,18 @@ func Churn(start, period, downtime, until time.Duration) Option {
 }
 
 // Observe installs the event observer for the event kinds in mask.
-// The callback runs synchronously on the transport's execution context:
-// virtual-time callbacks on the simulated transport (deterministic), the
-// sampler goroutine on the live one. It may use the read-only state
-// accessors (Leader, Leaders, SuspLevel, Rounds, Decided, ...) but must
-// not call Run, Crash, Close, Report or Metrics.
+// The callback runs synchronously where the event happens. On the simulated
+// transport that is always inside Run, in virtual time (deterministic). On
+// Live and Network, the sampled kinds run on the sampler goroutine, crash
+// and restart events on whichever goroutine crashed or restarted the
+// member — and EventDecide inside the deciding process's own callback: on
+// that member's goroutine, under its callback lock, concurrently with other
+// members and with the sampler. The callback may use the read-only state
+// accessors (Leader, Leaders, SuspLevel, Rounds, Decided, ...), except that
+// an EventDecide callback must not call one for ev.Proc (or Leaders or
+// Agreement, which visit it): the accessor takes the lock the callback
+// already holds and deadlocks. It must never call Run, Crash, Close, Report
+// or Metrics.
 func Observe(mask EventKind, fn func(Event)) Option {
 	return optionFunc(func(c *config) error {
 		if fn == nil {
@@ -317,8 +324,11 @@ func Observe(mask EventKind, fn func(Event)) Option {
 
 // WithConsensus co-hosts a leader-driven indulgent consensus lane with Ω in
 // every process (Theorem 5: it terminates given t < n/2 and the eventual
-// leader). onDecide, which may be nil, observes every local decision.
-// Enables Propose/Decided/Ballots on the cluster.
+// leader). onDecide, which may be nil, observes every local decision. It
+// runs inside process p's callback: on Live and Network, on p's goroutine
+// under its callback lock and concurrently with other processes, so it must
+// not call the cluster's accessors for p (they take that lock and
+// deadlock). Enables Propose/Decided/Ballots on the cluster.
 func WithConsensus(onDecide func(p int, instance, value int64)) Option {
 	return optionFunc(func(c *config) error {
 		c.consensusEnabled = true
@@ -396,7 +406,10 @@ func SnapshotEvery(d time.Duration) Option {
 // WithAtomicBroadcast stacks total-order broadcast on repeated consensus
 // (implies WithConsensus): Ω → consensus → atomic broadcast, the paper's
 // motivating application stack. onDeliver, which may be nil, observes every
-// ordered delivery. Enables Broadcast/Deliveries on the cluster.
+// ordered delivery. Like WithConsensus's onDecide it runs inside process p's
+// callback — on Live and Network under p's callback lock, concurrently with
+// other processes — and must not call the cluster's accessors for p.
+// Enables Broadcast/Deliveries on the cluster.
 func WithAtomicBroadcast(onDeliver func(p int, d Delivery)) Option {
 	return optionFunc(func(c *config) error {
 		c.consensusEnabled = true

@@ -3,8 +3,6 @@ package star
 import (
 	"strings"
 	"time"
-
-	"repro/internal/proc"
 )
 
 // Capability is a bit set declaring what a Transport can provide beyond the
@@ -140,11 +138,13 @@ func (t liveTransport) newEngine(c *Cluster) (engine, error) {
 }
 
 // engine is the transport-side half of a Cluster: a clock that runs timed
-// actions and a host that runs, crashes and restarts processes. Everything
-// above it is written once in Cluster — the crash and restart path (with its
-// EverCrashed set, chaos-monitor notes and events), the scenario and chaos
-// schedules, the sampling tick and the journal cadence — so a transport
-// contributes a clock and a host and nothing else.
+// actions. The members are host.Process values on every transport, and the
+// engine hands the cluster each hosted one (Cluster.adopt) when it is built.
+// Everything above it is written once in Cluster — the crash and restart
+// path through those processes (with its EverCrashed set, churn epoch,
+// chaos-monitor notes and events), the scenario and chaos schedules, the
+// sampling tick and the journal cadence — so a transport contributes a clock
+// and links and nothing else.
 type engine interface {
 	// run advances the cluster by d (virtual or wall time).
 	run(d time.Duration) error
@@ -155,20 +155,6 @@ type engine interface {
 	// timers and ticker goroutines that close waits for.
 	at(t time.Duration, f func())
 	every(period time.Duration, f func())
-	// lock/unlock serialize the caller against process id's callbacks,
-	// so protocol state may be inspected (or poked) between them. No-ops
-	// on the single-threaded simulator; allocation-free by design (the
-	// sampling tick takes them once per process).
-	lock(id int)
-	unlock(id int)
-	// crash takes hosted process id down now and reports whether it was
-	// up. restart brings a down process back as the fresh incarnation
-	// build returns, started before restart returns, and reports whether
-	// it was down. Only Cluster.crash and Cluster.restart call them.
-	crash(id int) bool
-	restart(id int, build func() proc.Node) bool
-	// crashed reports whether process id is down now.
-	crashed(id int) bool
 	// events returns the number of simulated events executed (0 without
 	// CapEventBudget).
 	events() uint64
