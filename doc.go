@@ -44,13 +44,14 @@
 //   - The protocol layers allocate nothing per message in steady state:
 //     outgoing payloads (ALIVE susp_level snapshots, suspect bitsets,
 //     consensus ballots, mux envelopes) come from per-node pools
-//     (internal/wire), and all round-indexed bookkeeping lives in
-//     fixed-size ring windows with row recycling (internal/rounds), with
-//     an exact overflow map for pathological round skew. The order gate's
+//     (internal/wire), and all round-indexed bookkeeping lives in ring
+//     windows whose slots take recycled rows on demand (internal/rounds),
+//     with an exact overflow map for pathological round skew. The order gate's
 //     per-(receiver, round) state rides the same rings (rounds.Ring).
 //   - Through the façade, per-round bookkeeping defaults to a bounded
-//     retention window sized so pruning beats slot recycling: O(window)
-//     memory with zero steady-state eviction copies;
+//     retention window sized so pruning beats slot recycling: memory
+//     O(live rounds) plus a pointer per slot, with zero steady-state
+//     eviction copies;
 //     star.UnboundedRetention() restores the paper's keep-everything
 //     semantics for experiments.
 //   - star/harness.RunGrid and cmd/experiments fan independent runs out

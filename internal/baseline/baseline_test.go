@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/proc"
+	"repro/internal/rounds"
 	"repro/internal/wire"
 )
 
@@ -246,5 +247,17 @@ func TestTimeFreeCrashSilences(t *testing.T) {
 	n.OnMessage(1, &wire.Alive{RN: 1, SuspLevel: make([]int64, 3)})
 	if len(env.take()) != 0 {
 		t.Fatal("crashed timefree node sent messages")
+	}
+}
+
+// TestTimeFreeBoundsN: NewTimeFree accepts N up to rounds.MaxN, the
+// largest universe the round window and the wire codec serve, and rejects
+// one more.
+func TestTimeFreeBoundsN(t *testing.T) {
+	if _, err := NewTimeFree(TimeFreeConfig{N: rounds.MaxN, T: 1}); err != nil {
+		t.Fatalf("N = %d rejected: %v", rounds.MaxN, err)
+	}
+	if _, err := NewTimeFree(TimeFreeConfig{N: rounds.MaxN + 1, T: 1}); err == nil {
+		t.Fatalf("N = %d accepted", rounds.MaxN+1)
 	}
 }

@@ -79,8 +79,8 @@ type TimeFreeNode struct {
 // NewTimeFree builds the time-free baseline for one process.
 func NewTimeFree(cfg TimeFreeConfig) (*TimeFreeNode, error) {
 	cfg = cfg.withDefaults()
-	if cfg.N < 2 {
-		return nil, fmt.Errorf("baseline: N must be >= 2, got %d", cfg.N)
+	if cfg.N < 2 || cfg.N > rounds.MaxN {
+		return nil, fmt.Errorf("baseline: N must be in [2,%d], got %d", rounds.MaxN, cfg.N)
 	}
 	if cfg.Alpha < 2 || cfg.Alpha > cfg.N {
 		// Alpha 1 would close rounds instantly with only the local
@@ -231,7 +231,7 @@ func (n *TimeFreeNode) onBeacon(from proc.ID, m *wire.Alive) {
 		}
 		sus := n.suspPool.Get(n.cfg.N)
 		sus.RN = n.rRN
-		sus.Suspects.ComplementFrom(cur.Rec)
+		sus.Suspects.ComplementFrom(&cur.Rec)
 		proc.BroadcastAll(n.env, sus)
 		n.win.CompleteRec(n.rRN)
 		n.rRN++

@@ -29,25 +29,24 @@ func New(n int) *Set {
 	if n < 0 {
 		panic(fmt.Sprintf("bitset: negative capacity %d", n))
 	}
-	return &Set{n: n, words: make([]uint64, (n+wordBits-1)/wordBits)}
+	return &Set{n: n, words: make([]uint64, WordsFor(n))}
 }
 
-// Arena returns count independent empty sets over [0, n), all carved from a
-// single backing words allocation (two allocations total, however large
-// count is). Pool refills use it to provision many sets without paying one
-// header-plus-slice allocation pair per set. The sets are full-capacity
-// (three-index subslices), so they never grow into a neighbour.
-func Arena(n, count int) []Set {
-	if n < 0 || count < 0 {
-		panic(fmt.Sprintf("bitset: negative arena dimensions %d x %d", n, count))
+// WordsFor returns how many words a set over [0, n) occupies: the length of
+// the backing slice Carve takes per set.
+func WordsFor(n int) int { return (n + wordBits - 1) / wordBits }
+
+// Carve returns an empty set over [0, n) backed by the first WordsFor(n)
+// words of words, and the words left after it. Pool refills use it to carve
+// many sets, held by value, from one backing allocation. The set is
+// full-capacity (a three-index subslice), so it never grows into a
+// neighbour; words must be zero.
+func Carve(n int, words []uint64) (Set, []uint64) {
+	if n < 0 {
+		panic(fmt.Sprintf("bitset: negative capacity %d", n))
 	}
-	per := (n + wordBits - 1) / wordBits
-	words := make([]uint64, per*count)
-	sets := make([]Set, count)
-	for i := range sets {
-		sets[i] = Set{n: n, words: words[i*per : (i+1)*per : (i+1)*per]}
-	}
-	return sets
+	per := WordsFor(n)
+	return Set{n: n, words: words[:per:per]}, words[per:]
 }
 
 // FromMembers returns a set over [0, n) containing exactly the given members.
@@ -111,11 +110,7 @@ func (s *Set) Empty() bool {
 }
 
 // Clear removes all members, keeping the capacity.
-func (s *Set) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
+func (s *Set) Clear() { clear(s.words) }
 
 // Fill adds every element of the universe to the set.
 func (s *Set) Fill() {

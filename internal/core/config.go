@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/rounds"
 )
 
 // Variant selects which of the paper's algorithms a Node runs.
@@ -165,8 +167,8 @@ func (c Config) withDefaults() Config {
 // Validate reports whether the configuration is usable. It is called by
 // NewNode on the defaulted copy.
 func (c Config) Validate() error {
-	if c.N < 2 {
-		return fmt.Errorf("core: N must be >= 2, got %d", c.N)
+	if c.N < 2 || c.N > rounds.MaxN {
+		return fmt.Errorf("core: N must be in [2,%d], got %d", rounds.MaxN, c.N)
 	}
 	if c.T < 0 || c.T >= c.N {
 		return fmt.Errorf("core: T must be in [0,%d), got %d", c.N, c.T)

@@ -27,7 +27,8 @@
 //	r_rn_i            rRN
 //	susp_level_i[k]   suspLevel[k]
 //	rec_from_i[rn]    win.Get(rn).Rec       (bitset, initialized to {i})
-//	suspicions_i[rn]  win.Get(rn).Counts    (per-process counters)
+//	suspicions_i[rn]  win.Get(rn).Counts    (per-process uint16 counters:
+//	                                         distinct reporters, <= N <= 65 535)
 //	timer_i           the round timer (TimerRound) plus timerExpired
 //
 // Task T1 (lines 1-3) is driven by the periodic TimerAlive; task T2's three
@@ -60,10 +61,12 @@
 // # Hot-path storage: ring windows and pooled payloads
 //
 // The round-indexed bookkeeping (rec_from, suspicions, the SUSPICION dedup
-// set) lives in internal/rounds: a fixed ring of per-round rows indexed by
-// rn mod W (Config.WindowSlots) whose bitsets and counter arrays are
-// recycled in place as rounds advance, plus an exact overflow map for
-// rounds displaced from the ring. The paper's own structure makes the ring
+// set) lives in internal/rounds: a ring of per-round row pointers indexed
+// by rn mod W (Config.WindowSlots), plus an exact overflow map for rounds
+// displaced from the ring. A slot takes a row from a free list when a round
+// first claims it and recycles its bitsets and counter array in place as
+// rounds advance, so a deep ring costs one pointer per slot until rounds
+// fill it. The paper's own structure makes the ring
 // sufficient in steady state — the window test of line "*" only consults
 // rounds within susp_level[k] + F(rn) of the message's round, and Theorem 4
 // bounds susp_level — so map operations and row allocations happen only

@@ -61,7 +61,7 @@ type Node struct {
 	// win holds all round-indexed bookkeeping — rec_from_i[rn] (senders
 	// heard in time, always including the node itself), suspicions_i[rn]
 	// (distinct-reporter counts per target) and the SUSPICION dedup set —
-	// in a fixed ring of rows recycled as rounds advance, with an exact
+	// in a ring of rows recycled as rounds advance, with an exact
 	// overflow map for out-of-window rounds. See internal/rounds.
 	win *rounds.Window
 
@@ -445,7 +445,7 @@ func (n *Node) checkGuard() {
 		// last delivery), computed in place — no per-round clone.
 		sus := n.suspPool.Get(n.cfg.N)
 		sus.RN = n.rRN
-		sus.Suspects.ComplementFrom(row.Rec)
+		sus.Suspects.ComplementFrom(&row.Rec)
 		// Line 10: tell everybody, including ourselves.
 		n.metrics.SuspicionsSent++
 		proc.BroadcastAll(n.env, sus)

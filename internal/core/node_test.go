@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/proc"
+	"repro/internal/rounds"
 	"repro/internal/wire"
 )
 
@@ -607,5 +608,17 @@ func TestAlphaOverride(t *testing.T) {
 	n.OnMessage(3, &wire.Alive{RN: 1, SuspLevel: make([]int64, 5)})
 	if got := suspicionsIn(env.take()); len(got) != 1 {
 		t.Fatal("guard did not fire at overridden alpha")
+	}
+}
+
+// TestValidateBoundsN: a suspicion count is a uint16 and the wire codec
+// encodes no vector above 65 535 entries, so Validate accepts N up to
+// rounds.MaxN and rejects one more.
+func TestValidateBoundsN(t *testing.T) {
+	if err := (Config{N: rounds.MaxN, T: 1}).withDefaults().Validate(); err != nil {
+		t.Fatalf("N = %d rejected: %v", rounds.MaxN, err)
+	}
+	if err := (Config{N: rounds.MaxN + 1, T: 1}).withDefaults().Validate(); err == nil {
+		t.Fatalf("N = %d accepted", rounds.MaxN+1)
 	}
 }

@@ -2,8 +2,10 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/host"
@@ -33,13 +35,32 @@ type traceEntry struct {
 // seqs, stats — from one Send per member in ascending id order, under the
 // same seed. This is what keeps the determinism suite seed-stable across
 // the multicast rewrite.
+//
+// The faults case refuses a different set of links in each round (the
+// first destination, two in the middle, all but the last two, all of them,
+// the last, none) and adds a per-link delay. Delays are whole milliseconds
+// there, and another process sends unicasts to the same destinations right
+// after each fan-out, so legs tie with each other and with unrelated events:
+// a refused leg leaves a gap in the carrier's reserved seqs, and the gap
+// must not reorder anything.
 func TestMulticastMatchesUnicastLoop(t *testing.T) {
 	const n = 7
-	run := func(multicast bool) ([]traceEntry, host.Stats) {
+	refused := [][]proc.ID{{1}, {3, 4}, {1, 2, 3, 4}, {1, 2, 3, 4, 5, 6}, {6}, nil}
+	run := func(multicast, faults bool) ([]traceEntry, host.Stats) {
+		policy := randomDelay(time.Millisecond, 20*time.Millisecond)
+		if faults {
+			policy = DelayFunc(func(ev *Envelope, r *sim.Rand) time.Duration {
+				return time.Duration(1+r.Intn(4)) * time.Millisecond
+			})
+		}
 		sched := sim.NewScheduler()
-		net, err := New(sched, Config{N: n, Seed: 42, Policy: randomDelay(time.Millisecond, 20*time.Millisecond)})
+		net, err := New(sched, Config{N: n, Seed: 42, Policy: policy})
 		if err != nil {
 			t.Fatal(err)
+		}
+		fault := &scriptedFault{}
+		if faults {
+			net.SetLinkFault(fault)
 		}
 		nodes := make([]*echoNode, n)
 		for i := range nodes {
@@ -56,7 +77,14 @@ func TestMulticastMatchesUnicastLoop(t *testing.T) {
 		dests := bitset.New(n)
 		dests.Fill()
 		dests.Remove(0) // a Broadcast-shaped set
-		for round := 0; round < 5; round++ {
+		rounds := 5
+		if faults {
+			rounds = len(refused)
+		}
+		for round := 0; round < rounds; round++ {
+			if faults {
+				fault.refused = refused[round]
+			}
 			hb := &wire.Heartbeat{Seq: int64(round)}
 			if multicast {
 				nodes[0].env.Multicast(dests, hb)
@@ -67,6 +95,11 @@ func TestMulticastMatchesUnicastLoop(t *testing.T) {
 					}
 				}
 			}
+			if faults {
+				for j := 2; j < n; j++ {
+					nodes[1].env.Send(j, &wire.Heartbeat{Seq: int64(100 + round)})
+				}
+			}
 			// Overlap the fan-outs: delays exceed the inter-round gap.
 			sched.RunFor(2 * time.Millisecond)
 		}
@@ -74,19 +107,49 @@ func TestMulticastMatchesUnicastLoop(t *testing.T) {
 		return trace, net.Stats()
 	}
 
-	uniTrace, uniStats := run(false)
-	mcTrace, mcStats := run(true)
-	if uniStats != mcStats {
-		t.Fatalf("stats diverge:\n unicast:   %+v\n multicast: %+v", uniStats, mcStats)
+	for _, tc := range []struct {
+		name   string
+		faults bool
+	}{{"plain", false}, {"faults", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			uniTrace, uniStats := run(false, tc.faults)
+			mcTrace, mcStats := run(true, tc.faults)
+			if tc.faults && uniStats.Dropped != 14 {
+				t.Fatalf("faults refused %d sends, want 14", uniStats.Dropped)
+			}
+			if uniStats != mcStats {
+				t.Fatalf("stats diverge:\n unicast:   %+v\n multicast: %+v", uniStats, mcStats)
+			}
+			if len(uniTrace) != len(mcTrace) {
+				t.Fatalf("delivery counts diverge: %d vs %d", len(uniTrace), len(mcTrace))
+			}
+			for i := range uniTrace {
+				if uniTrace[i] != mcTrace[i] {
+					t.Fatalf("delivery %d diverges:\n unicast:   %+v\n multicast: %+v",
+						i, uniTrace[i], mcTrace[i])
+				}
+			}
+		})
 	}
-	if len(uniTrace) != len(mcTrace) {
-		t.Fatalf("delivery counts diverge: %d vs %d", len(uniTrace), len(mcTrace))
-	}
-	for i := range uniTrace {
-		if uniTrace[i] != mcTrace[i] {
-			t.Fatalf("delivery %d diverges:\n unicast:   %+v\n multicast: %+v",
-				i, uniTrace[i], mcTrace[i])
-		}
+}
+
+// scriptedFault refuses process 0's sends to the destinations in refused
+// and delays every admitted send to process to by to mod 3 ms.
+type scriptedFault struct{ refused []proc.ID }
+
+func (f *scriptedFault) Admit(from, to proc.ID) bool {
+	return from != 0 || !slices.Contains(f.refused, to)
+}
+
+func (f *scriptedFault) Delay(from, to proc.ID) time.Duration {
+	return time.Duration(to%3) * time.Millisecond
+}
+
+// TestMulticastLegSize pins the in-flight cost of a fan-out: a carrier
+// holds one 16-byte leg per destination (deadline, offset, destination).
+func TestMulticastLegSize(t *testing.T) {
+	if got := unsafe.Sizeof(mcLeg{}); got != 16 {
+		t.Fatalf("mcLeg is %d bytes, want 16", got)
 	}
 }
 

@@ -61,6 +61,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -367,15 +368,15 @@ func (n *Network) send(from, to proc.ID, msg any) {
 	n.sched.AfterTyped(d, n, evDeliver, 0, ev)
 }
 
-// mcLeg is one pending destination of an in-flight multicast: where it goes,
-// when it arrives, and the identities its unicast twin would have carried —
-// the per-destination message Seq and the scheduler tie-break seq reserved
-// at send time.
+// mcLeg is one pending destination of an in-flight multicast: when it
+// arrives, where it goes, and off, its position among the multicast's k
+// destinations. off addresses the identities its unicast twin would have
+// carried — message Seq seq0+off and scheduler tie-break seq sched0+off —
+// so a leg is 16 bytes however those identities are numbered.
 type mcLeg struct {
-	at       sim.Time
-	seq      uint64 // Envelope.Seq of this leg
-	schedSeq uint64 // reserved scheduler seq (ordering vs unrelated events)
-	to       proc.ID
+	at  sim.Time
+	off uint32
+	to  int32
 }
 
 // mcast is the single pooled envelope of one multicast: the shared payload
@@ -387,6 +388,8 @@ type mcast struct {
 	from    proc.ID
 	payload any
 	sentAt  sim.Time
+	seq0    uint64 // Envelope.Seq of destination 0
+	sched0  uint64 // scheduler seq reserved for destination 0
 	legs    []mcLeg
 	idx     int // next leg to deliver
 }
@@ -415,11 +418,12 @@ func (n *Network) putMcast(mc *mcast) {
 // to one send per member in ascending id order. Equivalence is exact, not
 // approximate: message seqs, stats, payload retains and per-link delay draws
 // happen per destination in the same order as the unicast loop, and the
-// carrier replays each leg under the scheduler seq its unicast twin would
-// have occupied (the block reserved by ReserveSeqs is contiguous because a
-// node's send loop admits no interleaving), so the global delivery order —
-// including ties — is bit-for-bit unchanged. Only the cost moves: one
-// pooled carrier and one pending scheduler event replace n of each.
+// carrier replays each leg under a scheduler seq from one block of k
+// reserved at send time (a node's send loop admits no interleaving), in
+// destination order. A leg the fault overlay refuses leaves its seq unused;
+// a gap never reorders two events, so the global delivery order — including
+// ties — is bit-for-bit unchanged. Only the cost moves: one pooled carrier
+// and one pending scheduler event replace n of each.
 func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 	if n.envs[from].Crashed() {
 		return // a crashed process executes nothing
@@ -441,7 +445,7 @@ func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 		sz = uint64(wm.Size())
 	}
 	mc := n.getMcast()
-	mc.from, mc.payload, mc.sentAt = from, msg, now
+	mc.from, mc.payload, mc.sentAt, mc.seq0 = from, msg, now, n.nextSeq+1
 	if cap(mc.legs) < k {
 		mc.legs = make([]mcLeg, 0, k)
 	}
@@ -476,33 +480,25 @@ func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 		if d < 0 {
 			d = 0
 		}
-		legs = append(legs, mcLeg{at: now.Add(d), seq: n.nextSeq, to: to})
+		legs = append(legs, mcLeg{at: now.Add(d), off: uint32(n.nextSeq - mc.seq0), to: int32(to)})
 	}
 	scratch.Payload = nil
+	mc.legs = legs
 	if len(legs) == 0 {
 		// Every leg refused: nothing in flight, recycle the carrier.
-		mc.legs = legs
 		n.putMcast(mc)
 		return
 	}
-	base := n.sched.ReserveSeqs(len(legs))
-	for i := range legs {
-		legs[i].schedSeq = base + uint64(i)
-	}
+	mc.sched0 = n.sched.ReserveSeqs(k)
+	// Legs were appended in destination order, so off orders ties exactly
+	// as the reserved seqs do.
 	slices.SortFunc(legs, func(a, b mcLeg) int {
 		if a.at != b.at {
-			if a.at < b.at {
-				return -1
-			}
-			return 1
+			return cmp.Compare(a.at, b.at)
 		}
-		if a.schedSeq < b.schedSeq {
-			return -1
-		}
-		return 1
+		return cmp.Compare(a.off, b.off)
 	})
-	mc.legs = legs
-	n.sched.AtTypedSeq(legs[0].at, legs[0].schedSeq, n, evMcast, 0, mc)
+	n.sched.AtTypedSeq(legs[0].at, mc.sched0+uint64(legs[0].off), n, evMcast, 0, mc)
 }
 
 // mcastStep delivers the carrier's next leg and reschedules it for the one
@@ -515,10 +511,10 @@ func (n *Network) mcastStep(mc *mcast) {
 	mc.idx++
 	if mc.idx < len(mc.legs) {
 		next := mc.legs[mc.idx]
-		n.sched.AtTypedSeq(next.at, next.schedSeq, n, evMcast, 0, mc)
+		n.sched.AtTypedSeq(next.at, mc.sched0+uint64(next.off), n, evMcast, 0, mc)
 	}
 	ev := n.getEnvelope()
-	ev.Seq, ev.From, ev.To = leg.seq, mc.from, leg.to
+	ev.Seq, ev.From, ev.To = mc.seq0+uint64(leg.off), mc.from, proc.ID(leg.to)
 	ev.Payload, ev.SentAt = mc.payload, mc.sentAt
 	if mc.idx == len(mc.legs) {
 		n.putMcast(mc)

@@ -10,24 +10,29 @@
 // the paper's own structure bounds the set of rounds that are *hot*: the
 // window test only consults rounds in [rn - susp_level[k] - F(rn), rn), and
 // messages arrive within a bounded skew of the round frontier in every
-// non-adversarial execution. So the store is a fixed-size ring of W rows
-// indexed by rn mod W, with rows recycled in place as the frontier advances:
-// the steady-state hot path performs no map operation and no allocation.
+// non-adversarial execution. So the store is a ring of W row pointers
+// indexed by rn mod W. A slot takes a row from a free list the first time a
+// round claims it, recycles that row in place as the frontier advances, and
+// gives it back when pruning leaves it empty: the steady-state hot path
+// performs no map operation and no allocation, and memory is O(rows holding
+// live data) plus one pointer per slot — a ring sized for a deep retention
+// horizon costs nothing until rounds actually fill it.
 //
 // Exactness is preserved by an overflow map: a row evicted from the ring
 // while its data could still be consulted (a live rec_from at or ahead of
 // the receiving round, or suspicion counters inside the retention horizon)
-// is copied out rather than dropped, and rounds whose slot is owned by a
-// newer round are served from the overflow map. Late or far-future messages
-// therefore observe byte-identical state to the map implementation; only
-// the storage changed. Evictions and overflow hits are counted so that
-// experiments can verify the ring is actually absorbing the workload
-// (Stats), and pathological round skew degrades to the seed's map behaviour
-// instead of breaking.
+// moves there rather than being dropped, and rounds whose slot is owned by
+// a newer round are served from the overflow map. Late or far-future
+// messages therefore observe byte-identical state to the map
+// implementation; only the storage changed. Evictions and overflow hits are
+// counted so that experiments can verify the ring is actually absorbing the
+// workload (Stats), and pathological round skew degrades to the seed's map
+// behaviour instead of breaking.
 package rounds
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bitset"
 )
@@ -38,40 +43,29 @@ import (
 // non-adversarial delay policy, with a comfortable margin.
 const DefaultSlots = 64
 
-// Row is the bookkeeping for one receiving round. A row's parts are created
-// lazily and recycled in place; the Live flags say which parts currently
-// hold data for RN.
+// MaxN is the largest universe a Window serves: a suspicion count is a
+// number of distinct reporters, so it fits the uint16 of Row.Counts — the
+// same bound the wire codec puts on every vector.
+const MaxN = math.MaxUint16
+
+// Row is the bookkeeping for one receiving round. Every row is provisioned
+// with all its parts and recycled in place; the Live flags say which parts
+// currently hold data for RN.
 type Row struct {
-	// RN is the round this row currently holds (0 = empty slot).
+	// RN is the round this row currently holds.
 	RN int64
 	// Rec is rec_from[RN]: senders whose round-RN ALIVE was received in
 	// time, always including the process itself. Valid when RecLive.
-	Rec *bitset.Set
+	Rec bitset.Set
 	// Counts is suspicions[RN]: per-target distinct-reporter counts.
 	// Valid when SuspLive.
-	Counts []int32
+	Counts []uint16
 	// Reported records which senders' SUSPICION(RN) was already counted.
 	// Valid when SuspLive.
-	Reported *bitset.Set
+	Reported bitset.Set
 
 	RecLive  bool
 	SuspLive bool
-}
-
-// ensure allocates missing parts on first use (they are retained and
-// recycled for every later round the slot serves). Parts are checked
-// individually: eviction copies only the live parts into overflow rows, so
-// a row can re-enter service with some parts still nil.
-func (r *Row) ensure(n int) {
-	if r.Rec == nil {
-		r.Rec = bitset.New(n)
-	}
-	if r.Counts == nil {
-		r.Counts = make([]int32, n)
-	}
-	if r.Reported == nil {
-		r.Reported = bitset.New(n)
-	}
 }
 
 // BeginRec initializes the rec_from part as {self}.
@@ -83,9 +77,7 @@ func (r *Row) BeginRec(self int) {
 
 // BeginSusp initializes the suspicion parts (zero counts, nobody reported).
 func (r *Row) BeginSusp() {
-	for i := range r.Counts {
-		r.Counts[i] = 0
-	}
+	clear(r.Counts)
 	r.Reported.Clear()
 	r.SuspLive = true
 }
@@ -104,52 +96,41 @@ type Stats struct {
 // use; in this repository every Window is owned by a single (simulated)
 // process, like all protocol state.
 type Window struct {
-	n     int
-	mask  int64
-	slots []Row
+	n    int
+	mask int64
+	// slots holds each ring slot's row, nil until a round first claims
+	// the slot and again once pruning empties it.
+	slots []*Row
 	// overflow holds rows for rounds that lost (or never contended for)
 	// their ring slot. Nil until first needed: in the common case it is
 	// never allocated at all.
 	overflow map[int64]*Row
-	// free recycles overflow rows — with their bitsets and count arrays —
-	// released by Prune/CompleteRec/DropSusp, refilled in arena-backed
-	// blocks when recycling cannot keep up. Under sustained round skew
-	// (large n: sending rounds outrun receiving rounds without bound, so
-	// every claim wraps the ring) evictions are constant-rate and the
-	// live overflow population grows with the skew; block provisioning
-	// keeps row allocations O(rows/rowBlock) instead of O(parts x rows).
-	free []*Row
-	// husks are part-less Row structs left over when a virgin ring slot
-	// adopts a provisioned row's storage; the next refill re-parts them
-	// instead of allocating a fresh block.
-	husks []*Row
+	// free recycles rows — with their bitsets and count arrays — released
+	// by Prune/CompleteRec/DropSusp, refilled in blocks when recycling
+	// cannot keep up. Under sustained round skew (large n: sending rounds
+	// outrun receiving rounds without bound, so every claim wraps the
+	// ring) evictions are constant-rate and the live overflow population
+	// grows with the skew; block provisioning keeps row allocations
+	// O(rows/rowBlock) instead of O(parts x rows).
+	free  []*Row
 	stats Stats
 }
 
 // rowBlock is how many fully-parted rows one freelist refill provisions.
 const rowBlock = 16
 
-// refill provisions rowBlock rows with storage carved from bulk
-// allocations: one Row block (or recycled husks), one bitset arena, one
-// counts array — 4 allocations however many rows, instead of ~5 per row.
+// refill provisions rowBlock rows carved from three allocations however
+// many rows: the Row block, one words array behind both bitsets of every
+// row, and one counts array.
 func (w *Window) refill() {
-	var rows []*Row
-	if len(w.husks) >= rowBlock {
-		rows = w.husks[len(w.husks)-rowBlock:]
-		w.husks = w.husks[:len(w.husks)-rowBlock]
-	} else {
-		block := make([]Row, rowBlock)
-		rows = make([]*Row, rowBlock)
-		for i := range block {
-			rows[i] = &block[i]
-		}
-	}
-	sets := bitset.Arena(w.n, 2*rowBlock)
-	counts := make([]int32, rowBlock*w.n)
-	for i, r := range rows {
-		r.Rec = &sets[2*i]
-		r.Reported = &sets[2*i+1]
-		r.Counts = counts[i*w.n : (i+1)*w.n : (i+1)*w.n]
+	block := make([]Row, rowBlock)
+	words := make([]uint64, 2*rowBlock*bitset.WordsFor(w.n))
+	counts := make([]uint16, rowBlock*w.n)
+	for i := range block {
+		r := &block[i]
+		r.Rec, words = bitset.Carve(w.n, words)
+		r.Reported, words = bitset.Carve(w.n, words)
+		r.Counts, counts = counts[:w.n:w.n], counts[w.n:]
 		w.free = append(w.free, r)
 	}
 }
@@ -165,7 +146,7 @@ func (w *Window) getRow() *Row {
 	return r
 }
 
-// putRow retires a released overflow row to the free list.
+// putRow retires a row with no live part to the free list.
 func (w *Window) putRow(r *Row) {
 	r.RN = 0
 	r.RecLive = false
@@ -173,25 +154,11 @@ func (w *Window) putRow(r *Row) {
 	w.free = append(w.free, r)
 }
 
-// ensureSlot gives a virgin ring slot storage by adopting a provisioned
-// row's parts; the leftover husk is re-parted by a later refill. Slots that
-// served before keep their parts across residents (evict swaps storage), so
-// this runs at most once per slot.
-func (w *Window) ensureSlot(s *Row) {
-	if s.Rec != nil {
-		return
-	}
-	r := w.getRow()
-	s.Rec, s.Counts, s.Reported = r.Rec, r.Counts, r.Reported
-	r.Rec, r.Counts, r.Reported = nil, nil, nil
-	w.husks = append(w.husks, r)
-}
-
-// New creates a window over rounds for a system of n processes. slots is
-// rounded up to a power of two; 0 means DefaultSlots.
+// New creates a window over rounds for a system of n processes, 0 < n <=
+// MaxN. slots is rounded up to a power of two; 0 means DefaultSlots.
 func New(n, slots int) *Window {
-	if n <= 0 {
-		panic(fmt.Sprintf("rounds: non-positive universe %d", n))
+	if n <= 0 || n > MaxN {
+		panic(fmt.Sprintf("rounds: universe %d outside [1,%d]", n, MaxN))
 	}
 	if slots <= 0 {
 		slots = DefaultSlots
@@ -200,7 +167,7 @@ func New(n, slots int) *Window {
 	for w < slots {
 		w <<= 1
 	}
-	return &Window{n: n, mask: int64(w - 1), slots: make([]Row, w)}
+	return &Window{n: n, mask: int64(w - 1), slots: make([]*Row, w)}
 }
 
 // Stats returns a snapshot of the ring counters.
@@ -209,8 +176,7 @@ func (w *Window) Stats() Stats { return w.stats }
 // Get returns the row currently holding round rn, or nil. It never creates
 // or evicts anything.
 func (w *Window) Get(rn int64) *Row {
-	s := &w.slots[rn&w.mask]
-	if s.RN == rn {
+	if s := w.slots[rn&w.mask]; s != nil && s.RN == rn {
 		return s
 	}
 	if w.overflow == nil {
@@ -231,34 +197,31 @@ func (w *Window) Get(rn int64) *Row {
 // 1 to keep everything, the paper-faithful default). The returned row has
 // RN == rn; its Live flags tell the caller which parts already hold data.
 func (w *Window) Claim(rn int64, recDeadBelow, suspDeadBelow int64) *Row {
-	s := &w.slots[rn&w.mask]
-	if s.RN == rn {
-		return s
+	i := rn & w.mask
+	s := w.slots[i]
+	if s != nil {
+		if s.RN == rn {
+			return s
+		}
+		if s.RN > rn {
+			// The slot is owned by a newer round: serve rn from overflow.
+			return w.overflowRow(rn)
+		}
 	}
-	if s.RN > rn {
-		// The slot is owned by a newer round: serve rn from overflow.
-		return w.overflowRow(rn)
-	}
-	if r := w.lookupOverflow(rn); r != nil {
+	if r := w.overflow[rn]; r != nil {
 		// rn was evicted earlier; keep serving it from overflow (moving
 		// it back would just evict the resident).
 		w.stats.OverflowHits++
-		r.ensure(w.n)
 		return r
 	}
-	w.evict(s, recDeadBelow, suspDeadBelow)
-	w.ensureSlot(s)
+	if s == nil || w.evict(s, recDeadBelow, suspDeadBelow) {
+		s = w.getRow()
+		w.slots[i] = s
+	}
 	s.RN = rn
 	s.RecLive = false
 	s.SuspLive = false
 	return s
-}
-
-func (w *Window) lookupOverflow(rn int64) *Row {
-	if w.overflow == nil {
-		return nil
-	}
-	return w.overflow[rn]
 }
 
 // overflowRow returns (creating if absent) the overflow row for rn.
@@ -273,53 +236,51 @@ func (w *Window) overflowRow(rn int64) *Row {
 		r.RN = rn
 		w.overflow[rn] = r
 	}
-	r.ensure(w.n)
 	return r
 }
 
-// evict moves the slot's still-consultable data to the overflow map; data
-// below the caller's horizons is dropped, matching exactly what the map
-// implementation's deletes would have made unobservable. The move SWAPS
-// storage with a recycled overflow row instead of cloning it: the overflow
-// row takes the slot's bitsets and count array wholesale (parts behind a
-// dead Live flag are never read, so carrying them is free), and the slot
-// inherits the recycled row's storage for its next resident. Steady-state
-// evictions therefore allocate nothing — the dominant allocation source at
-// large n, where unbounded sending/receiving round skew wraps the ring on
-// every claim.
-func (w *Window) evict(s *Row, recDeadBelow, suspDeadBelow int64) {
-	if s.RN == 0 {
-		return
-	}
+// evict moves the resident row s to the overflow map when it still holds
+// consultable data, and reports whether it did (the slot then needs a new
+// row). Data below the caller's horizons is dropped, matching exactly what
+// the map implementation's deletes would have made unobservable; a row with
+// nothing left to keep stays in its slot and is recycled in place. The row
+// moves whole — storage and all — so an eviction copies nothing, and the
+// slot's replacement comes off the free list that released overflow rows
+// feed: steady-state evictions allocate nothing, which matters at large n,
+// where unbounded sending/receiving round skew wraps the ring on every
+// claim.
+func (w *Window) evict(s *Row, recDeadBelow, suspDeadBelow int64) bool {
 	keepRec := s.RecLive && s.RN >= recDeadBelow
 	keepSusp := s.SuspLive && s.RN >= suspDeadBelow
 	if !keepRec && !keepSusp {
-		return
+		return false
 	}
 	w.stats.Evictions++
 	if w.overflow == nil {
 		w.overflow = make(map[int64]*Row)
 	}
-	o := w.getRow()
-	o.RN = s.RN
-	o.Rec, s.Rec = s.Rec, o.Rec
-	o.Counts, s.Counts = s.Counts, o.Counts
-	o.Reported, s.Reported = s.Reported, o.Reported
-	o.RecLive = keepRec
-	o.SuspLive = keepSusp
-	w.overflow[s.RN] = o
+	s.RecLive = keepRec
+	s.SuspLive = keepSusp
+	w.overflow[s.RN] = s
+	return true
+}
+
+// release hands slot i's row back to the free list once no part of it is
+// live.
+func (w *Window) release(i int64) {
+	w.putRow(w.slots[i])
+	w.slots[i] = nil
 }
 
 // CompleteRec marks round rn's rec_from row dead (the round completed; late
 // ALIVEs for it are discarded). Overflow rows left with no live part are
 // released.
 func (w *Window) CompleteRec(rn int64) {
-	s := &w.slots[rn&w.mask]
-	if s.RN == rn {
+	if s := w.slots[rn&w.mask]; s != nil && s.RN == rn {
 		s.RecLive = false
 		return
 	}
-	if r := w.lookupOverflow(rn); r != nil {
+	if r := w.overflow[rn]; r != nil {
 		r.RecLive = false
 		if !r.SuspLive {
 			delete(w.overflow, rn)
@@ -331,11 +292,11 @@ func (w *Window) CompleteRec(rn int64) {
 // Prune drops all data below the given horizons: suspicion parts below
 // suspDeadBelow, rec parts below both recDeadBelow and suspDeadBelow (a
 // rec row at or ahead of the receiving round stays consultable regardless
-// of age, exactly like the map implementation's prune).
+// of age, exactly like the map implementation's prune). Rows left with no
+// live part go back to the free list.
 func (w *Window) Prune(recDeadBelow, suspDeadBelow int64) {
-	for i := range w.slots {
-		s := &w.slots[i]
-		if s.RN == 0 || s.RN >= suspDeadBelow {
+	for i, s := range w.slots {
+		if s == nil || s.RN >= suspDeadBelow {
 			continue
 		}
 		s.SuspLive = false
@@ -343,7 +304,7 @@ func (w *Window) Prune(recDeadBelow, suspDeadBelow int64) {
 			s.RecLive = false
 		}
 		if !s.RecLive {
-			s.RN = 0
+			w.release(int64(i))
 		}
 	}
 	for rn, r := range w.overflow {
@@ -365,15 +326,15 @@ func (w *Window) Prune(recDeadBelow, suspDeadBelow int64) {
 // overflow). Callers use it to reproduce the map implementation's
 // per-message retention sweep for rounds behind an unmoved horizon.
 func (w *Window) DropSusp(rn int64) {
-	s := &w.slots[rn&w.mask]
-	if s.RN == rn {
+	i := rn & w.mask
+	if s := w.slots[i]; s != nil && s.RN == rn {
 		s.SuspLive = false
 		if !s.RecLive {
-			s.RN = 0
+			w.release(i)
 		}
 		return
 	}
-	if r := w.lookupOverflow(rn); r != nil {
+	if r := w.overflow[rn]; r != nil {
 		r.SuspLive = false
 		if !r.RecLive {
 			delete(w.overflow, rn)
@@ -385,30 +346,24 @@ func (w *Window) DropSusp(rn int64) {
 // SuspRounds counts rounds currently holding live suspicion data (ring plus
 // overflow). It exists for tests and observability, not the hot path.
 func (w *Window) SuspRounds() int {
-	c := 0
-	for i := range w.slots {
-		if w.slots[i].RN != 0 && w.slots[i].SuspLive {
-			c++
-		}
-	}
-	for _, r := range w.overflow {
-		if r.SuspLive {
-			c++
-		}
-	}
-	return c
+	return w.count(func(r *Row) bool { return r.SuspLive })
 }
 
 // RecRounds counts rounds currently holding a live rec_from row.
 func (w *Window) RecRounds() int {
+	return w.count(func(r *Row) bool { return r.RecLive })
+}
+
+// count counts the ring and overflow rows for which live holds.
+func (w *Window) count(live func(*Row) bool) int {
 	c := 0
-	for i := range w.slots {
-		if w.slots[i].RN != 0 && w.slots[i].RecLive {
+	for _, s := range w.slots {
+		if s != nil && live(s) {
 			c++
 		}
 	}
 	for _, r := range w.overflow {
-		if r.RecLive {
+		if live(r) {
 			c++
 		}
 	}

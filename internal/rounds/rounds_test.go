@@ -176,3 +176,19 @@ func TestDefaultSlotsAndPowerOfTwo(t *testing.T) {
 		t.Fatalf("slots rounded to %d, want 8", len(w.slots))
 	}
 }
+
+// TestNewBoundsUniverse: a count is a uint16, so New serves universes
+// [1, MaxN] and panics outside them.
+func TestNewBoundsUniverse(t *testing.T) {
+	New(MaxN, 0)
+	for _, n := range []int{0, MaxN + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d, 0) did not panic", n)
+				}
+			}()
+			New(n, 0)
+		}()
+	}
+}

@@ -118,6 +118,38 @@ func TestRotatingStarSizeAndRotation(t *testing.T) {
 	}
 }
 
+// TestRotatingStarMembershipMatchesScan: inQ computes q's position among
+// the non-center processes; it must agree with a scan of that ascending
+// list for every center, round and window size.
+func TestRotatingStarMembershipMatchesScan(t *testing.T) {
+	const n = 7
+	for center := 0; center < n; center++ {
+		var others []proc.ID
+		for id := 0; id < n; id++ {
+			if id != center {
+				others = append(others, id)
+			}
+		}
+		for tt := 0; tt < n; tt++ {
+			s := newRotatingStar(Params{N: n, T: tt, Center: center}, ModeTimely, false)
+			for rn := int64(0); rn <= 3*n; rn++ {
+				for q := -1; q <= n; q++ {
+					want := false
+					for i, id := range others {
+						if id == q {
+							m := int64(len(others))
+							want = (int64(i)-rn%m+m)%m < int64(tt)
+						}
+					}
+					if got := s.inQ(rn, q); got != want {
+						t.Fatalf("center %d t %d: inQ(%d, %d) = %v, want %v", center, tt, rn, q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestRotatingStarMixedModes(t *testing.T) {
 	p := baseParams().withDefaults()
 	s := newRotatingStar(p, ModeNone, true)

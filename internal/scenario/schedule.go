@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"sort"
-
-	"repro/internal/proc"
-)
+import "repro/internal/proc"
 
 // fixedStar is a star with a constant point set and a constant mode.
 type fixedStar struct {
@@ -42,7 +38,7 @@ func newFixedStar(p Params, mode Mode) *fixedStar {
 // ModeWinning from a deterministic hash; otherwise all points use mode.
 type rotatingStar struct {
 	center  proc.ID
-	others  []proc.ID // all processes except the center, ascending
+	n       int // processes; Q(rn) rotates over the n-1 besides the center
 	t       int
 	mode    Mode
 	mixed   bool
@@ -51,16 +47,9 @@ type rotatingStar struct {
 }
 
 func newRotatingStar(p Params, mode Mode, mixed bool) *rotatingStar {
-	others := make([]proc.ID, 0, p.N-1)
-	for id := 0; id < p.N; id++ {
-		if id != p.Center {
-			others = append(others, id)
-		}
-	}
-	sort.Ints(others)
 	return &rotatingStar{
 		center:  p.Center,
-		others:  others,
+		n:       p.N,
 		t:       p.T,
 		mode:    mode,
 		mixed:   mixed,
@@ -72,25 +61,21 @@ func newRotatingStar(p Params, mode Mode, mixed bool) *rotatingStar {
 func (s *rotatingStar) Center() proc.ID { return s.center }
 
 // inQ reports whether q belongs to Q(rn): the t-size window starting at
-// position rn mod len(others).
+// position rn mod (n-1) of the processes other than the center, in
+// ascending id order. That order puts q at position q below the center and
+// q-1 above it, so membership is O(1).
 func (s *rotatingStar) inQ(rn int64, q proc.ID) bool {
-	if s.t == 0 {
+	if s.t == 0 || q == s.center || q < 0 || q >= s.n {
 		return false
 	}
-	idx := -1
-	for i, id := range s.others {
-		if id == q {
-			idx = i
-			break
-		}
+	idx := int64(q)
+	if q > s.center {
+		idx--
 	}
-	if idx < 0 {
-		return false
-	}
-	m := int64(len(s.others))
+	m := int64(s.n - 1)
 	start := rn % m
 	// The window wraps: positions start, start+1, ..., start+t-1 mod m.
-	off := (int64(idx) - start + m) % m
+	off := (idx - start + m) % m
 	return off < int64(s.t)
 }
 

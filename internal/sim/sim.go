@@ -170,11 +170,12 @@ func (s *Scheduler) scheduleSeq(at Time, seq uint64, fn func(), h Handler, kind 
 }
 
 // ReserveSeqs consumes k tie-break sequence numbers and returns the first.
-// A caller that fans one logical operation into k future events (netsim's
-// multicast carrier) reserves the same contiguous seq block the k individual
-// schedule calls would have taken, then replays each event with AtTypedSeq —
-// so the global (at, seq) execution order is bit-for-bit what k eager
-// schedule calls would have produced.
+// A caller that fans one logical operation into up to k future events
+// (netsim's multicast carrier) reserves one contiguous block in place of the
+// individual schedule calls, then replays each event with AtTypedSeq — so
+// the global (at, seq) execution order is bit-for-bit what eager schedule
+// calls would have produced. A reserved seq left unused is only a gap, and a
+// gap never reorders two events.
 func (s *Scheduler) ReserveSeqs(k int) uint64 {
 	if k <= 0 {
 		panic(fmt.Sprintf("sim: ReserveSeqs(%d)", k))

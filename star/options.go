@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/journal"
+	"repro/internal/rounds"
 )
 
 // Option configures a cluster. Options are applied in order by New; later
@@ -102,6 +103,9 @@ func (c *config) finish() error {
 	if c.n < 2 {
 		return fmt.Errorf("%w: N must be >= 2, got %d (did you pass star.N?)", ErrInvalidParams, c.n)
 	}
+	if c.n > rounds.MaxN {
+		return fmt.Errorf("%w: N must be <= %d, got %d", ErrInvalidParams, rounds.MaxN, c.n)
+	}
 	if !c.tSet {
 		c.t = (c.n - 1) / 2
 	}
@@ -150,7 +154,8 @@ func (c *config) finish() error {
 
 // windowSlots sizes the protocol layers' ring windows so that, under bounded
 // retention, a row is always pruned before its slot is recycled — the
-// steady state then runs with zero eviction copies (O(window) memory).
+// steady state then runs with zero eviction copies. Slots cost a pointer
+// each until a round claims them, so the deep ring is cheap.
 func (c *config) windowSlots() int {
 	if c.retention == 0 {
 		return 0 // unbounded history: protocol default ring, overflow absorbs
