@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -259,5 +261,64 @@ func TestTimeFreeBoundsN(t *testing.T) {
 	}
 	if _, err := NewTimeFree(TimeFreeConfig{N: rounds.MaxN + 1, T: 1}); err == nil {
 		t.Fatalf("N = %d accepted", rounds.MaxN+1)
+	}
+}
+
+// TestTimeFreeLockStep runs TimeFreeNode against the counter rule written
+// out with one int per (round, target): every distinct report that finds a
+// suspect's count at alpha or above bumps counter[k]. Random SUSPICION
+// streams, with an occasional beacon merge, at n=5 and n=70; the counters
+// must agree after every message.
+func TestTimeFreeLockStep(t *testing.T) {
+	for _, n := range []int{5, 70} {
+		for seed := int64(1); seed <= 3; seed++ {
+			rng := rand.New(rand.NewSource(seed*100 + int64(n)))
+			cfg := TimeFreeConfig{N: n, T: n / 3, WindowSlots: 8}
+			node, _ := NewTimeFree(cfg)
+			node.Start(newFakeEnv(0, n))
+			alpha := n - n/3
+			counter := make([]int64, n)
+			counts := map[int64][]int{}
+			reported := map[int64]map[int]bool{}
+			for step := range 30 * n {
+				rn := int64(1 + rng.Intn(12))
+				from := rng.Intn(n)
+				if rng.Intn(25) == 0 {
+					levels := slices.Clone(counter)
+					levels[rng.Intn(n)] += int64(rng.Intn(3))
+					node.OnMessage(from, &wire.Alive{RN: rn, SuspLevel: levels})
+					for k, v := range levels {
+						counter[k] = max(counter[k], v)
+					}
+				} else {
+					s := bitset.New(n)
+					density := 2 + rng.Intn(6)
+					for k := range n {
+						if rng.Intn(density) != 0 {
+							s.Add(k)
+						}
+					}
+					node.OnMessage(from, &wire.Suspicion{RN: rn, Suspects: s})
+					if reported[rn] == nil {
+						reported[rn] = map[int]bool{}
+						counts[rn] = make([]int, n)
+					}
+					if !reported[rn][from] {
+						reported[rn][from] = true
+						s.ForEach(func(k int) {
+							if counts[rn][k]++; counts[rn][k] >= alpha {
+								counter[k]++
+							}
+						})
+					}
+				}
+				if got := node.Counters(); !slices.Equal(got, counter) {
+					t.Fatalf("n=%d seed %d step %d: counters %v, want %v", n, seed, step, got, counter)
+				}
+			}
+			if slices.Max(counter) == 0 {
+				t.Fatalf("n=%d seed %d: no counter rose; the comparison is vacuous", n, seed)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/bitset"
 	"repro/internal/journal"
 	"repro/internal/proc"
 	"repro/internal/rounds"
@@ -63,7 +64,8 @@ type TimeFreeNode struct {
 
 	sRN, rRN     int64
 	counter      []int64
-	win          *rounds.Window
+	win          rounds.Window
+	hits         bitset.Set // scratch: a SUSPICION's suspects at alpha
 	alivePool    wire.AlivePool
 	suspPool     wire.SuspicionPool
 	maxRoundSeen int64
@@ -87,12 +89,14 @@ func NewTimeFree(cfg TimeFreeConfig) (*TimeFreeNode, error) {
 		// process, livelocking the guard (see core's Zeno note).
 		return nil, fmt.Errorf("baseline: Alpha must be in [2,%d], got %d", cfg.N, cfg.Alpha)
 	}
-	return &TimeFreeNode{
+	n := &TimeFreeNode{
 		cfg:         cfg,
 		counter:     make([]int64, cfg.N),
-		win:         rounds.New(cfg.N, cfg.WindowSlots),
 		prunedBelow: 1,
-	}, nil
+	}
+	n.win.Init(cfg.N, cfg.WindowSlots)
+	n.hits, _ = bitset.Carve(cfg.N, make([]uint64, bitset.WordsFor(cfg.N)))
+	return n, nil
 }
 
 // Start implements proc.Node.
@@ -244,17 +248,12 @@ func (n *TimeFreeNode) onSuspicion(from proc.ID, m *wire.Suspicion) {
 	if !row.SuspLive {
 		row.BeginSusp()
 	}
-	if row.Reported.Contains(from) {
+	if !row.Susp.Add(from, n.cfg.Alpha, m.Suspects, &n.hits) {
 		return
 	}
-	row.Reported.Add(from)
-	counts := row.Counts
-	m.Suspects.ForEach(func(k int) {
-		counts[k]++
-		if int(counts[k]) >= n.cfg.Alpha {
-			n.counter[k]++
-		}
-	})
+	// Every suspect whose count is at alpha, by this report or an
+	// earlier one, loses a round.
+	n.hits.ForEach(func(k int) { n.counter[k]++ })
 	n.prune()
 	if n.cfg.Retention != 0 && m.RN < n.prunedBelow {
 		n.win.DropSusp(m.RN) // match the map implementation's sweep

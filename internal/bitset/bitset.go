@@ -240,6 +240,27 @@ func (s *Set) ForEach(fn func(i int)) {
 	}
 }
 
+// NextAnd returns the smallest member of s ∩ o that is >= i, or -1 when
+// there is none. Both sets must have the same universe size. o is read
+// afresh on every call, so a caller walking s ∩ o may change o between
+// calls and the walk sees the change from its current position on.
+func (s *Set) NextAnd(o *Set, i int) int {
+	s.mustMatch(o)
+	i = max(i, 0)
+	wi := i / wordBits
+	if wi >= len(s.words) {
+		return -1
+	}
+	w := s.words[wi] & o.words[wi] &^ (1<<(uint(i)%wordBits) - 1)
+	for w == 0 {
+		if wi++; wi == len(s.words) {
+			return -1
+		}
+		w = s.words[wi] & o.words[wi]
+	}
+	return wi*wordBits + bits.TrailingZeros64(w)
+}
+
 // Words returns a copy of the underlying word representation. The final word
 // has any bits beyond the universe size cleared. Used by the wire codec.
 func (s *Set) Words() []uint64 {

@@ -27,8 +27,10 @@
 //	r_rn_i            rRN
 //	susp_level_i[k]   suspLevel[k]
 //	rec_from_i[rn]    win.Get(rn).Rec       (bitset, initialized to {i})
-//	suspicions_i[rn]  win.Get(rn).Counts    (per-process uint16 counters:
-//	                                         distinct reporters, <= N <= 65 535)
+//	suspicions_i[rn]  win.Get(rn).Susp      (bitset.Tally: per-target counts
+//	                                         of distinct reporters, bit-sliced
+//	                                         and saturating at Alpha, the only
+//	                                         value lines 16 and "*" ask about)
 //	timer_i           the round timer (TimerRound) plus timerExpired
 //
 // Task T1 (lines 1-3) is driven by the periodic TimerAlive; task T2's three
@@ -64,8 +66,8 @@
 // set) lives in internal/rounds: a ring of per-round row pointers indexed
 // by rn mod W (Config.WindowSlots), plus an exact overflow map for rounds
 // displaced from the ring. A slot takes a row from a free list when a round
-// first claims it and recycles its bitsets and counter array in place as
-// rounds advance, so a deep ring costs one pointer per slot until rounds
+// first claims it and recycles its bitset and tally in place as rounds
+// advance, so a deep ring costs one pointer per slot until rounds
 // fill it. The paper's own structure makes the ring
 // sufficient in steady state — the window test of line "*" only consults
 // rounds within susp_level[k] + F(rn) of the message's round, and Theorem 4

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	// Imported for its inline bodies: the hot paths call *bitset.Set methods
-	// through rounds.Row and the wire payloads, and the compiler inlines
-	// only methods of packages this package imports.
-	_ "repro/internal/bitset"
+	"repro/internal/bitset"
 	"repro/internal/journal"
 	"repro/internal/proc"
 	"repro/internal/rounds"
@@ -39,9 +37,12 @@ type Metrics struct {
 	DupSuspicion   uint64 // duplicated SUSPICION messages ignored
 
 	// Ring-window health: rounds whose data was evicted to the overflow
-	// map, and lookups served by it. Both ~0 in non-adversarial runs;
-	// growth means the round skew exceeded Config.WindowSlots and the
-	// store degraded (correctly) to map behaviour.
+	// map, and lookups and claims served by it. Both ~0 in
+	// non-adversarial runs; growth means the round skew exceeded
+	// Config.WindowSlots and the store degraded (correctly) to map
+	// behaviour. The window test of line "*" is one lookup per round it
+	// reads, and under Figure 3 and §7 it runs only for targets that
+	// passed line "**", so WindowOverflow depends on the variant.
 	WindowEvictions uint64
 	WindowOverflow  uint64
 }
@@ -59,11 +60,18 @@ type Node struct {
 	suspLevel []int64 // susp_level_i[0..n)
 
 	// win holds all round-indexed bookkeeping — rec_from_i[rn] (senders
-	// heard in time, always including the node itself), suspicions_i[rn]
-	// (distinct-reporter counts per target) and the SUSPICION dedup set —
-	// in a ring of rows recycled as rounds advance, with an exact
-	// overflow map for out-of-window rounds. See internal/rounds.
-	win *rounds.Window
+	// heard in time, always including the node itself) and
+	// suspicions_i[rn] (a tally of distinct reporters per target,
+	// saturating at alpha, with the SUSPICION dedup set) — in a ring of
+	// rows recycled as rounds advance, with an exact overflow map for
+	// out-of-window rounds. See internal/rounds. It is held by value, so
+	// the allocation a separate Window would take pays for the hits and
+	// atMin sets instead.
+	win rounds.Window
+
+	// hits is scratch for one SUSPICION: its suspects whose count has
+	// reached alpha (lines 15-16).
+	hits bitset.Set
 
 	// alivePool and suspPool recycle outgoing payloads (and their
 	// susp_level snapshots / suspect bitsets); the transport returns a
@@ -84,12 +92,14 @@ type Node struct {
 	// (the current minimum and how many entries hold it) only need an
 	// O(n) rescan when the global minimum itself increases — which
 	// happens at most B+1 times per run (Theorem 4), so the amortized
-	// per-event cost is O(1). minTestOK (line "**", per suspect per
-	// SUSPICION) and roundTimeout (line 11, per completed round) were
-	// ~15-30% of large-n CPU as full scans.
+	// per-event cost is O(1). Line "**" (per SUSPICION) and roundTimeout
+	// (line 11, per completed round) were ~15-30% of large-n CPU as full
+	// scans. atMin is the set of entries holding minLevel: line "**" as
+	// a mask over a SUSPICION's hits.
 	minLevel int64
 	minCount int
 	maxLevel int64
+	atMin    bitset.Set
 
 	// maxRoundSeen is the newest round appearing in any received
 	// message; drives Retention pruning.
@@ -128,9 +138,13 @@ func NewNode(id proc.ID, cfg Config) (*Node, error) {
 		cfg:         cfg,
 		suspLevel:   make([]int64, cfg.N),
 		minCount:    cfg.N,
-		win:         rounds.New(cfg.N, cfg.WindowSlots),
 		prunedBelow: 1,
 	}
+	n.win.Init(cfg.N, cfg.WindowSlots)
+	words := make([]uint64, 2*bitset.WordsFor(cfg.N))
+	n.hits, words = bitset.Carve(cfg.N, words)
+	n.atMin, _ = bitset.Carve(cfg.N, words)
+	n.atMin.Fill()
 	return n, nil
 }
 
@@ -361,27 +375,24 @@ func (n *Node) onSuspicion(from proc.ID, m *wire.Suspicion) {
 	if !row.SuspLive {
 		row.BeginSusp()
 	}
-	if row.Reported.Contains(from) {
+	// Lines 15-16: count the suspects; hits are those now at alpha.
+	if !row.Susp.Add(from, n.cfg.Alpha, m.Suspects, &n.hits) {
 		n.metrics.DupSuspicion++
 		return
 	}
-	row.Reported.Add(from)
-
-	counts := row.Counts
-	m.Suspects.ForEach(func(k int) {
-		counts[k]++ // line 15
-		if int(counts[k]) < n.cfg.Alpha {
-			return // line 16 threshold not reached
+	// Lines "*" and "**" are pure, so "**" filters first, as a mask the
+	// walk re-reads after every increment: a raise that lifts the
+	// minimum changes the outcome for the later hits exactly as testing
+	// each in turn would. Until alpha reporters agree, a SUSPICION has
+	// no hit at all.
+	if pass := n.minTestOK(); !n.hits.Empty() {
+		for k := n.hits.NextAnd(pass, 0); k >= 0; k = n.hits.NextAnd(pass, k+1) {
+			if n.windowTestOK(m.RN, k) { // line "*" (Figures 2/3, §7)
+				n.setSuspLevel(k, n.suspLevel[k]+1) // line 17
+				n.metrics.Increments++
+			}
 		}
-		if !n.windowTestOK(m.RN, k) {
-			return // line "*" (Figures 2/3, §7)
-		}
-		if !n.minTestOK(k) {
-			return // line "**" (Figure 3, §7)
-		}
-		n.setSuspLevel(k, n.suspLevel[k]+1) // line 17
-		n.metrics.Increments++
-	})
+	}
 	n.prune()
 	if n.cfg.Retention != 0 && m.RN < n.prunedBelow {
 		// The row was (re)created behind an already-applied horizon by
@@ -408,21 +419,22 @@ func (n *Node) windowTestOK(rn int64, k int) bool {
 	}
 	for x := low; x < rn; x++ {
 		row := n.win.Get(x)
-		if row == nil || !row.SuspLive || int(row.Counts[k]) < n.cfg.Alpha {
+		if row == nil || !row.SuspLive || !row.Susp.Reached(k) {
 			return false
 		}
 	}
 	return true
 }
 
-// minTestOK evaluates line "**": susp_level[k] must currently be the array
-// minimum. Only Figure 3 and the §7 variant apply it. O(1): the running
-// minimum is maintained by setSuspLevel.
-func (n *Node) minTestOK(k int) bool {
+// minTestOK returns the targets that pass line "**": those whose
+// susp_level is currently the array minimum. Only Figure 3 and the §7
+// variant apply it; the others pass every hit. The set is maintained by
+// setSuspLevel and rescanMin, so reading it costs nothing.
+func (n *Node) minTestOK() *bitset.Set {
 	if n.cfg.Variant != VariantFig3 && n.cfg.Variant != VariantFG {
-		return true
+		return &n.hits
 	}
-	return n.suspLevel[k] <= n.minLevel
+	return &n.atMin
 }
 
 // checkGuard evaluates the line-8 guard and completes as many receiving
@@ -509,6 +521,7 @@ func (n *Node) setSuspLevel(k int, v int64) {
 		n.maxLevel = v
 	}
 	if old == n.minLevel {
+		n.atMin.Remove(k)
 		if n.minCount--; n.minCount == 0 {
 			n.rescanMin()
 		}
@@ -521,24 +534,20 @@ func (n *Node) setSuspLevel(k int, v int64) {
 	}
 }
 
-// rescanMin recomputes minLevel/minCount after the last minimum-holding
-// entry was raised. Runs only when the global minimum increases — at most
-// B+1 times per run — so the scan amortizes to O(1) per event.
+// rescanMin recomputes minLevel/minCount/atMin after the last
+// minimum-holding entry was raised. Runs only when the global minimum
+// increases — at most B+1 times per run — so the scan amortizes to O(1) per
+// event.
 func (n *Node) rescanMin() {
-	min := n.suspLevel[0]
-	for _, v := range n.suspLevel[1:] {
-		if v < min {
-			min = v
+	n.minLevel = slices.Min(n.suspLevel)
+	n.minCount = 0
+	n.atMin.Clear()
+	for k, v := range n.suspLevel {
+		if v == n.minLevel {
+			n.minCount++
+			n.atMin.Add(k)
 		}
 	}
-	count := 0
-	for _, v := range n.suspLevel {
-		if v == min {
-			count++
-		}
-	}
-	n.minLevel = min
-	n.minCount = count
 }
 
 // rescanExtrema recomputes all running extrema from scratch (snapshot

@@ -622,3 +622,20 @@ func TestValidateBoundsN(t *testing.T) {
 		t.Fatalf("N = %d accepted", rounds.MaxN+1)
 	}
 }
+
+// TestNewNodeAllocs: a node is four allocations at any n — itself (with its
+// round window held by value), susp_level, the window's slot array, and one
+// words array behind the hits and atMin sets. Node construction is on the
+// restart path of every churn and failover run.
+func TestNewNodeAllocs(t *testing.T) {
+	for _, n := range []int{5, 251} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := NewNode(0, Config{N: n, T: n / 2}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("NewNode at n=%d: %v allocations, want <= 4", n, allocs)
+		}
+	}
+}

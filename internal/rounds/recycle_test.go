@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // TestEvictSwapPreservesData: an evicted row's live parts must read back
@@ -15,8 +16,7 @@ func TestEvictSwapPreservesData(t *testing.T) {
 	r1.BeginRec(0)
 	r1.Rec.Add(2)
 	r1.BeginSusp()
-	r1.Counts[3] = 7
-	r1.Reported.Add(4)
+	suspect(r1, 5, 2, 4, 3) // target 3 at count 1 of 2, reporter 4
 
 	r5 := w.Claim(5, 1, 1) // evicts round 1 (rec and susp both live)
 	if r5.RecLive || r5.SuspLive {
@@ -31,7 +31,8 @@ func TestEvictSwapPreservesData(t *testing.T) {
 	if o == nil || !o.RecLive || !o.SuspLive {
 		t.Fatal("evicted round lost its live parts")
 	}
-	if !o.Rec.Contains(0) || !o.Rec.Contains(2) || o.Counts[3] != 7 || !o.Reported.Contains(4) {
+	if !o.Rec.Contains(0) || !o.Rec.Contains(2) || o.Susp.Reached(3) ||
+		suspect(o, 5, 2, 4, 3) || !suspect(o, 5, 2, 0, 3) || !o.Susp.Reached(3) {
 		t.Fatal("evicted data corrupted by the storage swap")
 	}
 	if w.Stats().Evictions != 1 {
@@ -64,7 +65,7 @@ func TestOverflowRowsRecycle(t *testing.T) {
 	// Every freed row is fully provisioned (ready to serve without
 	// allocating) and flagged dead.
 	for _, r := range w.free {
-		if r.Rec.Len() != 3 || len(r.Counts) != 3 || r.Reported.Len() != 3 {
+		if r.Rec.Len() != 3 || r.Susp.Len() != 3 {
 			t.Fatal("free-list row missing provisioned parts")
 		}
 		if r.RecLive || r.SuspLive || r.RN != 0 {
@@ -91,7 +92,8 @@ func TestNewFootprint(t *testing.T) {
 }
 
 // TestRefillAllocs: a refill carves its rows from at most three allocations
-// (rows, bitset words, counts), however many rows a block holds.
+// (it takes two: rows, and the words behind every bitset and tally), however
+// many rows a block holds.
 func TestRefillAllocs(t *testing.T) {
 	w := New(251, 0)
 	allocs := testing.AllocsPerRun(50, func() {
@@ -104,21 +106,38 @@ func TestRefillAllocs(t *testing.T) {
 }
 
 // TestCountsHoldEveryReporter: a count is a number of distinct reporters,
-// up to n; at n=300 every process reporting one target must read back 300
-// (a uint8 count would wrap to 44).
+// up to n; at n=300 with alpha=300 the target is reached exactly at the
+// 300th distinct reporter, not before (a uint8 count would wrap at 256 and
+// reach it at reporter 44 of the second lap, or never).
 func TestCountsHoldEveryReporter(t *testing.T) {
 	const n = 300
 	w := New(n, 0)
 	r := w.Claim(1, 1, 1)
 	r.BeginSusp()
 	for p := 0; p < n; p++ {
-		if !r.Reported.Contains(p) {
-			r.Reported.Add(p)
-			r.Counts[7]++
+		if !suspect(r, n, n, p, 7) {
+			t.Fatalf("reporter %d not counted", p)
+		}
+		if got, want := w.Get(1).Susp.Reached(7), p == n-1; got != want {
+			t.Fatalf("after %d reporters: reached = %v, want %v", p+1, got, want)
+		}
+		if suspect(r, n, n, p, 7) {
+			t.Fatalf("reporter %d counted twice", p)
 		}
 	}
-	if got := w.Get(1).Counts[7]; got != n {
-		t.Fatalf("count = %d, want %d", got, n)
+}
+
+// TestRowBytes pins what one row costs: its struct plus the words carved for
+// its bitset and tally. 130 B at n=5 is the row a []uint16 count array gave;
+// the bit-sliced tally must not exceed it there, and must cut the n=251 row
+// (670 B with counts) to at most 460 B.
+func TestRowBytes(t *testing.T) {
+	for _, c := range []struct{ n, max int }{{5, 130}, {251, 460}} {
+		got := int(unsafe.Sizeof(Row{})) + 8*rowWords(c.n)
+		t.Logf("n=%d: %d B per row", c.n, got)
+		if got > c.max {
+			t.Errorf("n=%d: row is %d B, want <= %d", c.n, got, c.max)
+		}
 	}
 }
 

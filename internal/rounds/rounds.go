@@ -1,8 +1,9 @@
 // Package rounds provides the round-indexed bookkeeping store shared by the
 // protocol layers (internal/core, internal/baseline): for each receiving
-// round rn a process tracks who it heard an ALIVE from (rec_from), how many
-// distinct processes reported suspecting each peer (suspicions), and which
-// senders' SUSPICION has already been counted (dedup hardening).
+// round rn a process tracks who it heard an ALIVE from (rec_from), and, for
+// each peer, whether the distinct processes that reported suspecting it have
+// reached the threshold alpha (suspicions, as a bitset.Tally that also holds
+// which senders' SUSPICION was already counted: dedup hardening).
 //
 // The paper's pseudocode indexes these by an unbounded round number, and the
 // seed implementation stored them in three round-keyed maps — one map insert
@@ -43,9 +44,10 @@ import (
 // non-adversarial delay policy, with a comfortable margin.
 const DefaultSlots = 64
 
-// MaxN is the largest universe a Window serves: a suspicion count is a
-// number of distinct reporters, so it fits the uint16 of Row.Counts — the
-// same bound the wire codec puts on every vector.
+// MaxN is the largest universe a Window serves: the bound the wire codec
+// puts on every vector and suspect set (a u16 count). A row's tally needs
+// bits.Len(n)+1 lanes of n bits however large alpha is, so the bound is the
+// codec's, not the store's.
 const MaxN = math.MaxUint16
 
 // Row is the bookkeeping for one receiving round. Every row is provisioned
@@ -57,12 +59,10 @@ type Row struct {
 	// Rec is rec_from[RN]: senders whose round-RN ALIVE was received in
 	// time, always including the process itself. Valid when RecLive.
 	Rec bitset.Set
-	// Counts is suspicions[RN]: per-target distinct-reporter counts.
+	// Susp is suspicions[RN]: which targets alpha distinct senders'
+	// SUSPICION(RN) named, and which senders were already counted.
 	// Valid when SuspLive.
-	Counts []uint16
-	// Reported records which senders' SUSPICION(RN) was already counted.
-	// Valid when SuspLive.
-	Reported bitset.Set
+	Susp bitset.Tally
 
 	RecLive  bool
 	SuspLive bool
@@ -75,10 +75,9 @@ func (r *Row) BeginRec(self int) {
 	r.RecLive = true
 }
 
-// BeginSusp initializes the suspicion parts (zero counts, nobody reported).
+// BeginSusp initializes the suspicion part (zero counts, nobody reported).
 func (r *Row) BeginSusp() {
-	clear(r.Counts)
-	r.Reported.Clear()
+	r.Susp.Reset()
 	r.SuspLive = true
 }
 
@@ -105,7 +104,7 @@ type Window struct {
 	// their ring slot. Nil until first needed: in the common case it is
 	// never allocated at all.
 	overflow map[int64]*Row
-	// free recycles rows — with their bitsets and count arrays — released
+	// free recycles rows — with their bitsets and tallies — released
 	// by Prune/CompleteRec/DropSusp, refilled in blocks when recycling
 	// cannot keep up. Under sustained round skew (large n: sending rounds
 	// outrun receiving rounds without bound, so every claim wraps the
@@ -119,18 +118,19 @@ type Window struct {
 // rowBlock is how many fully-parted rows one freelist refill provisions.
 const rowBlock = 16
 
-// refill provisions rowBlock rows carved from three allocations however
-// many rows: the Row block, one words array behind both bitsets of every
-// row, and one counts array.
+// rowWords is how many words one row's bitset and tally occupy.
+func rowWords(n int) int { return bitset.WordsFor(n) + bitset.TallyWords(n) }
+
+// refill provisions rowBlock rows carved from two allocations however many
+// rows: the Row block, and one words array behind every row's bitset and
+// tally.
 func (w *Window) refill() {
 	block := make([]Row, rowBlock)
-	words := make([]uint64, 2*rowBlock*bitset.WordsFor(w.n))
-	counts := make([]uint16, rowBlock*w.n)
+	words := make([]uint64, rowBlock*rowWords(w.n))
 	for i := range block {
 		r := &block[i]
 		r.Rec, words = bitset.Carve(w.n, words)
-		r.Reported, words = bitset.Carve(w.n, words)
-		r.Counts, counts = counts[:w.n:w.n], counts[w.n:]
+		r.Susp, words = bitset.CarveTally(w.n, words)
 		w.free = append(w.free, r)
 	}
 }
@@ -157,17 +157,25 @@ func (w *Window) putRow(r *Row) {
 // New creates a window over rounds for a system of n processes, 0 < n <=
 // MaxN. slots is rounded up to a power of two; 0 means DefaultSlots.
 func New(n, slots int) *Window {
+	w := new(Window)
+	w.Init(n, slots)
+	return w
+}
+
+// Init makes w a fresh window, as New(n, slots) returns one. Owners that
+// hold their window by value call it instead of New.
+func (w *Window) Init(n, slots int) {
 	if n <= 0 || n > MaxN {
 		panic(fmt.Sprintf("rounds: universe %d outside [1,%d]", n, MaxN))
 	}
 	if slots <= 0 {
 		slots = DefaultSlots
 	}
-	w := 1
-	for w < slots {
-		w <<= 1
+	width := 1
+	for width < slots {
+		width <<= 1
 	}
-	return &Window{n: n, mask: int64(w - 1), slots: make([]*Row, w)}
+	*w = Window{n: n, mask: int64(width - 1), slots: make([]*Row, width)}
 }
 
 // Stats returns a snapshot of the ring counters.

@@ -2,7 +2,16 @@ package rounds
 
 import (
 	"testing"
+
+	"repro/internal/bitset"
 )
+
+// suspect counts reporter from's SUSPICION naming targets in r's tally, over
+// n processes with threshold alpha, and reports whether it was counted (a
+// repeat reporter is not).
+func suspect(r *Row, n, alpha, from int, targets ...int) bool {
+	return r.Susp.Add(from, alpha, bitset.FromMembers(n, targets...), bitset.New(n))
+}
 
 func TestClaimAndGetRoundTrip(t *testing.T) {
 	w := New(4, 8)
@@ -28,8 +37,7 @@ func TestEvictionMovesLiveDataToOverflow(t *testing.T) {
 	w := New(4, 8)
 	r := w.Claim(3, 1, 1)
 	r.BeginSusp()
-	r.Counts[2] = 7
-	r.Reported.Add(1)
+	suspect(r, 4, 2, 1, 2) // target 2 at count 1 of 2, reporter 1
 	r.BeginRec(0)
 
 	// Round 11 collides with 3 (mod 8); rec is dead below 12 but the
@@ -39,8 +47,11 @@ func TestEvictionMovesLiveDataToOverflow(t *testing.T) {
 		t.Fatalf("claimed row = %+v", r2)
 	}
 	old := w.Get(3)
-	if old == nil || !old.SuspLive || old.Counts[2] != 7 || !old.Reported.Contains(1) {
+	if old == nil || !old.SuspLive || old.Susp.Reached(2) {
 		t.Fatalf("evicted suspicion data lost: %+v", old)
+	}
+	if suspect(old, 4, 2, 1, 2) || !suspect(old, 4, 2, 3, 2) || !old.Susp.Reached(2) {
+		t.Fatal("evicted tally lost its reporter or its count")
 	}
 	if old.RecLive {
 		t.Fatal("dead rec row survived eviction")
@@ -71,11 +82,11 @@ func TestOldRoundServedFromOverflow(t *testing.T) {
 	// Round 3 collides but is older: the resident keeps the slot.
 	r := w.Claim(3, 1, 1)
 	r.BeginSusp()
-	r.Counts[1] = 2
+	suspect(r, 4, 1, 0, 1)
 	if got := w.Get(11); got == nil || got.RN != 11 || !got.SuspLive {
 		t.Fatalf("resident displaced by older round: %+v", got)
 	}
-	if got := w.Get(3); got == nil || got.Counts[1] != 2 {
+	if got := w.Get(3); got == nil || !got.Susp.Reached(1) {
 		t.Fatalf("old round lost: %+v", got)
 	}
 	// Claiming 3 again keeps serving the same overflow row.
@@ -177,8 +188,8 @@ func TestDefaultSlotsAndPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestNewBoundsUniverse: a count is a uint16, so New serves universes
-// [1, MaxN] and panics outside them.
+// TestNewBoundsUniverse: New serves the wire codec's universes [1, MaxN]
+// and panics outside them.
 func TestNewBoundsUniverse(t *testing.T) {
 	New(MaxN, 0)
 	for _, n := range []int{0, MaxN + 1} {
