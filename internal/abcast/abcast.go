@@ -131,7 +131,6 @@ type Node struct {
 	decisions   map[int64]int64 // slot -> key
 	pending     []pendingKey    // unsequenced keys with known content, in arrival order
 	ledLastTick bool            // the oracle named this process at its previous tick
-	blocked     int             // propose ticks drain has waited on nextDeliver's content
 	nextDeliver int64           // next slot to deliver
 	nextPropose int64           // next slot this process will propose for
 	log         []Delivery
@@ -226,10 +225,6 @@ func (n *Node) OnMessage(from proc.ID, msg any) {
 	if !ok {
 		panic(fmt.Sprintf("abcast: unexpected message %T", msg))
 	}
-	if m.LocalID < 0 {
-		n.answerPull(from, key(proc.ID(m.Sender), -m.LocalID))
-		return
-	}
 	k := key(proc.ID(m.Sender), m.LocalID)
 	if _, seen := n.contents[k]; seen {
 		return
@@ -256,47 +251,7 @@ func (n *Node) OnTimer(tk proc.TimerKey) {
 	n.ledLastTick = n.cfg.Oracle() == n.env.ID()
 	n.sweepPending()
 	n.rediffuse()
-	n.pull()
 	n.env.SetTimer(timerPropose, n.cfg.ProposePeriod)
-}
-
-// pull asks every member for the content drain is waiting on, once it has
-// waited rediffuseAfter ticks (and again every rediffuseAfter ticks after):
-// the request is a diffusion message whose LocalID is the key's, negated,
-// and every member that holds the content answers (answerPull).
-//
-// Rediffusion needs a live sender. Under churn a sender can crash after its
-// key was decided, with the content held only by members that never reach
-// a restarted incarnation — whose delivery cursor is back at zero — unless
-// it asks. A healthy lane is never blocked that long, so the steady state
-// sends no request.
-func (n *Node) pull() {
-	k, ok := n.decisions[n.nextDeliver]
-	if !ok {
-		n.blocked = 0
-		return
-	}
-	if n.blocked++; n.blocked < rediffuseAfter {
-		return
-	}
-	n.blocked = 0
-	sender, localID := splitKey(k)
-	m := n.pool.Get()
-	m.Sender, m.LocalID, m.Payload = int32(sender), -localID, 0
-	proc.Broadcast(n.env, m)
-}
-
-// answerPull sends the content of key k to the member that pulled it, if
-// this member holds it.
-func (n *Node) answerPull(to proc.ID, k int64) {
-	payload, have := n.contents[k]
-	if !have {
-		return
-	}
-	sender, localID := splitKey(k)
-	m := n.pool.Get()
-	m.Sender, m.LocalID, m.Payload = int32(sender), localID, payload
-	n.env.Send(to, m)
 }
 
 // rediffuse re-floods the contents of this process's own broadcasts that

@@ -230,43 +230,3 @@ func TestIdleTickAfterLongRun(t *testing.T) {
 		t.Fatalf("idle ticks sent %d messages", len(l.bus.queue))
 	}
 }
-
-// TestBlockedMemberPullsContent: a member that learns a slot's decision but
-// never got its content — its diffusion copy was lost, and the sender,
-// having delivered, does not re-flood — pulls the content once it has been
-// blocked for rediffuseAfter ticks, and delivers from the members that hold
-// it.
-func TestBlockedMemberPullsContent(t *testing.T) {
-	l := newLanes(t)
-	l.tickAll()
-	l.ab[2].Broadcast(42)
-	kept := l.bus.queue[:0]
-	for _, m := range l.bus.queue {
-		if mm, ok := m.msg.(*wire.Mux); ok && m.to == 4 {
-			if _, ok := mm.Inner.(*wire.ABCast); ok {
-				mm.Recycle()
-				continue // member 4's diffusion copy is lost
-			}
-		}
-		kept = append(kept, m)
-	}
-	l.bus.queue = kept
-	l.bus.pump()
-	if len(l.ab[4].log) != 0 || len(l.ab[0].log) != 1 {
-		t.Fatalf("logs = %d at member 4, %d at member 0; want 0 and 1", len(l.ab[4].log), len(l.ab[0].log))
-	}
-
-	for range rediffuseAfter - 1 {
-		l.tickAll()
-		if len(l.ab[4].log) != 0 {
-			t.Fatal("content arrived before rediffuseAfter ticks")
-		}
-	}
-	l.tickAll()
-	l.wantLogs(t, 42)
-	for id, ab := range l.ab {
-		if ab.blocked != 0 {
-			t.Fatalf("member %d still counts %d blocked ticks", id, ab.blocked)
-		}
-	}
-}

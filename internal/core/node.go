@@ -283,29 +283,6 @@ func (n *Node) SuspLevelInto(dst []int64) []int64 {
 // Rounds returns the current sending and receiving round numbers.
 func (n *Node) Rounds() (sRN, rRN int64) { return n.sRN, n.rRN }
 
-// Resync moves the receiving round up to the node's own sending round,
-// releasing the skipped rounds' rec_from rows as if they had completed, and
-// re-evaluates the line-8 guard. The skipped rounds send no SUSPICION, as if
-// their ALIVEs were still in flight. It reports whether rRN moved.
-//
-// Nothing in the algorithm calls it. The guard waits for Alpha ALIVEs of
-// round rRN, which crash-stop with at most T crashes always delivers. Under
-// churn a round can be left short for good: one that passed while more than
-// T processes were down (a rejoining incarnation jumps past it), or one a
-// rejoining incarnation jumped to after its peers' ALIVEs for it were sent.
-// A process waiting on such a round sends no SUSPICION again. Resync is the
-// way out for whoever drives the churn.
-func (n *Node) Resync() bool {
-	if n.crashed || n.rRN >= n.sRN {
-		return false
-	}
-	for ; n.rRN < n.sRN; n.rRN++ {
-		n.win.CompleteRec(n.rRN)
-	}
-	n.checkGuard()
-	return true
-}
-
 // CurrentTimeout returns the value the round timer was last armed with.
 func (n *Node) CurrentTimeout() time.Duration { return n.lastTimeout }
 

@@ -639,34 +639,3 @@ func TestNewNodeAllocs(t *testing.T) {
 		}
 	}
 }
-
-// TestResyncSkipsStrandedRounds: a node waiting on a round no peer will
-// send an ALIVE for skips to its sending round, sends no SUSPICION for the
-// skipped rounds, and completes the new round at once when its guard
-// already holds.
-func TestResyncSkipsStrandedRounds(t *testing.T) {
-	n, env := newStartedNode(t, 0, Config{N: 3, T: 1, Variant: VariantFig3})
-	for range 3 {
-		n.OnTimer(TimerAlive) // sRN 1 -> 4
-	}
-	n.OnTimer(TimerRound) // round 1's timer expires; only self heard
-	n.OnMessage(1, &wire.Alive{RN: 4, SuspLevel: make([]int64, 3)})
-	env.take()
-	if s, r := n.Rounds(); s != 4 || r != 1 {
-		t.Fatalf("rounds = (%d,%d), want (4,1)", s, r)
-	}
-
-	if !n.Resync() {
-		t.Fatal("Resync did not move a stranded node")
-	}
-	sus := suspicionsIn(env.take())
-	if len(sus) != 1 || sus[0].RN != 4 || !sus[0].Suspects.Contains(2) || sus[0].Suspects.Count() != 1 {
-		t.Fatalf("suspicions after Resync = %+v, want one SUSPICION(4) of {2}", sus)
-	}
-	if _, r := n.Rounds(); r != 5 {
-		t.Fatalf("rRN = %d after Resync, want 5", r)
-	}
-	if n.Resync() {
-		t.Fatal("Resync moved a node already at its sending round")
-	}
-}

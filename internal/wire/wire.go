@@ -314,9 +314,7 @@ func (*Mux) Kind() Kind { return KindMux }
 func (m *Mux) Size() int { return 1 + 1 + m.Inner.Size() }
 
 // ABCast carries an application payload for total-order broadcast: the
-// sender asks the sequencing layer to order Payload. A negative LocalID
-// makes it a content request instead: the requester asks whoever holds the
-// content of key (Sender, -LocalID) to send it back (Payload unused).
+// sender asks the sequencing layer to order Payload.
 type ABCast struct {
 	Sender  int32
 	LocalID int64 // sender-local unique id, used for deduplication

@@ -877,24 +877,6 @@ func (c *Cluster) Rounds(id int) (sending, receiving int64) {
 	return rd.Rounds()
 }
 
-// resync moves hosted member id's receiving round up to its sending round
-// (core.Node.Resync) and returns the new receiving round, with ok false
-// when nothing moved. Down and remote members and algorithms without the
-// method are left alone.
-func (c *Cluster) resync(id int) (rRN int64, ok bool) {
-	if !c.hosts(id) || c.down(id) {
-		return 0, false
-	}
-	c.lock(id)
-	defer c.unlock(id)
-	cn := c.cores[id]
-	if cn == nil || !cn.Resync() {
-		return 0, false
-	}
-	_, rRN = cn.Rounds()
-	return rRN, true
-}
-
 // Report computes the domain verdict from everything sampled so far: the
 // stabilization analysis over the leader timeline, the Theorem 4 bound
 // tracking, timeout stability, and the final per-process state.

@@ -102,9 +102,6 @@ type Federation struct {
 	pressure     uint64         // pressure deposals applied
 	epochs       uint64         // polls completed (drives the retransmit tick)
 	migrations   uint64         // committed migrations executed
-	handoffAt    []uint64       // per-shard epoch its handoff record was last sent
-	seats        []seatWatch    // per tier seat: receiving-round progress
-	resyncs      uint64         // stranded tier seats resynced
 	now          time.Duration
 	closed       bool
 
@@ -148,23 +145,6 @@ const (
 	laneTickEvery   = 4
 	laneDecideBatch = 64
 )
-
-// handoffRetryEpochs is how many epochs a handoff record may stay
-// uncommitted before the bridge broadcasts it again (poll step 3b): two
-// lane ticks, the age at which the lanes re-send their own records.
-const handoffRetryEpochs = 2 * laneTickEvery
-
-// tierStallRounds is how many ALIVE periods, beyond four of its own round
-// timeouts, a tier seat's receiving round may stand still before the bridge
-// resyncs it (poll step 2b). A round that is merely slow completes well
-// within that.
-const tierStallRounds = 8
-
-// seatWatch is the bridge's view of one tier seat's receiving round.
-type seatWatch struct {
-	round int64         // receiving round at the last poll (0 while down)
-	since time.Duration // when round last changed, or the seat was resynced
-}
 
 // FedOption configures a federation (NewFederation).
 type FedOption interface {
@@ -327,8 +307,6 @@ func NewFederation(opts ...FedOption) (*Federation, error) {
 		shardLeaders: make([]int, cfg.shards),
 		pressBase:    make([]int64, cfg.shards),
 		restartDue:   make([]time.Duration, cfg.shards),
-		handoffAt:    make([]uint64, cfg.shards),
-		seats:        make([]seatWatch, cfg.shards),
 		churnNext:    cfg.churnStart,
 	}
 	for s := range f.shardLeaders {
@@ -704,33 +682,6 @@ func (f *Federation) poll() {
 		}
 	}
 
-	// 2b. Stranded tier seats. A seat's receiving round waits for alpha
-	// ALIVEs, and a round can be left short of them for good: one that
-	// passed while fewer than alpha seats were up (delegate churn,
-	// Tier().Crash and chaos kills are not held to T), or one a revived
-	// seat's fresh incarnation jumped past. A seat stuck there sends no SUSPICION again, and with a
-	// seat down for good the others then lack a reporter: every suspicion
-	// level freezes, a dead leader's included. So while alpha seats are
-	// up, a seat whose receiving round has stood still for
-	// tierStallRounds ALIVE periods plus four of its round timeouts is
-	// resynced to its sending round.
-	up := f.cfg.shards - f.tierDown()
-	stall := tierStallRounds * f.tier.cfg.alivePeriod
-	for s := range f.seats {
-		w := &f.seats[s]
-		if _, r := f.tier.Rounds(s); r != w.round {
-			w.round, w.since = r, f.now
-			continue
-		}
-		if w.round == 0 || up < f.tier.cfg.alpha || f.now-w.since < stall+4*f.tier.CurrentTimeout(s) {
-			continue
-		}
-		if r, ok := f.tier.resync(s); ok {
-			w.round, w.since = r, f.now
-			f.resyncs++
-		}
-	}
-
 	// 3. Shard elections → handoffs. A shard is re-evaluated when its
 	// Observe stream flagged a leader-estimate change, or when its last
 	// known leader has since crashed (a crashed member emits no event of
@@ -749,22 +700,6 @@ func (f *Federation) poll() {
 		f.shardLeaders[s] = l
 		if l != f.tab.Leader(s) {
 			f.handoff(s, l)
-		}
-	}
-
-	// 3b. Handoff retransmit. A handoff record rides the tier lane, which
-	// owes delivery to correct senders only: a seat that crashes before
-	// the lane orders its record can take the record down with it, and
-	// the committed delegate would stay stale for good. A record still
-	// uncommitted after handoffRetryEpochs is broadcast again through a
-	// live seat (the record names its shard, and the payload dedup above
-	// absorbs a late original).
-	for s := range f.shards {
-		if _, inc := f.tab.Committed(s); inc == f.tab.Incarnation(s) || f.epochs-f.handoffAt[s] < handoffRetryEpochs {
-			continue
-		}
-		if seat := f.liveTierSeat(s); seat != None {
-			f.sendHandoff(s, seat)
 		}
 	}
 
@@ -810,20 +745,13 @@ func (f *Federation) poll() {
 // so the tier member itself is left untouched; restarting it would only
 // discard its broadcast lane's sequencing state.
 func (f *Federation) handoff(s, leader int) {
-	f.tab.Handoff(s, leader)
-	f.sendHandoff(s, s)
-	f.pressBase[s] = f.tierSuspMax(s)
-}
-
-// sendHandoff broadcasts shard s's current handoff record on the tier lane
-// from tier member seat.
-func (f *Federation) sendHandoff(s, seat int) {
-	payload, err := hier.EncodeHandoff(s, f.tab.Leader(s), f.tab.Incarnation(s))
+	inc := f.tab.Handoff(s, leader)
+	payload, err := hier.EncodeHandoff(s, leader, inc)
 	if err != nil {
 		return // unreachable: FedShape bounds shard and leader ids
 	}
-	f.tier.Broadcast(seat, payload)
-	f.handoffAt[s] = f.epochs
+	f.tier.Broadcast(s, payload)
+	f.pressBase[s] = f.tierSuspMax(s)
 }
 
 // commitGlobal finalizes one admitted global-lane entry: the decide record
@@ -895,17 +823,6 @@ func (f *Federation) liveTierSeat(s int) int {
 	return None
 }
 
-// tierDown counts the tier seats that are down now.
-func (f *Federation) tierDown() int {
-	n := 0
-	for s := 0; s < f.cfg.shards; s++ {
-		if f.tier.down(s) {
-			n++
-		}
-	}
-	return n
-}
-
 // tierSuspMax returns the largest suspicion level any live delegate holds
 // against shard s's delegate — the tier's collective doubt about the shard.
 func (f *Federation) tierSuspMax(s int) int64 {
@@ -940,7 +857,6 @@ func (f *Federation) Report() *Report {
 		Handoffs:        f.tab.Handoffs(),
 		RejectedFrames:  f.tab.Rejected(),
 		Pressure:        f.pressure,
-		TierResyncs:     f.resyncs,
 		GlobalChanges:   f.trk.Changes(),
 		Samples:         f.trk.Samples(),
 		Violations:      violations(f.mon.Violations()),
@@ -1017,10 +933,6 @@ type FederationReport struct {
 	// Pressure counts shard leaders deposed because tier-2 suspicion of
 	// their delegate crossed the DefaultFedPressure threshold.
 	Pressure uint64
-
-	// TierResyncs counts tier seats the bridge resynced because their
-	// receiving round stood still (poll step 2b of the bridge).
-	TierResyncs uint64
 
 	// Global-lane counters (FedAppLanes; all zero otherwise).
 	// GlobalDecisions counts entries committed to the global total order;

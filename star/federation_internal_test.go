@@ -117,74 +117,3 @@ func TestFederationPressureDeposesShardLeader(t *testing.T) {
 		t.Fatalf("Fig3 tier applied pressure %d times; Lemma 8 should keep the dead seat within one level of the minimum", p3)
 	}
 }
-
-// TestFederationTierResyncsStrandedSeat takes two seats of a three-seat
-// tier down at once — more than its T = 1 — and revives only one. The
-// rounds that passed while a single seat was up can never collect the
-// alpha = 2 ALIVEs their guard needs (the revived seat's fresh incarnation
-// jumps past them), so the surviving seat is stranded and sends no
-// SUSPICION again; the revived seat alone is one reporter short of alpha,
-// and every suspicion level freezes, the dead seat's included. The bridge
-// must resync the stranded seat, so that the tier suspects the dead seat
-// again and agrees on a live leader.
-func TestFederationTierResyncsStrandedSeat(t *testing.T) {
-	f, err := NewFederation(FedShape(3, 3), FedSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	f.tier.crash(0) // for good
-	f.tier.crash(2)
-	if err := f.Run(300 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	f.tier.restart(2)
-	before := f.tier.SuspLevel(1)[0]
-	if err := f.Run(6 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-
-	if lv := f.tier.SuspLevel(1)[0]; lv <= before {
-		t.Fatalf("dead seat's suspicion level stayed at %d: the tier stopped suspecting", lv)
-	}
-	if l, ok := f.tier.Agreement(); !ok || l == 0 {
-		t.Fatalf("tier agreement = (%d, %v), want a live leader", l, ok)
-	}
-	if f.GlobalLeader() == None {
-		t.Fatal("no global leader")
-	}
-	if fr := f.Report().Federation; fr.TierResyncs == 0 {
-		t.Fatal("TierResyncs = 0: the stranded seat recovered without a resync")
-	}
-}
-
-// TestFederationResendsLostHandoff: a handoff record broadcast through a
-// tier seat that is down never rides the lane; the bridge re-sends it
-// through a live seat, and the committed delegate catches up.
-func TestFederationResendsLostHandoff(t *testing.T) {
-	f, err := NewFederation(FedShape(3, 3), FedSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := f.Run(2 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	f.tier.crash(1)
-	f.mu.Lock()
-	f.handoff(1, f.tab.Leader(1)) // from seat 1, which is down: lost
-	inc := f.tab.Incarnation(1)
-	f.mu.Unlock()
-	if err := f.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	f.mu.Lock()
-	_, committed := f.tab.Committed(1)
-	f.mu.Unlock()
-	if committed != inc {
-		t.Fatalf("committed incarnation %d, want the re-sent %d", committed, inc)
-	}
-}
