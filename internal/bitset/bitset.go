@@ -261,6 +261,9 @@ func (s *Set) NextAnd(o *Set, i int) int {
 	return wi*wordBits + bits.TrailingZeros64(w)
 }
 
+// Min returns the smallest member, or -1 when the set is empty.
+func (s *Set) Min() int { return s.NextAnd(s, 0) }
+
 // Words returns a copy of the underlying word representation. The final word
 // has any bits beyond the universe size cleared. Used by the wire codec.
 func (s *Set) Words() []uint64 {

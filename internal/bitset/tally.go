@@ -16,11 +16,10 @@ import (
 // lane is n bits wide, so one Add is a ripple carry over a few words instead
 // of one increment per suspect:
 //
-//   - below 64 processes the lanes are packed n bits apart; up to 12
-//     processes that is one word (n=5's whole tally), counted in place
-//     with shifts;
-//   - from 64 processes up each lane starts on a word boundary, and the
-//     carry works on whole words in place.
+//   - up to 12 processes every lane fits one word, n bits apart (n=5's
+//     whole tally), counted in place with shifts;
+//   - above that each lane starts on a word boundary, and the carry works
+//     on whole words in place.
 //
 // Lane 0 starts at bit 0 in both layouts, so Reached reads one word either
 // way. Like a Set, a Tally is single-owner state.
@@ -28,9 +27,6 @@ type Tally struct {
 	reporters Set
 	lanes     []uint64
 }
-
-// packedLanes is the most lanes a packed (n < 64) tally holds.
-const packedLanes = 1 + 6 // reached + bits.Len(63)
 
 // TallyWords returns how many words a tally over [0, n) occupies: the
 // length of the backing slice CarveTally takes per tally.
@@ -41,11 +37,15 @@ func TallyWords(n int) int {
 // laneWords is the size of the lane area alone.
 func laneWords(n int) int {
 	lanes := 1 + bits.Len(uint(n))
-	if n < wordBits {
+	if oneWord(n) {
 		return WordsFor(lanes * n)
 	}
 	return lanes * WordsFor(n)
 }
+
+// oneWord reports whether all of a tally's lanes over [0, n) fit in one
+// word.
+func oneWord(n int) bool { return (1+bits.Len(uint(n)))*n <= wordBits }
 
 // CarveTally returns an empty tally over [0, n) backed by the first
 // TallyWords(n) words of words, and the words left after it. words must be
@@ -94,33 +94,12 @@ func (t *Tally) Add(from, alpha int, s, hits *Set) bool {
 	}
 	*rw |= rb
 	sw := s.words
-	if n < wordBits {
+	if oneWord(n) {
 		var s0 uint64
 		if len(sw) > 0 {
 			s0 = sw[0] & (1<<uint(n) - 1)
 		}
-		nl := 1 + bits.Len(uint(n))
-		if nl*n <= wordBits {
-			// Every lane is in one word: count in place, lane j at bit
-			// j*n.
-			hits.words[0] = s0 & addShifted(&t.lanes[0], n, nl, alpha, s0)
-			return true
-		}
-		var v [packedLanes]uint64
-		if v[0] = t.load(0, n); s0&^v[0] == 0 {
-			hits.words[0] = s0 & v[0] // every suspect already reached
-			return true
-		}
-		for j := 1; j < nl; j++ {
-			v[j] = t.load(j*n, n)
-		}
-		old := v
-		hits.words[0] = addWord(v[:nl], 0, 1, alpha, s0)
-		for j := range nl {
-			if v[j] != old[j] { // the carry stops after a lane or two
-				t.store(j*n, n, v[j])
-			}
-		}
+		hits.words[0] = s0 & addShifted(&t.lanes[0], n, 1+bits.Len(uint(n)), alpha, s0)
 		return true
 	}
 	stride := len(hits.words)
@@ -187,24 +166,4 @@ func addShifted(w *uint64, n, nl, alpha int, s uint64) uint64 {
 	x |= eq
 	*w = x
 	return x
-}
-
-// load reads the n-bit packed lane starting at bit off.
-func (t *Tally) load(off, n int) uint64 {
-	w, b := off/wordBits, uint(off%wordBits)
-	x := t.lanes[w] >> b
-	if b+uint(n) > wordBits {
-		x |= t.lanes[w+1] << (wordBits - b)
-	}
-	return x & (1<<uint(n) - 1)
-}
-
-// store writes x as the n-bit packed lane starting at bit off.
-func (t *Tally) store(off, n int, x uint64) {
-	w, b := off/wordBits, uint(off%wordBits)
-	m := uint64(1)<<uint(n) - 1
-	t.lanes[w] = t.lanes[w]&^(m<<b) | x<<b
-	if b+uint(n) > wordBits {
-		t.lanes[w+1] = t.lanes[w+1]&^(m>>(wordBits-b)) | x>>(wordBits-b)
-	}
 }

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// tallySizes are the universes the differential tests cover: the packed
-// layout's edges (1, 63), the aligned layout's (64, 65), the n=5 and n=251
-// the benchmark runs, and the last one-word tally (12: 5 lanes of 12 bits)
-// next to the first two-word one (13). FuzzTally's corpus indexes this
+// tallySizes are the universes the differential tests cover: the one-word
+// layout's edges (1, and 12: 5 lanes of 12 bits), the word-aligned
+// layout's first size (13) and its one- and two-word lanes (63, 64, 65),
+// and the n=5 and n=251 the benchmark runs. FuzzTally's corpus indexes this
 // list, so new sizes go at the end.
 var tallySizes = []int{1, 5, 63, 64, 65, 251, 12, 13}
 
@@ -229,6 +229,16 @@ func TestNextAnd(t *testing.T) {
 		}
 		if k := s.NextAnd(o, n); k != -1 {
 			t.Fatalf("n=%d: NextAnd past the universe = %d", n, k)
+		}
+		wantMin := -1
+		if m := s.Members(); len(m) > 0 {
+			wantMin = m[0]
+		}
+		if got := s.Min(); got != wantMin {
+			t.Fatalf("n=%d: Min %d, want %d", n, got, wantMin)
+		}
+		if got := New(n).Min(); got != -1 {
+			t.Fatalf("n=%d: empty Min = %d", n, got)
 		}
 	}
 }

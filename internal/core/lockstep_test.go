@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/proc"
 	"repro/internal/wire"
 )
 
@@ -136,11 +137,16 @@ func (ls *lockStep) check(msg string) {
 	if !slices.Equal(ls.calls, ls.ref.calls) {
 		ls.t.Fatalf("after %s: OnIncrement calls %v, paper's order gives %v", msg, ls.calls, ls.ref.calls)
 	}
+	// leader() (lines 19-21): the lowest id holding the minimum level.
+	want := proc.ID(slices.Index(ls.ref.level, slices.Min(ls.ref.level)))
+	if got := ls.node.Leader(); got != want {
+		ls.t.Fatalf("after %s: leader %d, paper's order gives %d", msg, got, want)
+	}
 }
 
 // TestLockStepWithPaperOrder feeds Node and the naive handler identical
 // random SUSPICION streams, with an occasional ALIVE merge, for every
-// variant at n=5 (the packed tally) and n=70 (the aligned one). Rounds span
+// variant at n=5 (the one-word tally) and n=70 (the aligned one). Rounds span
 // more than the 8-slot ring, so evicted and overflow rows are read too.
 func TestLockStepWithPaperOrder(t *testing.T) {
 	variants := []Variant{VariantFig1, VariantFig2, VariantFig3, VariantFG}

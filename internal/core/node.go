@@ -88,16 +88,15 @@ type Node struct {
 
 	// Running extrema of suspLevel, maintained incrementally so the hot
 	// paths never rescan the array: levels never decrease within an
-	// incarnation, so maxLevel is exact forever, and minLevel/minCount
-	// (the current minimum and how many entries hold it) only need an
-	// O(n) rescan when the global minimum itself increases — which
+	// incarnation, so maxLevel is exact forever, and minLevel and atMin
+	// (the current minimum and the set of entries holding it) only need
+	// an O(n) rescan when the global minimum itself increases — which
 	// happens at most B+1 times per run (Theorem 4), so the amortized
 	// per-event cost is O(1). Line "**" (per SUSPICION) and roundTimeout
 	// (line 11, per completed round) were ~15-30% of large-n CPU as full
-	// scans. atMin is the set of entries holding minLevel: line "**" as
-	// a mask over a SUSPICION's hits.
+	// scans. atMin is line "**" as a mask over a SUSPICION's hits, and its
+	// lowest member is leader().
 	minLevel int64
-	minCount int
 	maxLevel int64
 	atMin    bitset.Set
 
@@ -137,7 +136,6 @@ func NewNode(id proc.ID, cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:         cfg,
 		suspLevel:   make([]int64, cfg.N),
-		minCount:    cfg.N,
 		prunedBelow: 1,
 	}
 	n.win.Init(cfg.N, cfg.WindowSlots)
@@ -252,14 +250,7 @@ func (n *Node) OnCrash() { n.crashed = true }
 // Leader implements the paper's leader() primitive (lines 19-21): the
 // process with the lexicographically smallest (susp_level, id) pair —
 // i.e. the lowest id currently holding the minimum level.
-func (n *Node) Leader() proc.ID {
-	for j := 0; j < n.cfg.N; j++ {
-		if n.suspLevel[j] == n.minLevel {
-			return proc.ID(j)
-		}
-	}
-	return 0 // unreachable: minLevel is always held by someone
-}
+func (n *Node) Leader() proc.ID { return proc.ID(n.atMin.Min()) }
 
 // SuspLevel returns a copy of the susp_level array (for checkers).
 func (n *Node) SuspLevel() []int64 {
@@ -522,7 +513,7 @@ func (n *Node) setSuspLevel(k int, v int64) {
 	}
 	if old == n.minLevel {
 		n.atMin.Remove(k)
-		if n.minCount--; n.minCount == 0 {
+		if n.atMin.Empty() {
 			n.rescanMin()
 		}
 	}
@@ -534,17 +525,15 @@ func (n *Node) setSuspLevel(k int, v int64) {
 	}
 }
 
-// rescanMin recomputes minLevel/minCount/atMin after the last
+// rescanMin recomputes minLevel and atMin after the last
 // minimum-holding entry was raised. Runs only when the global minimum
 // increases — at most B+1 times per run — so the scan amortizes to O(1) per
 // event.
 func (n *Node) rescanMin() {
 	n.minLevel = slices.Min(n.suspLevel)
-	n.minCount = 0
 	n.atMin.Clear()
 	for k, v := range n.suspLevel {
 		if v == n.minLevel {
-			n.minCount++
 			n.atMin.Add(k)
 		}
 	}
