@@ -38,9 +38,9 @@ func benchRun(b *testing.B, cfg harness.Config) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		events += res.Events
-		msgs += res.NetStats.Sent
-		elapsed += res.Elapsed
+		events += res.Metrics.Events
+		msgs += res.Net.Sent
+		elapsed += res.Metrics.Elapsed
 		if res.Report.Stabilized {
 			stab += res.StabilizationTime()
 		}
@@ -57,7 +57,7 @@ func benchRun(b *testing.B, cfg harness.Config) {
 // BenchmarkF1Election measures election under the A' families for each core
 // variant (experiment F1-ELECT).
 func BenchmarkF1Election(b *testing.B) {
-	for _, algo := range []harness.Algorithm{harness.AlgoFig1, harness.AlgoFig2, harness.AlgoFig3} {
+	for _, algo := range []star.Algo{star.Fig1, star.Fig2, star.Fig3} {
 		b.Run(string(algo), func(b *testing.B) {
 			benchRun(b, harness.Config{
 				N: 5, T: 2,
@@ -72,7 +72,7 @@ func BenchmarkF1Election(b *testing.B) {
 // BenchmarkF2Intermittent measures the intermittent-star runs that separate
 // Figure 1 from Figures 2/3 (experiment F2-INTERMIT).
 func BenchmarkF2Intermittent(b *testing.B) {
-	for _, algo := range []harness.Algorithm{harness.AlgoFig1, harness.AlgoFig2, harness.AlgoFig3} {
+	for _, algo := range []star.Algo{star.Fig1, star.Fig2, star.Fig3} {
 		b.Run(string(algo), func(b *testing.B) {
 			benchRun(b, harness.Config{
 				N: 5, T: 2,
@@ -92,9 +92,9 @@ func BenchmarkF3Bounded(b *testing.B) {
 		Scenario: star.Intermittent(
 			star.Gap(3), star.Center(1),
 			star.CrashAt(3, time.Second)),
-		Algo:        harness.AlgoFig3,
-		Duration:    10 * time.Second,
-		CheckSpread: true,
+		Algo:     star.Fig3,
+		Duration: 10 * time.Second,
+		Options:  []star.Option{star.CheckSpread()},
 	})
 }
 
@@ -108,7 +108,7 @@ func BenchmarkF4FG(b *testing.B) {
 			star.Growth(
 				func(k int64) int64 { return k / 2 },
 				func(rn int64) time.Duration { return time.Duration(rn) * 20 * time.Microsecond })),
-		Algo:     harness.AlgoFG,
+		Algo:     star.FG,
 		Duration: 10 * time.Second,
 	})
 }
@@ -146,11 +146,11 @@ func BenchmarkC1GridCell(b *testing.B) {
 	spec := harness.GridSpec{N: 5, T: 2, Duration: 10 * time.Second}
 	cells := []struct {
 		fam  string
-		algo harness.Algorithm
+		algo star.Algo
 	}{
-		{"alltimely", harness.AlgoStable},
-		{"pattern", harness.AlgoTimeFree},
-		{"intermittent", harness.AlgoFig3},
+		{"alltimely", star.Stable},
+		{"pattern", star.TimeFree},
+		{"intermittent", star.Fig3},
 	}
 	for _, c := range cells {
 		b.Run(c.fam+"/"+string(c.algo), func(b *testing.B) {
@@ -168,7 +168,7 @@ func BenchmarkQ1GapSweep(b *testing.B) {
 			benchRun(b, harness.Config{
 				N: 5, T: 2,
 				Scenario: star.Intermittent(star.Gap(d)),
-				Algo:     harness.AlgoFig3,
+				Algo:     star.Fig3,
 				Duration: 10 * time.Second,
 			})
 		})
@@ -198,7 +198,7 @@ func BenchmarkQ2Scale(b *testing.B) {
 			benchRun(b, harness.Config{
 				N: p.n, T: (p.n - 1) / 2,
 				Scenario: star.Combined(),
-				Algo:     harness.AlgoFig3,
+				Algo:     star.Fig3,
 				Duration: p.dur,
 			})
 		})
@@ -231,13 +231,13 @@ func BenchmarkFEDScale(b *testing.B) {
 				res, err := harness.Run(harness.Config{
 					N: p.flatN, T: (p.flatN - 1) / 2, Seed: seed,
 					Scenario: star.Combined(),
-					Algo:     harness.AlgoFig3,
+					Algo:     star.Fig3,
 					Duration: horizon,
 				})
 				if err != nil {
 					return false, 0, 0, err
 				}
-				return res.Report.Stabilized, res.StabilizationTime(), res.Events, nil
+				return res.Report.Stabilized, res.StabilizationTime(), res.Metrics.Events, nil
 			}, 100*time.Millisecond)
 		})
 		b.Run(fmt.Sprintf("sharded/%dx%d", p.shards, p.size), func(b *testing.B) {
@@ -351,8 +351,8 @@ func BenchmarkCHChurn(b *testing.B) {
 		if !res.Report.Stabilized {
 			b.Fatalf("seed %d: churn run did not stabilize", i+1)
 		}
-		events += res.Events
-		elapsed += res.Elapsed
+		events += res.Metrics.Events
+		elapsed += res.Metrics.Elapsed
 		stab += res.StabilizationTime()
 	}
 	n := float64(b.N)
@@ -371,7 +371,7 @@ func BenchmarkQ3DeltaSweep(b *testing.B) {
 			benchRun(b, harness.Config{
 				N: 5, T: 2,
 				Scenario: star.TSource(star.Delta(delta)),
-				Algo:     harness.AlgoFig3,
+				Algo:     star.Fig3,
 				Duration: 10 * time.Second,
 			})
 		})
@@ -384,7 +384,7 @@ func BenchmarkA1Ablation(b *testing.B) {
 	spec := star.Intermittent(
 		star.Gap(3), star.Center(1),
 		star.CrashAt(3, time.Second))
-	for _, algo := range []harness.Algorithm{harness.AlgoFig1, harness.AlgoFig2, harness.AlgoFig3} {
+	for _, algo := range []star.Algo{star.Fig1, star.Fig2, star.Fig3} {
 		b.Run(string(algo), func(b *testing.B) {
 			benchRun(b, harness.Config{
 				N: 5, T: 2,

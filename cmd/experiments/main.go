@@ -234,7 +234,7 @@ func verdict(ok bool) string {
 
 func (s *suite) runF1() error {
 	families := []string{"tsource", "movingsource", "pattern", "movingpattern", "combined"}
-	algos := []harness.Algorithm{harness.AlgoFig1, harness.AlgoFig2, harness.AlgoFig3}
+	algos := []star.Algo{star.Fig1, star.Fig2, star.Fig3}
 	var cfgs []harness.Config
 	for _, fam := range families {
 		for _, algo := range algos {
@@ -254,7 +254,7 @@ func (s *suite) runF1() error {
 	for i, res := range results {
 		tb.AddRow(cfgs[i].Scenario.Family(), cfgs[i].Algo, verdict(res.Report.Stabilized), res.StabilizationTime(),
 			res.Report.Leader, res.Report.Changes, res.MaxSuspLevel, res.BoundB,
-			res.NetStats.Sent, res.Events)
+			res.Net.Sent, res.Metrics.Events)
 	}
 	if err := s.print(tb); err != nil {
 		return err
@@ -266,7 +266,7 @@ func (s *suite) runF2() error {
 	var cfgs []harness.Config
 	var gaps []int64 // D per config, for the table (specs don't echo knobs)
 	for _, d := range []int64{2, 4, 8, 16} {
-		for _, algo := range []harness.Algorithm{harness.AlgoFig1, harness.AlgoFig2, harness.AlgoFig3} {
+		for _, algo := range []star.Algo{star.Fig1, star.Fig2, star.Fig3} {
 			cfgs = append(cfgs, harness.Config{
 				N: 5, T: 2, Seed: s.seed,
 				Scenario: star.Intermittent(star.Gap(d)),
@@ -301,14 +301,17 @@ func (s *suite) runF3() error {
 		star.CrashAt(3, 3*time.Second),
 	)
 	var cfgs []harness.Config
-	for _, algo := range []harness.Algorithm{harness.AlgoFig2, harness.AlgoFig3} {
-		cfgs = append(cfgs, harness.Config{
+	for _, algo := range []star.Algo{star.Fig2, star.Fig3} {
+		cfg := harness.Config{
 			N: 5, T: 2, Seed: s.seed,
-			Scenario:    spec,
-			Algo:        algo,
-			Duration:    s.dur(120 * time.Second),
-			CheckSpread: algo == harness.AlgoFig3,
-		})
+			Scenario: spec,
+			Algo:     algo,
+			Duration: s.dur(120 * time.Second),
+		}
+		if algo == star.Fig3 {
+			cfg.Options = []star.Option{star.CheckSpread()}
+		}
+		cfgs = append(cfgs, cfg)
 	}
 	results, err := s.runAll(cfgs)
 	if err != nil {
@@ -318,11 +321,11 @@ func (s *suite) runF3() error {
 	for i, res := range results {
 		algo := cfgs[i].Algo
 		spread := "n/a"
-		if algo == harness.AlgoFig3 {
+		if algo == star.Fig3 {
 			spread = fmt.Sprintf("%d", res.SpreadViolations)
 		}
 		bound := "n/a"
-		if algo == harness.AlgoFig3 {
+		if algo == star.Fig3 {
 			bound = verdict(res.BoundOK)
 		}
 		var maxTO time.Duration
@@ -352,7 +355,7 @@ func (s *suite) runF4() error {
 			func(rn int64) time.Duration { return time.Duration(rn) * 20 * time.Microsecond }),
 	)
 	var cfgs []harness.Config
-	for _, algo := range []harness.Algorithm{harness.AlgoFig3, harness.AlgoFG} {
+	for _, algo := range []star.Algo{star.Fig3, star.FG} {
 		cfgs = append(cfgs, harness.Config{
 			N: 5, T: 2, Seed: s.seed,
 			Scenario: spec,
@@ -433,14 +436,14 @@ func (s *suite) runC1() error {
 	spec := harness.GridSpec{N: 5, T: 2, Seed: s.seed, Duration: s.dur(120 * time.Second), Workers: s.workers}
 	cells := harness.RunGrid(spec)
 	// Pivot: one row per family, one column per algorithm.
-	byFam := map[string]map[harness.Algorithm]harness.GridCell{}
+	byFam := map[string]map[star.Algo]harness.GridCell{}
 	for _, c := range cells {
 		if byFam[c.Family] == nil {
-			byFam[c.Family] = map[harness.Algorithm]harness.GridCell{}
+			byFam[c.Family] = map[star.Algo]harness.GridCell{}
 		}
 		byFam[c.Family][c.Algo] = c
 	}
-	algos := harness.Algorithms()
+	algos := star.Algorithms()
 	header := []string{"family"}
 	for _, a := range algos {
 		header = append(header, string(a))
@@ -480,7 +483,7 @@ func (s *suite) runQ1() error {
 		cfgs = append(cfgs, harness.Config{
 			N: 5, T: 2, Seed: s.seed,
 			Scenario: star.Intermittent(star.Gap(d)),
-			Algo:     harness.AlgoFig3,
+			Algo:     star.Fig3,
 			Duration: s.dur(120 * time.Second),
 		})
 	}
@@ -513,7 +516,7 @@ func (s *suite) runQ2() error {
 		cfgs = append(cfgs, harness.Config{
 			N: n, T: (n - 1) / 2, Seed: s.seed,
 			Scenario: star.Combined(),
-			Algo:     harness.AlgoFig3,
+			Algo:     star.Fig3,
 			Duration: s.dur(20 * time.Second),
 		})
 	}
@@ -526,10 +529,10 @@ func (s *suite) runQ2() error {
 		n := cfgs[i].N
 		perRound := "n/a"
 		if res.RoundsDone > 0 {
-			perRound = fmt.Sprintf("%.1f", float64(res.NetStats.Sent)/float64(res.RoundsDone)/float64(n))
+			perRound = fmt.Sprintf("%.1f", float64(res.Net.Sent)/float64(res.RoundsDone)/float64(n))
 		}
-		tb.AddRow(n, cfgs[i].T, res.StabilizationTime(), res.NetStats.Sent, perRound,
-			res.NetStats.Bytes, res.Events)
+		tb.AddRow(n, cfgs[i].T, res.StabilizationTime(), res.Net.Sent, perRound,
+			res.Net.Bytes, res.Metrics.Events)
 	}
 	if err := s.print(tb); err != nil {
 		return err
@@ -547,17 +550,18 @@ func (s *suite) runQ3() error {
 	// ~B x unit. Level counts are the only "clock" the algorithm keeps;
 	// scaling the unit rescales time without changing the
 	// bounded-variable structure.
-	var cfgs []harness.Config
-	for _, unit := range []time.Duration{
+	units := []time.Duration{
 		200 * time.Microsecond, time.Millisecond,
 		5 * time.Millisecond, 20 * time.Millisecond,
-	} {
+	}
+	var cfgs []harness.Config
+	for _, unit := range units {
 		cfgs = append(cfgs, harness.Config{
 			N: 5, T: 2, Seed: s.seed,
-			Scenario:    star.Intermittent(star.Gap(3)),
-			Algo:        harness.AlgoFig3,
-			TimeoutUnit: unit,
-			Duration:    s.dur(60 * time.Second),
+			Scenario: star.Intermittent(star.Gap(3)),
+			Algo:     star.Fig3,
+			Duration: s.dur(60 * time.Second),
+			Options:  []star.Option{star.TimeoutUnit(unit)},
 		})
 	}
 	results, err := s.runAll(cfgs)
@@ -572,7 +576,7 @@ func (s *suite) runQ3() error {
 				maxTO = to
 			}
 		}
-		tb.AddRow(cfgs[i].TimeoutUnit.String(), res.BoundB, res.MaxSuspLevel, maxTO, res.StabilizationTime())
+		tb.AddRow(units[i].String(), res.BoundB, res.MaxSuspLevel, maxTO, res.StabilizationTime())
 	}
 	if err := s.print(tb); err != nil {
 		return err
@@ -595,18 +599,19 @@ func (s *suite) runA1() error {
 	}{
 		{"fig1 (no *, no **)", "window test removed: diverges under intermittence",
 			harness.Config{N: 5, T: 2, Seed: s.seed, Scenario: spec,
-				Algo: harness.AlgoFig1, Duration: s.dur(120 * time.Second)}},
+				Algo: star.Fig1, Duration: s.dur(120 * time.Second)}},
 		{"fig2 (*, no **)", "min test removed: unbounded levels after a crash",
 			harness.Config{N: 5, T: 2, Seed: s.seed, Scenario: spec,
-				Algo: harness.AlgoFig2, Duration: s.dur(120 * time.Second)}},
+				Algo: star.Fig2, Duration: s.dur(120 * time.Second)}},
 		{"fig3 (* and **)", "full algorithm: bounded and stable",
 			harness.Config{N: 5, T: 2, Seed: s.seed, Scenario: spec,
-				Algo: harness.AlgoFig3, Duration: s.dur(120 * time.Second)}},
+				Algo: star.Fig3, Duration: s.dur(120 * time.Second)}},
 		// Ablation 4 uses a stricter reception threshold alpha
 		// (footnote 5): n - actual crashes, a valid lower bound here.
 		{"fig3, alpha=4 (=n-f)", "footnote 5: any lower bound on #correct works",
-			harness.Config{N: 5, T: 2, Seed: s.seed, Alpha: 4, Scenario: spec,
-				Algo: harness.AlgoFig3, Duration: s.dur(120 * time.Second)}},
+			harness.Config{N: 5, T: 2, Seed: s.seed, Scenario: spec,
+				Algo: star.Fig3, Duration: s.dur(120 * time.Second),
+				Options: []star.Option{star.Alpha(4)}}},
 	}
 	cfgs := make([]harness.Config, len(rows))
 	for i := range rows {
@@ -638,13 +643,13 @@ func (s *suite) runA1() error {
 // machinery. Both modes are deterministic seed for seed (the recovery
 // journal is in-memory and virtual-time driven).
 func (s *suite) runCH() error {
-	algos := []harness.Algorithm{harness.AlgoFig1, harness.AlgoFig2, harness.AlgoFig3}
+	algos := []star.Algo{star.Fig1, star.Fig2, star.Fig3}
 	modes := []struct {
 		name     string
 		recovery bool
 	}{{"jump", false}, {"recover", true}}
 	type row struct {
-		algo harness.Algorithm
+		algo star.Algo
 		mode string
 	}
 	var rows []row
@@ -666,13 +671,13 @@ func (s *suite) runCH() error {
 	tb := newTable("algorithm", "rejoin", "stabilized", "leader", "maxLevel", "late ALIVEs", "overflow hits", "restores", "fallbacks", "rounds", "events")
 	for i, res := range results {
 		var late, over uint64
-		for _, m := range res.CoreMetrics {
+		for _, m := range res.Metrics.Nodes {
 			late += m.LateAlive
 			over += m.WindowOverflow
 		}
 		tb.AddRow(rows[i].algo, rows[i].mode, verdict(res.Report.Stabilized), res.Report.Leader,
 			res.MaxSuspLevel, late, over, res.Recovery.Restores, res.Recovery.Fallbacks,
-			res.RoundsDone, res.Events)
+			res.RoundsDone, res.Metrics.Events)
 	}
 	if err := s.print(tb); err != nil {
 		return err
@@ -768,14 +773,14 @@ func (s *suite) runFED() error {
 		// it legitimately executes >200M events in its single virtual
 		// second, which is exactly the default runaway budget. Raise the
 		// ceiling so the row can finish; a true runaway still aborts.
-		flat.MaxEvents = 1_000_000_000
+		flat.Options = append(flat.Options, star.MaxEvents(1_000_000_000))
 		res, err := harness.Run(flat)
 		if err != nil {
 			return err
 		}
 		tb.AddRow("flat control", "1x"+fmt.Sprint(n), n, verdict(res.Report.Stabilized),
 			res.StabilizationTime(), "n/a", "n/a", "n/a", "n/a", "n/a", "n/a",
-			res.Events, res.Elapsed.Round(time.Millisecond))
+			res.Metrics.Events, res.Metrics.Elapsed.Round(time.Millisecond))
 	}
 	if err := s.print(tb); err != nil {
 		return err

@@ -72,6 +72,7 @@ import (
 	"time"
 
 	"repro/star"
+	"repro/star/harness"
 )
 
 // topology is the shared cluster description every member process loads.
@@ -462,7 +463,7 @@ func runFedMode(shape string, seed uint64, journalDir string, traffic int, deadl
 	if traffic > 0 {
 		seq := f.GlobalSequence()
 		out.Lanes = &laneVerdict{Submitted: submitted, GSeq: len(seq),
-			LogHash: fmt.Sprintf("%016x", hashGlobal(seq)), LogAgree: fedLogsAgree(f, seq)}
+			LogHash: fmt.Sprintf("%016x", harness.GlobalHash(seq)), LogAgree: harness.GlobalAgree(f, seq)}
 	}
 	fmt.Println(verdictLine("FEDREPORT", out))
 	if l := out.Lanes; l != nil && l.GSeq != l.Submitted {
@@ -479,48 +480,6 @@ func runFedMode(shape string, seed uint64, journalDir string, traffic int, deadl
 		return fmt.Errorf("%d federation invariant violations", fr.TotalViolations)
 	}
 	return nil
-}
-
-// fedLogsAgree checks the lane agreement contract: every member's delivered
-// log is a prefix of the committed sequence, and a never-crashed member's
-// log is the whole of it.
-func fedLogsAgree(f *star.Federation, seq []star.GlobalDelivery) bool {
-	for s := 0; s < f.Shards(); s++ {
-		for p := 0; p < f.ShardSize(); p++ {
-			log := f.GlobalLog(s, p)
-			if len(log) > len(seq) {
-				return false
-			}
-			if !f.Shard(s).EverCrashed(p) && len(log) != len(seq) {
-				return false
-			}
-			for i, e := range log {
-				if e != seq[i] {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
-// hashGlobal is an FNV-1a fingerprint of the committed global sequence.
-func hashGlobal(seq []star.GlobalDelivery) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xFF
-			h *= prime
-		}
-	}
-	for _, e := range seq {
-		mix(e.GSeq)
-		mix(uint64(e.Shard)<<32 | uint64(uint8(e.Kind))<<16 | uint64(uint16(e.Origin)))
-		mix(uint64(e.Payload))
-		mix(uint64(e.To))
-	}
-	return h
 }
 
 // parseShape parses an SxM federation shape like "2x3".

@@ -1,7 +1,10 @@
 // Command starsim runs one leader-election scenario on the deterministic
 // simulator and prints a report. It is the interactive entry point for
 // exploring the system; the full experiment suite lives in cmd/experiments.
-// It is built entirely on the public star API (repro/star).
+// It is built entirely on the public API: a single run drives a star.Cluster
+// directly, and -fed runs a federation through harness.RunFed, the same
+// driver (and, with -traffic, the same broadcast schedule) as experiment
+// FED.
 //
 // Examples:
 //
@@ -21,6 +24,7 @@ import (
 	"time"
 
 	"repro/star"
+	"repro/star/harness"
 )
 
 // crash is one -crash id@time flag entry.
@@ -162,9 +166,11 @@ func main() {
 	}
 }
 
-// runFed simulates a whole federation (star.Federation): S shards of M
-// processes each electing locally, shard leaders delegated into a tier-2
-// cluster whose election names the global leader-of-leaders. Deterministic:
+// runFed simulates a whole federation (star.Federation) through
+// harness.RunFed: S shards of M processes each electing locally, shard
+// leaders delegated into a tier-2 cluster whose election names the global
+// leader-of-leaders. With -traffic the run follows the harness's traffic
+// schedule, so a starsim run cross-checks an experiment row. Deterministic:
 // the same shape, algorithm and seed reproduce the report byte for byte.
 func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Duration, traffic int) error {
 	sPart, mPart, ok := strings.Cut(shape, "x")
@@ -179,34 +185,19 @@ func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Durati
 	if err != nil {
 		return fmt.Errorf("bad shard size %q: %w", mPart, err)
 	}
-	opts := []star.FedOption{
-		star.FedShape(shards, size), star.FedSeed(seed),
-		star.FedShardOptions(func(int) []star.Option {
-			return []star.Option{star.Algorithm(algorithm)}
-		}),
-		star.FedTierOptions(star.Algorithm(algorithm)),
-	}
-	if traffic > 0 {
-		opts = append(opts, star.FedAppLanes())
-	}
-	f, err := star.NewFederation(opts...)
+	res, err := harness.RunFed(harness.FedSpec{
+		Shards: shards, ShardSize: size, Seed: seed, Algo: algorithm,
+		Duration: duration, Traffic: traffic,
+	})
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-
-	wall := time.Now()
-	if err := runFedTraffic(f, duration, traffic, shards, size); err != nil {
-		return err
-	}
-	elapsed := time.Since(wall)
-	rep := f.Report()
-	fr := rep.Federation
+	fr := res.Federation
 
 	fmt.Printf("federation %d shards x %d processes = %d total, tier of %d delegates\n",
 		fr.Shards, fr.ShardSize, fr.Shards*fr.ShardSize, fr.Shards)
 	fmt.Printf("system     seed=%d algorithm=%s for %v of virtual time (%v wall)\n",
-		seed, algorithm, duration, elapsed.Round(time.Millisecond))
+		seed, algorithm, duration, res.Elapsed.Round(time.Millisecond))
 	fmt.Println()
 	if fr.TierStabilized {
 		fmt.Printf("GLOBAL     process %d (shard %d) at %v (stable through the end)\n",
@@ -223,63 +214,12 @@ func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Durati
 		fmt.Printf("           at=%v rule=%s detail=%q\n", v.At, v.Rule, v.Detail)
 	}
 	if traffic > 0 {
-		seq := f.GlobalSequence()
 		fmt.Printf("global     %d lane entries committed (%d decisions, %d redeliveries, %d stale submits, %d dup frames), log hash %016x\n",
-			len(seq), fr.GlobalDecisions, fr.Redeliveries, fr.StaleSubmits, fr.DupLaneFrames, hashGlobal(seq))
+			res.GlobalSeq, fr.GlobalDecisions, fr.Redeliveries, fr.StaleSubmits, fr.DupLaneFrames, res.GlobalHash)
 		fmt.Printf("migrations %d executed\n", fr.Migrations)
 	}
-	events := f.Tier().Metrics().Events
-	for i := 0; i < f.Shards(); i++ {
-		events += f.Shard(i).Metrics().Events
-	}
-	fmt.Printf("events     %d simulator events across %d clusters\n", events, f.Shards()+1)
+	fmt.Printf("events     %d simulator events across %d clusters\n", res.Events, fr.Shards+1)
 	return nil
-}
-
-// runFedTraffic advances the federation, with -traffic > 0 splitting the
-// horizon into a stabilization quarter, the broadcast waves over the middle
-// half, and a settling tail (the same deterministic schedule the harness
-// uses, so a starsim run cross-checks a harness row).
-func runFedTraffic(f *star.Federation, duration time.Duration, traffic, shards, size int) error {
-	if traffic <= 0 {
-		return f.Run(duration)
-	}
-	warm := duration / 4
-	if err := f.Run(warm); err != nil {
-		return err
-	}
-	slice := duration / 2 / time.Duration(traffic)
-	for w := 0; w < traffic; w++ {
-		for s := 0; s < shards; s++ {
-			if err := f.Broadcast(s, w%size, int64(s)*1_000_000+int64(w)); err != nil {
-				return err
-			}
-		}
-		if err := f.Run(slice); err != nil {
-			return err
-		}
-	}
-	return f.Run(duration - warm - time.Duration(traffic)*slice)
-}
-
-// hashGlobal is an FNV-1a fingerprint of the committed global sequence:
-// equal hashes across runs mean byte-identical global delivery logs.
-func hashGlobal(seq []star.GlobalDelivery) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xFF
-			h *= prime
-		}
-	}
-	for _, e := range seq {
-		mix(e.GSeq)
-		mix(uint64(e.Shard)<<32 | uint64(uint8(e.Kind))<<16 | uint64(uint16(e.Origin)))
-		mix(uint64(e.Payload))
-		mix(uint64(e.To))
-	}
-	return h
 }
 
 func fatal(err error) {

@@ -16,6 +16,7 @@ import (
 	"log"
 	"time"
 
+	"repro/star"
 	"repro/star/harness"
 )
 
@@ -25,10 +26,10 @@ func main() {
 		"tsource",   // only t links from one process timely
 		"pattern",   // no timing at all; t winning links
 	}
-	algos := []harness.Algorithm{
-		harness.AlgoStable,   // heartbeat/timeout baseline [14]
-		harness.AlgoTimeFree, // time-free pattern baseline [16,18]
-		harness.AlgoFig3,     // the paper's algorithm
+	algos := []star.Algo{
+		star.Stable,   // heartbeat/timeout baseline [14]
+		star.TimeFree, // time-free pattern baseline [16,18]
+		star.Fig3,     // the paper's algorithm
 	}
 
 	fmt.Printf("%-12s", "")

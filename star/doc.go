@@ -23,8 +23,9 @@
 // AllTimely, TSource, MovingSource, Pattern, MovingPattern, Combined (the
 // paper's A'), Intermittent (the paper's A), IntermittentFG (§7) — plus its
 // knobs (Center, Gap, Delta, Drift, AdversarialOrder, Outages, CrashAt,
-// RotatingChurn, ...). The spec is pure data; the cluster contributes N,
-// Resilience, Alpha and Seed when it builds the scenario.
+// RestartAt, ...). The spec is pure data; the cluster contributes N,
+// Resilience, Alpha, Seed and its Churn windows when it builds the
+// scenario.
 //
 // # Transports
 //
@@ -76,7 +77,7 @@
 // motivating Ω → consensus → atomic broadcast → replicated-state-machine
 // chain, behind one multiplexed transport endpoint.
 //
-// The experiment harness (star/harness) and both command-line tools are
-// built on this package; the examples/ directory shows each feature in
-// ~15 lines.
+// The experiment harness (star/harness) and the three command-line tools
+// (experiments, starsim, starnet) are built on this package; the examples/
+// directory shows each feature in ~15 lines.
 package star

@@ -75,10 +75,10 @@ func newSimEngine(c *Cluster) (*simEngine, error) {
 		return max
 	})
 
-	// Staggered starts: processes boot within [0, StartSpread].
+	// Staggered starts: processes boot within [0, DefaultStartSpread].
 	jitter := sim.NewRand(p.Seed ^ 0x737461727453)
 	for id := 0; id < p.N; id++ {
-		net.StartAt(id, sim.Time(jitter.Duration(0, c.cfg.startSpread)))
+		net.StartAt(id, sim.Time(jitter.Duration(0, DefaultStartSpread)))
 	}
 
 	// The chaos link-fault state plugs into the network's send path; the

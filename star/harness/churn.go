@@ -13,8 +13,8 @@ import (
 type ChurnSpec struct {
 	N, T int
 	Seed uint64
-	// Algo is the algorithm under churn. Empty means AlgoFig3.
-	Algo Algorithm
+	// Algo is the algorithm under churn. Empty means star.Fig3.
+	Algo star.Algo
 	// Start is when the first crash fires. 0 means 500ms.
 	Start time.Duration
 	// Period is the time between consecutive crashes. 0 means 2s.
@@ -28,14 +28,11 @@ type ChurnSpec struct {
 	// path) instead of the fresh-start round-frontier jump. The journal
 	// is deterministic, so the run stays reproducible seed for seed.
 	Recovery bool
-	// SnapshotEvery is the journal cadence (needs Recovery). 0 means the
-	// star default.
-	SnapshotEvery time.Duration
 }
 
 func (s ChurnSpec) withDefaults() ChurnSpec {
 	if s.Algo == "" {
-		s.Algo = AlgoFig3
+		s.Algo = star.Fig3
 	}
 	if s.Start == 0 {
 		s.Start = 500 * time.Millisecond
@@ -62,14 +59,13 @@ func ChurnConfig(spec ChurnSpec) Config {
 	spec = spec.withDefaults()
 	cfg := Config{
 		N: spec.N, T: spec.T, Seed: spec.Seed,
-		Scenario: star.Combined(
-			star.RotatingChurn(spec.Start, spec.Period, spec.Downtime, spec.Duration)),
+		Scenario: star.Combined(),
 		Algo:     spec.Algo,
 		Duration: spec.Duration,
+		Options:  []star.Option{star.Churn(spec.Start, spec.Period, spec.Downtime, spec.Duration)},
 	}
 	if spec.Recovery {
-		cfg.Recovery = star.MemJournal()
-		cfg.SnapshotEvery = spec.SnapshotEvery
+		cfg.Options = append(cfg.Options, star.WithRecovery(star.MemJournal()))
 	}
 	return cfg
 }

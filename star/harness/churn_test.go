@@ -19,7 +19,7 @@ func TestChurnPresetElectsAmongSurvivors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.Report.Stabilized {
-		t.Fatalf("churn run did not stabilize: %+v", res.Report)
+		t.Fatalf("churn run did not stabilize: %+v", res.Report.Stabilization)
 	}
 	// The center (0) never churns and must be electable; the agreed
 	// leader must be a never-crashed process — under this preset's full
@@ -30,7 +30,7 @@ func TestChurnPresetElectsAmongSurvivors(t *testing.T) {
 	// Rebooting peers force the late/skewed paths: the survivors keep
 	// discarding the rebooted processes' ancient ALIVEs.
 	var lateAlive uint64
-	for _, m := range res.CoreMetrics {
+	for _, m := range res.Metrics.Nodes {
 		lateAlive += m.LateAlive
 	}
 	if lateAlive == 0 {
@@ -53,7 +53,7 @@ func TestChurnPresetElectsAmongSurvivors(t *testing.T) {
 // rule (the core algorithm's, ported), the survivors keep closing rounds
 // and end the run agreeing on a never-crashed leader.
 func TestChurnTimeFreeBaselineRejoins(t *testing.T) {
-	cfg := ChurnConfig(ChurnSpec{N: 5, T: 2, Seed: 11, Algo: AlgoTimeFree, Duration: 20 * time.Second})
+	cfg := ChurnConfig(ChurnSpec{N: 5, T: 2, Seed: 11, Algo: star.TimeFree, Duration: 20 * time.Second})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestChurnTimeFreeBaselineRejoins(t *testing.T) {
 		}
 	}
 	if !res.Report.Stabilized {
-		t.Fatalf("baseline churn cell did not stabilize: %+v", res.Report)
+		t.Fatalf("baseline churn cell did not stabilize: %+v", res.Report.Stabilization)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/par"
 	"repro/star"
 )
 
@@ -19,8 +18,8 @@ type ConsensusConfig struct {
 	// Scenario selects the assumption scenario (zero means Combined).
 	Scenario star.ScenarioSpec
 
-	// Algo is the Ω variant to co-host. Empty means AlgoFig3.
-	Algo Algorithm
+	// Algo is the Ω variant to co-host. Empty means star.Fig3.
+	Algo star.Algo
 
 	// Instances is how many consensus instances to run. 0 means 10.
 	Instances int
@@ -55,7 +54,7 @@ type ConsensusResult struct {
 // taken from the EventDecide stream, and the safety verdicts from Decided.
 func RunConsensus(cfg ConsensusConfig) (*ConsensusResult, error) {
 	if cfg.Algo == "" {
-		cfg.Algo = AlgoFig3
+		cfg.Algo = star.Fig3
 	}
 	if cfg.Instances == 0 {
 		cfg.Instances = 10
@@ -159,15 +158,5 @@ func RunConsensus(cfg ConsensusConfig) (*ConsensusResult, error) {
 // RunConsensusAll executes every config on a worker pool, results in input
 // order; the first error wins.
 func RunConsensusAll(cfgs []ConsensusConfig, workers int) ([]*ConsensusResult, error) {
-	results := make([]*ConsensusResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	par.ForEach(len(cfgs), workers, func(i int) {
-		results[i], errs[i] = RunConsensus(cfgs[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return runEach(cfgs, workers, RunConsensus)
 }

@@ -17,7 +17,7 @@ func domainSignature(r *Result) string {
 	return fmt.Sprintf(
 		"events=%d net=%+v report={stab=%v at=%v leader=%d changes=%d samples=%d lastDis=%v} "+
 			"maxLevel=%d B=%d boundOK=%v spread=%d rounds=%d timeouts=%v stable=%v leaders=%v levels=%v",
-		r.Events, r.NetStats,
+		r.Metrics.Events, r.Net,
 		r.Report.Stabilized, r.Report.StabilizedAt, r.Report.Leader,
 		r.Report.Changes, r.Report.Samples, r.Report.LastDisagreement,
 		r.MaxSuspLevel, r.BoundB, r.BoundOK, r.SpreadViolations, r.RoundsDone,
@@ -35,19 +35,19 @@ func TestRunDeterministicAcrossRepeats(t *testing.T) {
 		{
 			N: 5, T: 2, Seed: 7,
 			Scenario: star.Combined(),
-			Algo:     AlgoFig3,
+			Algo:     star.Fig3,
 			Duration: 3 * time.Second,
 		},
 		{
 			N: 4, T: 1, Seed: 99,
 			Scenario: star.Intermittent(star.Gap(3)),
-			Algo:     AlgoFig2,
+			Algo:     star.Fig2,
 			Duration: 3 * time.Second,
 		},
 		{
 			N: 5, T: 2, Seed: 13,
 			Scenario: star.Pattern(),
-			Algo:     AlgoTimeFree,
+			Algo:     star.TimeFree,
 			Duration: 3 * time.Second,
 		},
 	}
@@ -105,7 +105,7 @@ func TestRunGridWorkerCountInvariance(t *testing.T) {
 		N: 4, T: 1, Seed: 21,
 		Duration: 2 * time.Second,
 		Families: []string{"tsource", "intermittent"},
-		Algos:    []Algorithm{AlgoFig2, AlgoFig3, AlgoStable},
+		Algos:    []star.Algo{star.Fig2, star.Fig3, star.Stable},
 	}
 	seq := spec
 	seq.Workers = 1

@@ -18,8 +18,8 @@ import (
 type FedSpec struct {
 	Shards, ShardSize int
 	Seed              uint64
-	// Algo is the algorithm for shards and tier. Empty means AlgoFig3.
-	Algo Algorithm
+	// Algo is the algorithm for shards and tier. Empty means star.Fig3.
+	Algo star.Algo
 	// Epoch is the bridge cadence. 0 means the star default.
 	Epoch time.Duration
 	// Duration is the virtual run length. 0 means 10s.
@@ -48,7 +48,7 @@ type FedSpec struct {
 
 func (s FedSpec) withDefaults() FedSpec {
 	if s.Algo == "" {
-		s.Algo = AlgoFig3
+		s.Algo = star.Fig3
 	}
 	if s.Duration == 0 {
 		s.Duration = 10 * time.Second
@@ -92,9 +92,8 @@ func (s FedSpec) fedOptions() []star.FedOption {
 	shardOpts := func(shard int) []star.Option {
 		opts := []star.Option{star.Algorithm(s.Algo)}
 		if s.ShardChurnPeriod > 0 {
-			opts = append(opts, star.Scenario(star.Combined(
-				star.RotatingChurn(s.ShardChurnStart, s.ShardChurnPeriod,
-					s.ShardChurnDowntime, s.Duration))))
+			opts = append(opts, star.Churn(s.ShardChurnStart, s.ShardChurnPeriod,
+				s.ShardChurnDowntime, s.Duration))
 		}
 		if s.Recovery {
 			opts = append(opts, star.WithRecovery(star.MemJournal()))
@@ -156,8 +155,8 @@ func RunFed(spec FedSpec) (*FedResult, error) {
 	if spec.Traffic > 0 {
 		seq := f.GlobalSequence()
 		res.GlobalSeq = len(seq)
-		res.GlobalHash = hashGlobal(seq)
-		res.GlobalAgree = globalAgree(f, seq)
+		res.GlobalHash = GlobalHash(seq)
+		res.GlobalAgree = GlobalAgree(f, seq)
 	}
 	return res, nil
 }
@@ -190,10 +189,10 @@ func runFedSchedule(f *star.Federation, spec FedSpec) error {
 	return f.Run(spec.Duration - warm - time.Duration(spec.Traffic)*slice)
 }
 
-// hashGlobal fingerprints a committed global sequence (FNV-1a over every
+// GlobalHash fingerprints a committed global sequence (FNV-1a over every
 // field of every entry): equal hashes across runs mean byte-identical
 // global delivery logs.
-func hashGlobal(seq []star.GlobalDelivery) uint64 {
+func GlobalHash(seq []star.GlobalDelivery) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := uint64(offset)
 	mix := func(v uint64) {
@@ -211,10 +210,10 @@ func hashGlobal(seq []star.GlobalDelivery) uint64 {
 	return h
 }
 
-// globalAgree checks the lanes' agreement contract against the committed
+// GlobalAgree checks the lanes' agreement contract against the committed
 // sequence: every member's delivered log is a prefix of it, and a
 // never-crashed member's log is the whole of it.
-func globalAgree(f *star.Federation, seq []star.GlobalDelivery) bool {
+func GlobalAgree(f *star.Federation, seq []star.GlobalDelivery) bool {
 	for s := 0; s < f.Shards(); s++ {
 		for p := 0; p < f.ShardSize(); p++ {
 			log := f.GlobalLog(s, p)

@@ -20,7 +20,7 @@ type GridSpec struct {
 	Duration time.Duration
 	// Families (family names, see star.Families) and Algos default to all.
 	Families []string
-	Algos    []Algorithm
+	Algos    []star.Algo
 	// Workers bounds the number of cells simulated concurrently; <= 0
 	// means one per GOMAXPROCS. Each cell owns its cluster and random streams
 	// and is seeded independently of the others, so the results are
@@ -31,7 +31,7 @@ type GridSpec struct {
 // GridCell is one grid outcome.
 type GridCell struct {
 	Family string
-	Algo   Algorithm
+	Algo   star.Algo
 	Result *Result
 	Err    error
 }
@@ -56,18 +56,7 @@ func (c GridCell) Converged() bool {
 // goroutines, and returns cells in (family-major, algorithm-minor) order —
 // the same order, with the same per-cell results, for every worker count.
 func RunGrid(spec GridSpec) []GridCell {
-	if spec.D == 0 {
-		spec.D = 3
-	}
-	if spec.Duration == 0 {
-		spec.Duration = 120 * time.Second
-	}
-	if spec.Families == nil {
-		spec.Families = star.Families()
-	}
-	if spec.Algos == nil {
-		spec.Algos = Algorithms()
-	}
+	spec = spec.withDefaults()
 	cells := make([]GridCell, len(spec.Families)*len(spec.Algos))
 	par.ForEach(len(cells), spec.Workers, func(i int) {
 		fam := spec.Families[i/len(spec.Algos)]
@@ -88,21 +77,32 @@ func RunGrid(spec GridSpec) []GridCell {
 // tests and benchmarks can run individual cells with statically known
 // family names; it panics on an unknown one (RunGrid instead records the
 // error in the cell).
-func GridCellConfig(spec GridSpec, fam string, algo Algorithm) Config {
-	cfg, err := gridCellConfig(spec, fam, algo)
+func GridCellConfig(spec GridSpec, fam string, algo star.Algo) Config {
+	cfg, err := gridCellConfig(spec.withDefaults(), fam, algo)
 	if err != nil {
 		panic(err)
 	}
 	return cfg
 }
 
-func gridCellConfig(spec GridSpec, fam string, algo Algorithm) (Config, error) {
-	if spec.D == 0 {
-		spec.D = 3
+func (s GridSpec) withDefaults() GridSpec {
+	if s.D == 0 {
+		s.D = 3
 	}
-	if spec.Duration == 0 {
-		spec.Duration = 120 * time.Second
+	if s.Duration == 0 {
+		s.Duration = 120 * time.Second
 	}
+	if s.Families == nil {
+		s.Families = star.Families()
+	}
+	if s.Algos == nil {
+		s.Algos = star.Algorithms()
+	}
+	return s
+}
+
+// gridCellConfig builds one cell's configuration from a defaulted spec.
+func gridCellConfig(spec GridSpec, fam string, algo star.Algo) (Config, error) {
 	// The adversary the family's assumption permits: a large δ (so order
 	// attacks dominate start-phase skew), unbounded spike drift and
 	// growing link outages on unconstrained links, and the

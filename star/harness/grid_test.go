@@ -1,6 +1,10 @@
 package harness
 
-import "testing"
+import (
+	"testing"
+
+	"repro/star"
+)
 
 // TestC1CoverageKeyCells verifies the paper's containment story on the
 // decisive grid cells (the full grid is produced by cmd/experiments):
@@ -20,24 +24,24 @@ func TestC1CoverageKeyCells(t *testing.T) {
 	spec := GridSpec{N: 5, T: 2, Seed: 71}
 	cases := []struct {
 		family string
-		algo   Algorithm
+		algo   star.Algo
 		want   bool
 	}{
-		{"alltimely", AlgoStable, true},
-		{"tsource", AlgoStable, false},
-		{"pattern", AlgoStable, false},
+		{"alltimely", star.Stable, true},
+		{"tsource", star.Stable, false},
+		{"pattern", star.Stable, false},
 
-		{"pattern", AlgoTimeFree, true},
-		{"movingpattern", AlgoTimeFree, true},
-		{"alltimely", AlgoTimeFree, false},
-		{"tsource", AlgoTimeFree, false},
+		{"pattern", star.TimeFree, true},
+		{"movingpattern", star.TimeFree, true},
+		{"alltimely", star.TimeFree, false},
+		{"tsource", star.TimeFree, false},
 
-		{"tsource", AlgoFig1, true},
-		{"combined", AlgoFig1, true},
-		{"intermittent", AlgoFig1, false},
+		{"tsource", star.Fig1, true},
+		{"combined", star.Fig1, true},
+		{"intermittent", star.Fig1, false},
 
-		{"intermittent", AlgoFig3, true},
-		{"intermittentfg", AlgoFG, true},
+		{"intermittent", star.Fig3, true},
+		{"intermittentfg", star.FG, true},
 	}
 	for _, c := range cases {
 		c := c

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -26,7 +27,7 @@ func aPrimeFamilies() []string {
 // F1: every core variant elects a correct common leader under every A'
 // family (Figure 1's model and its special cases).
 func TestF1CoreVariantsStabilizeUnderAPrimeFamilies(t *testing.T) {
-	algos := []Algorithm{AlgoFig1, AlgoFig2, AlgoFig3}
+	algos := []star.Algo{star.Fig1, star.Fig2, star.Fig3}
 	for _, fam := range aPrimeFamilies() {
 		for _, algo := range algos {
 			fam, algo := fam, algo
@@ -57,11 +58,11 @@ func TestF1StabilizesDespiteCrashes(t *testing.T) {
 			star.CrashAt(1, 4*time.Second),
 			star.CrashAt(5, 6*time.Second),
 		),
-		Algo:     AlgoFig3,
+		Algo:     star.Fig3,
 		Duration: 30 * time.Second,
 	})
 	if !res.Report.Stabilized {
-		t.Fatalf("did not stabilize despite crashes: %+v", res.Report)
+		t.Fatalf("did not stabilize despite crashes: %+v", res.Report.Stabilization)
 	}
 	if res.Report.Leader == 0 || res.Report.Leader == 1 || res.Report.Leader == 5 {
 		t.Fatalf("elected crashed process %d", res.Report.Leader)
@@ -76,7 +77,7 @@ func TestF2IntermittentSeparatesFig1FromFig2(t *testing.T) {
 	// the lose adversary is genuinely slow: the last victim's suspicion
 	// level must cross the center's before leadership settles, and round
 	// rate drops as timeouts calibrate.
-	cfgFor := func(a Algorithm) Config {
+	cfgFor := func(a star.Algo) Config {
 		return Config{
 			N: 5, T: 2, Seed: 17,
 			Scenario: star.Intermittent(star.Gap(4)),
@@ -88,17 +89,17 @@ func TestF2IntermittentSeparatesFig1FromFig2(t *testing.T) {
 	// leader-chasing adversary, which a finite horizon witnesses as
 	// leadership churn or still-growing timeouts (the plateaus stretch
 	// with the round duration, but the growth cannot be hidden).
-	res1 := run(t, cfgFor(AlgoFig1))
+	res1 := run(t, cfgFor(star.Fig1))
 	if res1.Report.Stabilized && res1.TimeoutsStable {
 		t.Errorf("fig1 converged under the intermittent star (leader %d, changes %d, maxLevel %d): the window test should be necessary",
 			res1.Report.Leader, res1.Report.Changes, res1.MaxSuspLevel)
 	}
-	for _, a := range []Algorithm{AlgoFig2, AlgoFig3} {
+	for _, a := range []star.Algo{star.Fig2, star.Fig3} {
 		res := run(t, cfgFor(a))
 		if !res.Report.Stabilized {
 			t.Errorf("%s did not stabilize under the intermittent star (changes=%d)", a, res.Report.Changes)
 		}
-		if a == AlgoFig3 && !res.TimeoutsStable {
+		if a == star.Fig3 && !res.TimeoutsStable {
 			t.Errorf("fig3 timeouts did not settle under the intermittent star")
 		}
 	}
@@ -115,13 +116,13 @@ func TestF3BoundedVariables(t *testing.T) {
 	)
 	res3 := run(t, Config{
 		N: 5, T: 2, Seed: 23,
-		Scenario:    spec,
-		Algo:        AlgoFig3,
-		Duration:    120 * time.Second,
-		CheckSpread: true,
+		Scenario: spec,
+		Algo:     star.Fig3,
+		Duration: 120 * time.Second,
+		Options:  []star.Option{star.CheckSpread()},
 	})
 	if !res3.Report.Stabilized {
-		t.Fatalf("fig3 did not stabilize: %+v", res3.Report)
+		t.Fatalf("fig3 did not stabilize: %+v", res3.Report.Stabilization)
 	}
 	if res3.SpreadViolations != 0 {
 		t.Errorf("Lemma 8 violated %d times", res3.SpreadViolations)
@@ -136,7 +137,7 @@ func TestF3BoundedVariables(t *testing.T) {
 	res2 := run(t, Config{
 		N: 5, T: 2, Seed: 23,
 		Scenario: spec,
-		Algo:     AlgoFig2,
+		Algo:     star.Fig2,
 		Duration: 120 * time.Second,
 	})
 	if res2.MaxSuspLevel <= 2*res3.MaxSuspLevel {
@@ -161,7 +162,7 @@ func TestF4FGGeneralization(t *testing.T) {
 	resFG := run(t, Config{
 		N: 5, T: 2, Seed: 29,
 		Scenario: spec,
-		Algo:     AlgoFG,
+		Algo:     star.FG,
 		Duration: 120 * time.Second,
 	})
 	if !resFG.Report.Stabilized {
@@ -170,7 +171,7 @@ func TestF4FGGeneralization(t *testing.T) {
 	res3 := run(t, Config{
 		N: 5, T: 2, Seed: 29,
 		Scenario: spec,
-		Algo:     AlgoFig3,
+		Algo:     star.Fig3,
 		Duration: 120 * time.Second,
 	})
 	if res3.Report.Stabilized && res3.Report.Leader == 0 {
@@ -187,16 +188,16 @@ func TestRunDeterministic(t *testing.T) {
 	cfg := Config{
 		N: 5, T: 2, Seed: 5,
 		Scenario: star.Intermittent(star.Gap(2)),
-		Algo:     AlgoFig3,
+		Algo:     star.Fig3,
 		Duration: 5 * time.Second,
 	}
 	a := run(t, cfg)
 	b := run(t, cfg)
-	if a.Events != b.Events || a.NetStats.Sent != b.NetStats.Sent ||
+	if a.Metrics.Events != b.Metrics.Events || a.Net.Sent != b.Net.Sent ||
 		a.Report.Stabilized != b.Report.Stabilized ||
 		a.Report.StabilizedAt != b.Report.StabilizedAt ||
 		a.MaxSuspLevel != b.MaxSuspLevel {
-		t.Fatalf("runs diverged:\n%+v\n%+v", a.Report, b.Report)
+		t.Fatalf("runs diverged:\n%+v\n%+v", a.Report.Stabilization, b.Report.Stabilization)
 	}
 }
 
@@ -207,23 +208,79 @@ func TestSeedsDiffer(t *testing.T) {
 		return run(t, Config{
 			N: 5, T: 2, Seed: seed,
 			Scenario: star.TSource(),
-			Algo:     AlgoFig3,
+			Algo:     star.Fig3,
 			Duration: 5 * time.Second,
 		})
 	}
-	if mk(1).Events == mk(2).Events {
+	if mk(1).Metrics.Events == mk(2).Metrics.Events {
 		t.Fatal("different seeds produced identical event counts (suspicious)")
 	}
 }
 
+// TestRunIsStarRun: Run adds nothing to a star cluster. Its Report equals,
+// field for field, the Report of star.New with the same options run for the
+// same virtual time — for a core algorithm, a baseline, and a config that
+// passes extra star options through Options.
+func TestRunIsStarRun(t *testing.T) {
+	cfgs := []Config{
+		{
+			N: 5, T: 2, Seed: 31,
+			Scenario: star.Intermittent(star.Gap(3), star.CrashAt(4, time.Second)),
+			Algo:     star.Fig3,
+			Duration: 4 * time.Second,
+		},
+		{
+			N: 5, T: 2, Seed: 32,
+			Scenario: star.AllTimely(),
+			Algo:     star.Stable,
+			Duration: 4 * time.Second,
+		},
+		{
+			N: 5, T: 2, Seed: 33,
+			Scenario: star.Combined(star.Center(1)),
+			Algo:     star.Fig3,
+			Duration: 4 * time.Second,
+			Options: []star.Option{star.Alpha(4), star.TimeoutUnit(2 * time.Millisecond),
+				star.CheckSpread(), star.Churn(500*time.Millisecond, time.Second, 300*time.Millisecond, 4*time.Second)},
+		},
+	}
+	for _, cfg := range cfgs {
+		cfg := cfg
+		t.Run(string(cfg.Algo)+"/"+cfg.Scenario.Family(), func(t *testing.T) {
+			t.Parallel()
+			res := run(t, cfg)
+			opts := append([]star.Option{
+				star.N(cfg.N), star.Resilience(cfg.T), star.Seed(cfg.Seed),
+				star.Algorithm(cfg.Algo), star.Scenario(cfg.Scenario),
+				star.UnboundedRetention(),
+			}, cfg.Options...)
+			c, err := star.New(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Run(cfg.Duration); err != nil {
+				t.Fatal(err)
+			}
+			if want := c.Report(); !reflect.DeepEqual(res.Report, *want) {
+				t.Errorf("harness Report differs from star's:\n harness: %+v\n star:    %+v",
+					res.Report.Stabilization, want.Stabilization)
+			}
+			if got, want := res.Metrics.Events, c.Metrics().Events; got != want {
+				t.Errorf("harness ran %d events, star %d", got, want)
+			}
+		})
+	}
+}
+
 func TestParseAlgorithm(t *testing.T) {
-	for _, a := range Algorithms() {
-		got, err := ParseAlgorithm(string(a))
+	for _, a := range star.Algorithms() {
+		got, err := star.ParseAlgorithm(string(a))
 		if err != nil || got != a {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v", a, got, err)
 		}
 	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
+	if _, err := star.ParseAlgorithm("nope"); err == nil {
 		t.Error("garbage algorithm accepted")
 	}
 }
@@ -235,7 +292,7 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := Run(Config{N: 5, T: 2, Algo: "bogus"}); err == nil {
 		t.Error("bogus algorithm accepted")
 	}
-	if _, err := Run(Config{N: 0, T: 0, Algo: AlgoFig3}); err == nil {
+	if _, err := Run(Config{N: 0, T: 0, Algo: star.Fig3}); err == nil {
 		t.Error("bad params accepted")
 	}
 }

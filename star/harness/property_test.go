@@ -17,10 +17,10 @@ func TestQuickFig3PropertiesUnderRandomAPrime(t *testing.T) {
 		fam := families[int(famIdx)%len(families)]
 		res, err := Run(Config{
 			N: 5, T: 2, Seed: seed,
-			Scenario:    star.MustFamily(fam),
-			Algo:        AlgoFig3,
-			Duration:    15 * time.Second,
-			CheckSpread: true,
+			Scenario: star.MustFamily(fam),
+			Algo:     star.Fig3,
+			Duration: 15 * time.Second,
+			Options:  []star.Option{star.CheckSpread()},
 		})
 		if err != nil {
 			t.Logf("seed %d family %s: %v", seed, fam, err)
@@ -75,10 +75,10 @@ func TestQuickFig3RandomCrashSchedules(t *testing.T) {
 		at := time.Duration(crashTimeMs%10000) * time.Millisecond
 		res, err := Run(Config{
 			N: 5, T: 2, Seed: seed,
-			Scenario:    star.Intermittent(star.Gap(3), star.CrashAt(who, at)),
-			Algo:        AlgoFig3,
-			Duration:    60 * time.Second,
-			CheckSpread: true,
+			Scenario: star.Intermittent(star.Gap(3), star.CrashAt(who, at)),
+			Algo:     star.Fig3,
+			Duration: 60 * time.Second,
+			Options:  []star.Option{star.CheckSpread()},
 		})
 		if err != nil {
 			t.Logf("seed %d: %v", seed, err)
@@ -126,7 +126,7 @@ func TestQuickBoundGrowsWithGap(t *testing.T) {
 		res, err := Run(Config{
 			N: 5, T: 2, Seed: 5,
 			Scenario: star.Intermittent(star.Gap(d)),
-			Algo:     AlgoFig3,
+			Algo:     star.Fig3,
 			Duration: 60 * time.Second,
 		})
 		if err != nil {
@@ -151,10 +151,10 @@ func TestQuickBoundIndependentOfUnit(t *testing.T) {
 	measure := func(unit time.Duration) (int64, time.Duration) {
 		res, err := Run(Config{
 			N: 5, T: 2, Seed: 9,
-			Scenario:    star.Intermittent(star.Gap(3)),
-			Algo:        AlgoFig3,
-			TimeoutUnit: unit,
-			Duration:    60 * time.Second,
+			Scenario: star.Intermittent(star.Gap(3)),
+			Algo:     star.Fig3,
+			Options:  []star.Option{star.TimeoutUnit(unit)},
+			Duration: 60 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestQuickMessageComplexity(t *testing.T) {
 		res, err := Run(Config{
 			N: n, T: (n - 1) / 2, Seed: 13,
 			Scenario: star.Combined(),
-			Algo:     AlgoFig3,
+			Algo:     star.Fig3,
 			Duration: 10 * time.Second,
 		})
 		if err != nil {
@@ -196,7 +196,7 @@ func TestQuickMessageComplexity(t *testing.T) {
 		if res.RoundsDone == 0 {
 			t.Fatalf("n=%d: no rounds", n)
 		}
-		perProcRound := float64(res.NetStats.Sent) / float64(res.RoundsDone) / float64(n)
+		perProcRound := float64(res.Net.Sent) / float64(res.RoundsDone) / float64(n)
 		// ALIVE contributes ~(n-1) per alive-tick (ticks ~ rounds here)
 		// and SUSPICION exactly n per round: accept [n-1, 3n].
 		if perProcRound < float64(n-1) || perProcRound > float64(3*n) {

@@ -39,8 +39,11 @@ const (
 	DefaultAlivePeriod = 10 * time.Millisecond
 	DefaultTimeoutUnit = time.Millisecond
 	DefaultSampleEvery = 20 * time.Millisecond
-	DefaultStartSpread = 5 * time.Millisecond
 	DefaultMaxEvents   = 200_000_000
+
+	// DefaultStartSpread is the window simulated processes boot in: each
+	// starts at a seeded uniform offset in [0, DefaultStartSpread].
+	DefaultStartSpread = 5 * time.Millisecond
 
 	// DefaultSnapshotEvery is the recovery-journal cadence when
 	// WithRecovery is set without SnapshotEvery.
@@ -66,7 +69,6 @@ type config struct {
 	alivePeriod  time.Duration
 	timeoutUnit  time.Duration
 	sampleEvery  time.Duration
-	startSpread  time.Duration
 	maxEvents    uint64
 	maxEventsSet bool
 
@@ -93,7 +95,6 @@ func defaultConfig() config {
 		alivePeriod: DefaultAlivePeriod,
 		timeoutUnit: DefaultTimeoutUnit,
 		sampleEvery: DefaultSampleEvery,
-		startSpread: DefaultStartSpread,
 		maxEvents:   DefaultMaxEvents,
 	}
 }
@@ -203,21 +204,6 @@ func Seed(s uint64) Option {
 	return optionFunc(func(c *config) error { c.seed = s; return nil })
 }
 
-// Retention bounds per-round protocol bookkeeping to the given number of
-// rounds behind the frontier. It must comfortably exceed the suspicion-level
-// bound B+1 plus max F, or crash-detection liveness can be lost.
-// Default: DefaultRetention.
-func Retention(rounds int64) Option {
-	return optionFunc(func(c *config) error {
-		if rounds <= 0 {
-			return fmt.Errorf("%w: Retention must be positive, got %d (use UnboundedRetention for unbounded history)",
-				ErrInvalidParams, rounds)
-		}
-		c.retention = rounds
-		return nil
-	})
-}
-
 // UnboundedRetention keeps every round's bookkeeping forever — the paper's
 // pseudocode, faithfully. Memory grows with the round count.
 func UnboundedRetention() Option {
@@ -260,18 +246,6 @@ func SampleEvery(d time.Duration) Option {
 	})
 }
 
-// StartSpread staggers process start times uniformly in [0, d].
-// Default: DefaultStartSpread.
-func StartSpread(d time.Duration) Option {
-	return optionFunc(func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("%w: StartSpread must be >= 0, got %v", ErrInvalidParams, d)
-		}
-		c.startSpread = d
-		return nil
-	})
-}
-
 // MaxEvents bounds the number of simulated events a cluster may execute
 // across all Run calls (a runaway-simulation guard; Run returns
 // ErrEventBudget past it). Requires CapEventBudget — execution metered in
@@ -294,8 +268,9 @@ func CheckSpread() Option {
 // start, every period the next victim crashes for downtime and returns as a
 // fresh incarnation; the rotation stops before until. Requires CapChurn,
 // which both transports declare — virtual-time schedules on the simulator,
-// wall-clock timers live. Equivalent to RotatingChurn on the scenario; the
-// cluster-level option overrides the scenario's.
+// wall-clock timers live. The schedule is built after every scenario
+// option (so it spares the scenario's final Center) and is equivalent to a
+// matching sequence of CrashAt/RestartAt pairs appended to the scenario.
 func Churn(start, period, downtime, until time.Duration) Option {
 	return optionFunc(func(c *config) error {
 		c.churn = &churnWindows{start: start, period: period, downtime: downtime, until: until}

@@ -28,13 +28,6 @@ type ScenarioSpec struct {
 // ...), or "" for the zero spec (which builds as "combined").
 func (s ScenarioSpec) Family() string { return s.family }
 
-// scenarioBuilder accumulates option effects before the internal scenario is
-// constructed.
-type scenarioBuilder struct {
-	params scenario.Params
-	churn  *churnWindows
-}
-
 // churnWindows is the rotating crash/restart schedule requested by Churn.
 type churnWindows struct {
 	start, period, downtime, until time.Duration
@@ -44,13 +37,13 @@ type churnWindows struct {
 // given; cluster-level parameters (N, Resilience, Alpha, Seed) are merged in
 // first.
 type ScenarioOption struct {
-	f func(*scenarioBuilder)
+	f func(*scenario.Params)
 }
 
 // Center picks the star's center process (default 0). Experiments that
 // crash processes must keep the center correct.
 func Center(id int) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.Center = id }}
+	return ScenarioOption{func(p *scenario.Params) { p.Center = id }}
 }
 
 // Gap sets D, the intermittence gap: the star exists only on rounds 1,
@@ -58,26 +51,26 @@ func Center(id int) ScenarioOption {
 // Intermittent and IntermittentFG families make rounds outside the
 // subsequence adversarial.
 func Gap(d int64) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.D = d }}
+	return ScenarioOption{func(p *scenario.Params) { p.D = d }}
 }
 
 // Delta sets δ, the (unknown to the algorithm) bound on timely transfer
 // delays. Default 2ms.
 func Delta(d time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.Delta = d }}
+	return ScenarioOption{func(p *scenario.Params) { p.Delta = d }}
 }
 
 // BaseDelay bounds ordinary asynchronous link delays to [lo, hi].
 // Default 1ms..8ms.
 func BaseDelay(lo, hi time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.BaseLo, b.params.BaseHi = lo, hi }}
+	return ScenarioOption{func(p *scenario.Params) { p.BaseLo, p.BaseHi = lo, hi }}
 }
 
 // Spikes makes a fraction prob of asynchronous messages spike to a delay in
 // [lo, hi]. Default 10% up to 60ms.
 func Spikes(prob float64, lo, hi time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) {
-		b.params.SpikeProb, b.params.SpikeLo, b.params.SpikeHi = prob, lo, hi
+	return ScenarioOption{func(p *scenario.Params) {
+		p.SpikeProb, p.SpikeLo, p.SpikeHi = prob, lo, hi
 	}}
 }
 
@@ -85,7 +78,7 @@ func Spikes(prob float64, lo, hi time.Duration) ScenarioOption {
 // virtual time τ is additionally delayed by d·(τ/1s). This is what "no bound
 // on transfer delays" means operationally; coverage experiments set it.
 func Drift(d time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.Drift = d }}
+	return ScenarioOption{func(p *scenario.Params) { p.Drift = d }}
 }
 
 // AdversarialOrder enables the reception-order adversary: δ-timely messages
@@ -93,7 +86,7 @@ func Drift(d time.Duration) ScenarioOption {
 // so being timely no longer implies winning reception races (the two
 // assumption styles are incomparable, §1.2).
 func AdversarialOrder() ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.AdversarialOrder = true }}
+	return ScenarioOption{func(p *scenario.Params) { p.AdversarialOrder = true }}
 }
 
 // Outages enables deterministic per-link outages on unconstrained links:
@@ -101,8 +94,8 @@ func AdversarialOrder() ScenarioOption {
 // and growing. Bursts — not single slow messages — are what break
 // freshness-based failure detectors.
 func Outages(period, base time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) {
-		b.params.OutagePeriod, b.params.OutageBase = period, base
+	return ScenarioOption{func(p *scenario.Params) {
+		p.OutagePeriod, p.OutageBase = period, base
 	}}
 }
 
@@ -110,13 +103,13 @@ func Outages(period, base time.Duration) ScenarioOption {
 // as D + f(s_k) and timely delays as δ + g(rn). Both are assumed known by
 // the FG algorithm, as the paper requires.
 func Growth(f func(k int64) int64, g func(rn int64) time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) { b.params.F, b.params.G = f, g }}
+	return ScenarioOption{func(p *scenario.Params) { p.F, p.G = f, g }}
 }
 
 // CrashAt schedules a crash-stop failure of process id at virtual time at.
 func CrashAt(id int, at time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) {
-		b.params.Crashes = append(b.params.Crashes, scenario.Crash{ID: id, At: toSimTime(at)})
+	return ScenarioOption{func(p *scenario.Params) {
+		p.Crashes = append(p.Crashes, scenario.Crash{ID: id, At: toSimTime(at)})
 	}}
 }
 
@@ -125,18 +118,8 @@ func CrashAt(id int, at time.Duration) ScenarioOption {
 // crash-stop model the recovered process counts as faulty, and eventual
 // leadership is owed only to the never-crashed set.
 func RestartAt(id int, at time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) {
-		b.params.Restarts = append(b.params.Restarts, scenario.Restart{ID: id, At: toSimTime(at)})
-	}}
-}
-
-// RotatingChurn schedules rotating churn inside the scenario: starting at
-// start, every period the next non-center process crashes for downtime and
-// then returns as a fresh incarnation; the rotation stops before until.
-// Equivalent to a matching sequence of CrashAt/RestartAt pairs.
-func RotatingChurn(start, period, downtime, until time.Duration) ScenarioOption {
-	return ScenarioOption{func(b *scenarioBuilder) {
-		b.churn = &churnWindows{start: start, period: period, downtime: downtime, until: until}
+	return ScenarioOption{func(p *scenario.Params) {
+		p.Restarts = append(p.Restarts, scenario.Restart{ID: id, At: toSimTime(at)})
 	}}
 }
 
@@ -222,28 +205,24 @@ func MustFamily(name string, opts ...ScenarioOption) ScenarioSpec {
 }
 
 // build assembles the internal scenario from the spec plus the cluster's
-// system-level parameters.
+// system-level parameters and its Churn windows, which apply last.
 func (s ScenarioSpec) build(n, t, alpha int, seed uint64, churn *churnWindows) (*scenario.Scenario, error) {
 	fam := s.family
 	if fam == "" {
 		fam = string(scenario.FamilyCombined)
 	}
-	b := scenarioBuilder{params: scenario.Params{N: n, T: t, Alpha: alpha, Seed: seed}}
+	p := scenario.Params{N: n, T: t, Alpha: alpha, Seed: seed}
 	for _, o := range s.opts {
-		o.f(&b)
+		o.f(&p)
 	}
-	if churn != nil {
-		b.churn = churn
-	}
-	if b.churn != nil {
-		w := b.churn
+	if w := churn; w != nil {
 		if w.period <= 0 || w.downtime <= 0 || w.downtime >= w.period {
 			return nil, fmt.Errorf("%w: churn needs 0 < downtime < period, got period=%v downtime=%v",
 				ErrInvalidParams, w.period, w.downtime)
 		}
-		b.params = scenario.WithChurn(b.params, w.start, w.period, w.downtime, w.until)
+		p = scenario.WithChurn(p, w.start, w.period, w.downtime, w.until)
 	}
-	sc, err := scenario.Build(scenario.Family(fam), b.params)
+	sc, err := scenario.Build(scenario.Family(fam), p)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalidParams, err)
 	}

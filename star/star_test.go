@@ -178,8 +178,8 @@ func TestDefaultsAreSane(t *testing.T) {
 // observation-equivalent to paper-faithful unbounded retention in benign
 // runs (retention >> B+1).
 func TestUnboundedRetentionMatchesDefault(t *testing.T) {
-	mk := func(opt star.Option) string {
-		c, err := star.New(star.N(5), star.Seed(3), opt)
+	mk := func(opts ...star.Option) string {
+		c, err := star.New(append([]star.Option{star.N(5), star.Seed(3)}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestUnboundedRetentionMatchesDefault(t *testing.T) {
 		return fmt.Sprintf("stab=%v leader=%d maxLevel=%d B=%d levels=%v",
 			rep.Stabilized, rep.Leader, rep.MaxSuspLevel, rep.BoundB, rep.FinalLevels)
 	}
-	bounded := mk(star.Retention(star.DefaultRetention))
+	bounded := mk()
 	unbounded := mk(star.UnboundedRetention())
 	if bounded != unbounded {
 		t.Fatalf("bounded retention changed domain behaviour:\n bounded:   %s\n unbounded: %s", bounded, unbounded)
@@ -211,7 +211,6 @@ func TestOptionValidation(t *testing.T) {
 		{"bad T", []star.Option{star.N(5), star.Resilience(5)}, star.ErrInvalidParams},
 		{"bad algo", []star.Option{star.N(5), star.Algorithm("nope")}, star.ErrUnknownAlgorithm},
 		{"bad alpha", []star.Option{star.N(5), star.Alpha(9)}, star.ErrInvalidParams},
-		{"bad retention", []star.Option{star.N(5), star.Retention(-3)}, star.ErrInvalidParams},
 		{"crash center", []star.Option{star.N(5), star.Scenario(star.Combined(star.CrashAt(0, time.Second)))}, star.ErrInvalidParams},
 		{"too many crashes", []star.Option{star.N(5), star.Resilience(1),
 			star.Scenario(star.Combined(star.CrashAt(1, time.Second), star.CrashAt(2, time.Second)))}, star.ErrInvalidParams},

@@ -17,7 +17,7 @@ const (
 	// CapNetStats: the transport taps its links, so Report().Net and
 	// Metrics().Net carry real traffic counters.
 	CapNetStats Capability = 1 << iota
-	// CapChurn: crash/restart schedules (Churn, RotatingChurn, RestartAt)
+	// CapChurn: crash/restart schedules (Churn, RestartAt)
 	// execute — crashed processes can return as fresh incarnations.
 	CapChurn
 	// CapSpreadCheck: the CheckSpread option's per-delivery Lemma 8
