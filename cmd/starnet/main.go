@@ -364,9 +364,9 @@ func decodeReport(line string) (rep memberReport, ok bool) {
 // FEDREPORT carries the lane verdict (committed length, the sequence's FNV
 // fingerprint, and whether every member delivered the identical order).
 func runFedMode(shape string, seed uint64, journalDir string, traffic int, deadline time.Time) error {
-	s, m, err := parseShape(shape)
+	s, m, err := harness.ParseShape(shape)
 	if err != nil {
-		return err
+		return fmt.Errorf("-fed: %w", err)
 	}
 	loopback := func(n int) []string {
 		addrs := make([]string, n)
@@ -480,21 +480,6 @@ func runFedMode(shape string, seed uint64, journalDir string, traffic int, deadl
 		return fmt.Errorf("%d federation invariant violations", fr.TotalViolations)
 	}
 	return nil
-}
-
-// parseShape parses an SxM federation shape like "2x3".
-func parseShape(shape string) (shards, size int, err error) {
-	sPart, mPart, ok := strings.Cut(shape, "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("want -fed SxM, e.g. 2x3, got %q", shape)
-	}
-	if shards, err = strconv.Atoi(sPart); err != nil {
-		return 0, 0, fmt.Errorf("bad shard count %q: %w", sPart, err)
-	}
-	if size, err = strconv.Atoi(mPart); err != nil {
-		return 0, 0, fmt.Errorf("bad shard size %q: %w", mPart, err)
-	}
-	return shards, size, nil
 }
 
 // launcher forks and supervises the member processes.

@@ -173,17 +173,9 @@ func main() {
 // schedule, so a starsim run cross-checks an experiment row. Deterministic:
 // the same shape, algorithm and seed reproduce the report byte for byte.
 func runFed(shape string, algorithm star.Algo, seed uint64, duration time.Duration, traffic int) error {
-	sPart, mPart, ok := strings.Cut(shape, "x")
-	if !ok {
-		return fmt.Errorf("want -fed SxM, e.g. 8x16, got %q", shape)
-	}
-	shards, err := strconv.Atoi(sPart)
+	shards, size, err := harness.ParseShape(shape)
 	if err != nil {
-		return fmt.Errorf("bad shard count %q: %w", sPart, err)
-	}
-	size, err := strconv.Atoi(mPart)
-	if err != nil {
-		return fmt.Errorf("bad shard size %q: %w", mPart, err)
+		return fmt.Errorf("-fed: %w", err)
 	}
 	res, err := harness.RunFed(harness.FedSpec{
 		Shards: shards, ShardSize: size, Seed: seed, Algo: algorithm,

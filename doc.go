@@ -29,8 +29,8 @@
 // drivers for full-machine parallelism:
 //
 //   - internal/sim schedules events in a value-typed arena with a free list
-//     and an index-based min-heap; EventIDs carry generation tags so Cancel
-//     is O(1) with no map. Hot callers schedule typed events (sim.Handler)
+//     and a monotone bucket queue (a radix heap over a small binary heap);
+//     EventIDs carry generation tags so Cancel is O(1) with no map. Hot callers schedule typed events (sim.Handler)
 //     instead of closures. See the internal/sim package comment for the
 //     design and the determinism guarantees it preserves.
 //   - internal/netsim recycles message envelopes through a per-network free

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 	"time"
-	"unsafe"
 
 	"repro/internal/bitset"
 	"repro/internal/host"
@@ -145,14 +144,6 @@ func (f *scriptedFault) Delay(from, to proc.ID) time.Duration {
 	return time.Duration(to%3) * time.Millisecond
 }
 
-// TestMulticastLegSize pins the in-flight cost of a fan-out: a carrier
-// holds one 16-byte leg per destination (deadline, offset, destination).
-func TestMulticastLegSize(t *testing.T) {
-	if got := unsafe.Sizeof(mcLeg{}); got != 16 {
-		t.Fatalf("mcLeg is %d bytes, want 16", got)
-	}
-}
-
 // TestMulticastDropAndPrestart: per-destination crash drops and pre-start
 // buffering behave per leg, exactly like unicast envelopes.
 func TestMulticastDropAndPrestart(t *testing.T) {
@@ -246,7 +237,8 @@ func (s *nullNode) OnTimer(proc.TimerKey)  {}
 // builds a fresh network and performs 32 overlapping n-wide broadcasts
 // (delays up to 10x the broadcast gap), so allocs/op is dominated by how
 // much in-flight state a fan-out keeps — n envelopes + n scheduler slots
-// per broadcast before the multicast carrier, 1 carrier + 1 slot after.
+// per broadcast as unicast sends, 1 carrier + 1 scheduler slot as a
+// multicast, whose n queue entries share chunks recycled across broadcasts.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	for _, n := range []int{13, 101} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

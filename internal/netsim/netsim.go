@@ -50,20 +50,19 @@
 //     A crash before the start drops and counts the buffer at the crash
 //     instant (the host.Process crash hook).
 //   - Per-kind counters are fixed arrays indexed by wire.Kind, not maps.
-//   - A multicast (proc.Env.Multicast; every protocol broadcast) travels as
-//     ONE pooled carrier holding the payload, the destination set and the
-//     per-destination deadlines; a single scheduler event walks the legs in
-//     deadline order, rescheduling itself after each delivery. The peak
-//     in-flight population therefore scales with broadcasts, not with
-//     broadcasts × n — while the observable behaviour (delay draws, message
-//     seqs, stats, gate and drop semantics, tie-breaking against unrelated
-//     events) stays bit-for-bit identical to n unicast sends; see multicast.
+//   - A multicast (proc.Env.Multicast; every protocol broadcast) is ONE
+//     pooled carrier (sender, payload, send time, base message seq) in ONE
+//     sim fan-out slot; each destination is a leg, its own 24-byte
+//     scheduler queue entry under the seq its unicast twin would have had.
+//     Envelopes and slots in flight therefore scale with broadcasts, not
+//     with broadcasts × n, and no leg is ever sorted or rescheduled — while
+//     the observable behaviour (delay draws, message seqs, stats, gate and
+//     drop semantics, tie-breaking against unrelated events) stays
+//     bit-for-bit identical to n unicast sends; see multicast.
 package netsim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"time"
 
 	"repro/internal/bitset"
@@ -126,7 +125,7 @@ const (
 	evDeliver uint8 = iota + 1 // p = *Envelope
 	evStart                    // a = process id
 	evCrash                    // a = process id
-	evMcast                    // p = *mcast (next leg of a multicast)
+	evMcast                    // p = *mcast, a = leg (one leg of a multicast)
 )
 
 // Network simulates the complete system: processes plus links.
@@ -169,6 +168,10 @@ type Network struct {
 // the overlay itself may be mutated at any time.
 func (n *Network) SetLinkFault(f proc.LinkFault) { n.fault = f }
 
+// maxN is the largest network: a multicast leg packs its destination and
+// its offset among the destinations into 16 bits each.
+const maxN = 1 << 16
+
 // Config assembles a Network.
 type Config struct {
 	N      int
@@ -180,8 +183,8 @@ type Config struct {
 // New creates a network of cfg.N processes on sched. Nodes are registered
 // with Register and started with StartAll (or StartAt for staggered starts).
 func New(sched *sim.Scheduler, cfg Config) (*Network, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("netsim: N must be positive, got %d", cfg.N)
+	if cfg.N <= 0 || cfg.N > maxN {
+		return nil, fmt.Errorf("netsim: N must be in [1,%d], got %d", maxN, cfg.N)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("netsim: Config.Policy is required")
@@ -314,7 +317,7 @@ func (n *Network) OnSimEvent(kind uint8, a uint64, p any) {
 	case evCrash:
 		n.envs[uint32(a)].Crash()
 	case evMcast:
-		n.mcastStep(p.(*mcast))
+		n.mcastLeg(p.(*mcast), a)
 	default:
 		panic(fmt.Sprintf("netsim: unknown event kind %d", kind))
 	}
@@ -368,30 +371,15 @@ func (n *Network) send(from, to proc.ID, msg any) {
 	n.sched.AfterTyped(d, n, evDeliver, 0, ev)
 }
 
-// mcLeg is one pending destination of an in-flight multicast: when it
-// arrives, where it goes, and off, its position among the multicast's k
-// destinations. off addresses the identities its unicast twin would have
-// carried — message Seq seq0+off and scheduler tie-break seq sched0+off —
-// so a leg is 16 bytes however those identities are numbered.
-type mcLeg struct {
-	at  sim.Time
-	off uint32
-	to  int32
-}
-
-// mcast is the single pooled envelope of one multicast: the shared payload
-// plus all pending legs, sorted by delivery order. One scheduler event walks
-// the legs, rescheduling itself to the next deadline after each delivery,
-// so an n-destination broadcast keeps one event and one carrier in flight
-// instead of n envelopes and n heap entries.
+// mcast is the pooled carrier of one multicast: what every leg's delivery
+// envelope shares. The legs themselves are scheduler entries of one sim
+// fan-out whose payload is the carrier; left counts the legs still queued.
 type mcast struct {
 	from    proc.ID
 	payload any
 	sentAt  sim.Time
 	seq0    uint64 // Envelope.Seq of destination 0
-	sched0  uint64 // scheduler seq reserved for destination 0
-	legs    []mcLeg
-	idx     int // next leg to deliver
+	left    int
 }
 
 // getMcast pops a recycled carrier.
@@ -404,26 +392,25 @@ func (n *Network) getMcast() *mcast {
 	return &mcast{}
 }
 
-// putMcast returns a fully-walked carrier to the pool. Payload references
-// are per-leg (held by the materialized delivery envelopes), so the carrier
-// itself releases nothing.
+// putMcast returns a carrier whose legs have all fired to the pool. Payload
+// references are per-leg (held by the materialized delivery envelopes), so
+// the carrier itself releases nothing.
 func (n *Network) putMcast(mc *mcast) {
 	mc.payload = nil
-	mc.legs = mc.legs[:0]
-	mc.idx = 0
 	n.mcFree = append(n.mcFree, mc)
 }
 
 // multicast is Send fanned over a destination set, behaviourally identical
 // to one send per member in ascending id order. Equivalence is exact, not
 // approximate: message seqs, stats, payload retains and per-link delay draws
-// happen per destination in the same order as the unicast loop, and the
-// carrier replays each leg under a scheduler seq from one block of k
-// reserved at send time (a node's send loop admits no interleaving), in
-// destination order. A leg the fault overlay refuses leaves its seq unused;
-// a gap never reorders two events, so the global delivery order — including
-// ties — is bit-for-bit unchanged. Only the cost moves: one pooled carrier
-// and one pending scheduler event replace n of each.
+// happen per destination in the same order as the unicast loop, and each
+// admitted leg is queued under a scheduler seq from one block of k reserved
+// at send time (a node's send loop admits no interleaving), at offset off,
+// its position among the destinations. A leg the fault overlay refuses
+// leaves its seq unused; a gap never reorders two events, so the global
+// delivery order — including ties — is bit-for-bit unchanged. Only the cost
+// moves: one pooled carrier and one scheduler slot serve all k legs, and
+// each leg's queue entry is 24 bytes.
 func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 	if n.envs[from].Crashed() {
 		return // a crashed process executes nothing
@@ -444,14 +431,11 @@ func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 		kind = wm.Kind()
 		sz = uint64(wm.Size())
 	}
-	mc := n.getMcast()
-	mc.from, mc.payload, mc.sentAt, mc.seq0 = from, msg, now, n.nextSeq+1
-	if cap(mc.legs) < k {
-		mc.legs = make([]mcLeg, 0, k)
-	}
+	seq0, sched0 := n.nextSeq+1, n.sched.ReserveSeqs(k)
+	var mc *mcast
+	var fan sim.Fan
 	scratch := &n.policyScratch
 	scratch.From, scratch.Payload, scratch.SentAt, scratch.Released = from, msg, now, false
-	legs := mc.legs[:0]
 	for to := 0; to < len(n.envs); to++ {
 		if !dests.Contains(to) {
 			continue
@@ -480,43 +464,30 @@ func (n *Network) multicast(from proc.ID, dests *bitset.Set, msg any) {
 		if d < 0 {
 			d = 0
 		}
-		legs = append(legs, mcLeg{at: now.Add(d), off: uint32(n.nextSeq - mc.seq0), to: int32(to)})
+		if mc == nil {
+			mc = n.getMcast()
+			mc.from, mc.payload, mc.sentAt, mc.seq0 = from, msg, now, seq0
+			fan = n.sched.FanOut(n, evMcast, mc)
+		}
+		mc.left++
+		off := uint32(n.nextSeq - seq0)
+		n.sched.AtLeg(fan, now.Add(d), sched0+uint64(off), off<<16|uint32(to))
 	}
 	scratch.Payload = nil
-	mc.legs = legs
-	if len(legs) == 0 {
-		// Every leg refused: nothing in flight, recycle the carrier.
-		n.putMcast(mc)
-		return
-	}
-	mc.sched0 = n.sched.ReserveSeqs(k)
-	// Legs were appended in destination order, so off orders ties exactly
-	// as the reserved seqs do.
-	slices.SortFunc(legs, func(a, b mcLeg) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.off, b.off)
-	})
-	n.sched.AtTypedSeq(legs[0].at, mc.sched0+uint64(legs[0].off), n, evMcast, 0, mc)
 }
 
-// mcastStep delivers the carrier's next leg and reschedules it for the one
-// after. The delivery itself materializes a pooled unicast envelope so that
-// gates, observers and the pre-start buffer see exactly the envelopes they
-// always did — but the envelope now lives only from deadline to consumption
-// instead of from send to delivery.
-func (n *Network) mcastStep(mc *mcast) {
-	leg := mc.legs[mc.idx]
-	mc.idx++
-	if mc.idx < len(mc.legs) {
-		next := mc.legs[mc.idx]
-		n.sched.AtTypedSeq(next.at, mc.sched0+uint64(next.off), n, evMcast, 0, mc)
-	}
+// mcastLeg delivers one leg of carrier mc: arg packs the leg's offset among
+// the destinations (high half) and its destination (low half). The delivery
+// materializes a pooled unicast envelope so that gates, observers and the
+// pre-start buffer see exactly the envelopes they always did — but the
+// envelope lives only from deadline to consumption instead of from send to
+// delivery.
+func (n *Network) mcastLeg(mc *mcast, arg uint64) {
 	ev := n.getEnvelope()
-	ev.Seq, ev.From, ev.To = mc.seq0+uint64(leg.off), mc.from, proc.ID(leg.to)
+	ev.Seq, ev.From, ev.To = mc.seq0+arg>>16, mc.from, proc.ID(arg&0xffff)
 	ev.Payload, ev.SentAt = mc.payload, mc.sentAt
-	if mc.idx == len(mc.legs) {
+	mc.left--
+	if mc.left == 0 {
 		n.putMcast(mc)
 	}
 	n.arrive(ev)

@@ -228,6 +228,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(sched, Config{N: 0, Policy: constDelay(0)}); err == nil {
 		t.Error("N=0 accepted")
 	}
+	if _, err := New(sched, Config{N: maxN + 1, Policy: constDelay(0)}); err == nil {
+		t.Errorf("N=%d accepted", maxN+1)
+	}
 	if _, err := New(sched, Config{N: 3}); err == nil {
 		t.Error("nil policy accepted")
 	}

@@ -13,7 +13,7 @@
 // reads naturally (10*time.Millisecond). Nothing ever sleeps on the wall
 // clock.
 //
-// # Design: arena, free list, generation tags
+// # Design: arena, free list, generation tags, bucket queue
 //
 // The scheduler is built for a near-zero-allocation steady state, because
 // every simulated message and timer passes through it:
@@ -22,17 +22,24 @@
 //     intrusive free list, so a steady-state simulation performs no per-event
 //     heap allocation: slots freed by executed or cancelled events are reused
 //     by the next schedule call.
-//   - The priority queue is an index-based binary min-heap of small value
-//     items carrying the ordering key (at, seq) inline, ordered exactly as
-//     before: by virtual time, ties broken by schedule order. No
-//     container/heap interface boxing, no per-event pointer.
-//   - An EventID packs (slot, generation). Each reuse of a slot bumps its
-//     generation, so Cancel is an O(1) generation compare — no map lookup,
-//     no heap fix-up. Cancelled events leave a stale heap item behind that
-//     is skipped (generation mismatch) when it surfaces at the top.
+//   - The queue holds 24-byte value entries carrying the ordering key
+//     (at, seq) inline plus the entry's arena slot, ordered by virtual time,
+//     ties broken by schedule order. It is a monotone bucket queue (see
+//     queue): a radix heap whose lowest buckets drain into a small binary
+//     heap, so a queue of a few dozen entries is a plain heap and one of
+//     100 000 pays a few sequential moves per entry instead of a deep heap.
+//     Bucket storage is chunks recycled through one free list.
+//   - An EventID packs (slot, generation). Cancel is an O(1) generation
+//     compare — no map lookup, no queue fix-up: it bumps the generation and
+//     clears the slot, and the slot returns to the free list when its entry
+//     reaches the front and is skipped.
 //   - Hot-path callers avoid closures entirely with AtTyped/AfterTyped: the
 //     event carries a Handler plus a (kind, a, p) payload by value, and the
 //     handler demultiplexes. At/After with a func() remain for cold paths.
+//   - A fan-out (FanOut, AtLeg) is one slot shared by many entries: each leg
+//     is its own queue entry whose 32-bit argument reaches the handler as a,
+//     and the slot is freed when the last leg fires. netsim's multicast is
+//     one fan-out per broadcast.
 //
 // Determinism is unaffected by any of this: execution order is a pure
 // function of (at, seq), and seq is assigned in schedule order exactly as in
@@ -58,8 +65,8 @@ func (t Time) String() string { return time.Duration(t).String() }
 
 // EventID identifies a scheduled event; it can be used to cancel it. It packs
 // the event's arena slot and the slot's generation at schedule time, so a
-// stale id (the event already ran, or was cancelled and the slot reused)
-// simply fails the generation check.
+// stale id (the event already ran or was cancelled) simply fails the
+// generation check.
 type EventID uint64
 
 func makeEventID(slot int32, gen uint32) EventID {
@@ -79,33 +86,32 @@ type Handler interface {
 	OnSimEvent(kind uint8, a uint64, p any)
 }
 
-// eventSlot is one arena cell: either a closure event (fn != nil) or a typed
-// event (h != nil). next links free slots; gen tags the slot's current
+// eventSlot is one arena cell: the handler an event fires with its kind and
+// payload. legs counts the queued legs of a fan-out slot and is 0 for a
+// single event. next links free slots; gen tags the slot's current
 // incarnation.
 type eventSlot struct {
 	gen  uint32
-	kind uint8
 	next int32 // free-list link, -1 = end
+	legs uint32
+	kind uint8
 	a    uint64
 	p    any
 	h    Handler
-	fn   func()
 }
 
-// heapItem is one min-heap entry. The ordering key is inline for cache
-// locality; gen detects stale items left behind by Cancel.
-type heapItem struct {
-	at   Time
-	seq  uint64
-	slot int32
-	gen  uint32
-}
+// funcEvent runs a closure scheduled with At or After as a Handler. A func
+// value is one pointer, so storing it in the slot's interface allocates
+// nothing beyond the closure itself.
+type funcEvent func()
+
+func (f funcEvent) OnSimEvent(uint8, uint64, any) { f() }
 
 // Scheduler owns the virtual clock and the event queue. The zero value is not
 // usable; create one with NewScheduler.
 type Scheduler struct {
 	now     Time
-	heap    []heapItem
+	q       queue
 	arena   []eventSlot
 	free    int32 // head of the slot free list, -1 = empty
 	nextSeq uint64
@@ -136,46 +142,52 @@ func (s *Scheduler) allocSlot() int32 {
 	return int32(len(s.arena) - 1)
 }
 
-// freeSlot retires a slot: the generation bump invalidates outstanding
-// EventIDs and stale heap items, and reference fields are cleared so the
-// arena does not pin payloads.
+// freeSlot puts a slot on the free list: the generation bump invalidates
+// outstanding EventIDs, and reference fields are cleared so the arena does
+// not pin payloads. A slot is freed only once no queue entry refers to it.
 func (s *Scheduler) freeSlot(i int32) {
 	sl := &s.arena[i]
 	sl.gen++
-	sl.fn = nil
 	sl.h = nil
 	sl.p = nil
 	sl.next = s.free
 	s.free = i
 }
 
-// schedule installs an event and returns its id. Exactly one of fn and h is
-// non-nil.
-func (s *Scheduler) schedule(at Time, fn func(), h Handler, kind uint8, a uint64, p any) EventID {
+// newSlot installs a handler, kind and payload in a fresh slot.
+func (s *Scheduler) newSlot(h Handler, kind uint8, a uint64, p any) (int32, *eventSlot) {
+	i := s.allocSlot()
+	sl := &s.arena[i]
+	sl.h, sl.kind, sl.a, sl.p = h, kind, a, p
+	return i, sl
+}
+
+// push queues one entry. A time in the past runs at the current instant.
+func (s *Scheduler) push(at Time, seq uint64, slot int32, arg uint32) {
+	s.live++
+	s.q.push(entry{at: max(at, s.now), seq: seq, slot: slot, arg: arg})
+}
+
+// schedule installs an event under the next sequence number.
+func (s *Scheduler) schedule(at Time, h Handler, kind uint8, a uint64, p any) EventID {
 	s.nextSeq++
-	return s.scheduleSeq(at, s.nextSeq, fn, h, kind, a, p)
+	return s.scheduleSeq(at, s.nextSeq, h, kind, a, p)
 }
 
 // scheduleSeq installs an event under an explicit tie-break sequence number.
-func (s *Scheduler) scheduleSeq(at Time, seq uint64, fn func(), h Handler, kind uint8, a uint64, p any) EventID {
-	if at < s.now {
-		at = s.now
-	}
-	i := s.allocSlot()
-	sl := &s.arena[i]
-	sl.fn, sl.h, sl.kind, sl.a, sl.p = fn, h, kind, a, p
-	s.heapPush(heapItem{at: at, seq: seq, slot: i, gen: sl.gen})
-	s.live++
+func (s *Scheduler) scheduleSeq(at Time, seq uint64, h Handler, kind uint8, a uint64, p any) EventID {
+	i, sl := s.newSlot(h, kind, a, p)
+	s.push(at, seq, i, 0)
 	return makeEventID(i, sl.gen)
 }
 
 // ReserveSeqs consumes k tie-break sequence numbers and returns the first.
 // A caller that fans one logical operation into up to k future events
-// (netsim's multicast carrier) reserves one contiguous block in place of the
-// individual schedule calls, then replays each event with AtTypedSeq — so
-// the global (at, seq) execution order is bit-for-bit what eager schedule
-// calls would have produced. A reserved seq left unused is only a gap, and a
-// gap never reorders two events.
+// (netsim's multicast) reserves one contiguous block in place of the
+// individual schedule calls, then schedules each event under its seq with
+// AtTypedSeq or AtLeg — so the global (at, seq) execution order is
+// bit-for-bit what eager schedule calls would have produced. A reserved seq
+// left unused is only a gap, and a gap never reorders two events.
 func (s *Scheduler) ReserveSeqs(k int) uint64 {
 	if k <= 0 {
 		panic(fmt.Sprintf("sim: ReserveSeqs(%d)", k))
@@ -192,7 +204,38 @@ func (s *Scheduler) AtTypedSeq(at Time, seq uint64, h Handler, kind uint8, a uin
 	if h == nil {
 		panic("sim: AtTypedSeq called with nil handler")
 	}
-	return s.scheduleSeq(at, seq, nil, h, kind, a, p)
+	return s.scheduleSeq(at, seq, h, kind, a, p)
+}
+
+// Fan is a fan-out: one arena slot (handler, kind, payload) shared by every
+// leg added to it with AtLeg. It is not cancellable.
+type Fan struct {
+	slot int32
+	gen  uint32
+}
+
+// FanOut installs a fan-out and returns it; it schedules nothing until a
+// leg is added. The slot is freed when the last queued leg fires, so a
+// fan-out must get its first leg before the next event runs.
+func (s *Scheduler) FanOut(h Handler, kind uint8, p any) Fan {
+	if h == nil {
+		panic("sim: FanOut called with nil handler")
+	}
+	i, sl := s.newSlot(h, kind, 0, p)
+	return Fan{slot: i, gen: sl.gen}
+}
+
+// AtLeg queues one leg of f at time at under sequence number seq (from
+// ReserveSeqs). When it fires, the fan-out's handler runs with a = arg.
+// Each leg is its own queue entry and its own event: it counts in Pending
+// and in Processed.
+func (s *Scheduler) AtLeg(f Fan, at Time, seq uint64, arg uint32) {
+	sl := &s.arena[f.slot]
+	if sl.gen != f.gen {
+		panic("sim: AtLeg on a fan-out whose legs all fired")
+	}
+	sl.legs++
+	s.push(at, seq, f.slot, arg)
 }
 
 // At schedules fn to run at absolute time at. Scheduling in the past (or at
@@ -202,7 +245,7 @@ func (s *Scheduler) At(at Time, fn func()) EventID {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	return s.schedule(at, fn, nil, 0, 0, nil)
+	return s.schedule(at, funcEvent(fn), 0, 0, nil)
 }
 
 // After schedules fn to run d after the current time. Negative d is treated
@@ -220,7 +263,7 @@ func (s *Scheduler) AtTyped(at Time, h Handler, kind uint8, a uint64, p any) Eve
 	if h == nil {
 		panic("sim: AtTyped called with nil handler")
 	}
-	return s.schedule(at, nil, h, kind, a, p)
+	return s.schedule(at, h, kind, a, p)
 }
 
 // AfterTyped schedules a typed event d after the current time. Negative d is
@@ -234,14 +277,18 @@ func (s *Scheduler) AfterTyped(d time.Duration, h Handler, kind uint8, a uint64,
 
 // Cancel prevents a scheduled event from running. Cancelling an event that
 // already ran (or was already cancelled) is a no-op and returns false.
-// Cancel is O(1): it frees the arena slot and lets the stale heap item be
-// skipped when it reaches the top.
+// Cancel is O(1): it retires the event's arena slot at once (the generation
+// bump invalidates id, and the payload is released), and the slot returns
+// to the free list when its queue entry reaches the front and is skipped.
 func (s *Scheduler) Cancel(id EventID) bool {
 	slot, gen := id.split()
 	if slot < 0 || int(slot) >= len(s.arena) || s.arena[slot].gen != gen {
 		return false
 	}
-	s.freeSlot(slot)
+	sl := &s.arena[slot]
+	sl.gen++
+	sl.h = nil
+	sl.p = nil
 	s.live--
 	return true
 }
@@ -252,87 +299,52 @@ func (s *Scheduler) Pending() int { return s.live }
 // Stop makes Run return after the current event completes.
 func (s *Scheduler) Stop() { s.stopped = true }
 
-// heapLess orders items by (at, seq): virtual time, ties broken by schedule
-// order.
-func (s *Scheduler) heapLess(i, j int) bool {
-	a, b := &s.heap[i], &s.heap[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (s *Scheduler) heapPush(it heapItem) {
-	s.heap = append(s.heap, it)
-	i := len(s.heap) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !s.heapLess(i, parent) {
-			break
-		}
-		s.heap[i], s.heap[parent] = s.heap[parent], s.heap[i]
-		i = parent
-	}
-}
-
-// heapPopTop removes the minimum item.
-func (s *Scheduler) heapPopTop() heapItem {
-	h := s.heap
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	s.heap = h[:n]
-	i := 0
+// peek drops cancelled entries off the front of the queue and returns the
+// earliest live one, or nil when none is left.
+func (s *Scheduler) peek() *entry {
 	for {
-		l := 2*i + 1
-		if l >= n {
-			break
+		e := s.q.front()
+		if e == nil || s.arena[e.slot].h != nil {
+			return e
 		}
-		m := l
-		if r := l + 1; r < n && s.heapLess(r, l) {
-			m = r
-		}
-		if !s.heapLess(m, i) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+		// Cancelled: Cancel already uncounted it; only the slot is left.
+		i := e.slot
+		s.q.pop()
+		s.freeSlot(i)
 	}
-	return top
 }
 
-// dropStaleTop pops cancelled items off the heap top so that s.heap[0], when
-// present, is a live event.
-func (s *Scheduler) dropStaleTop() {
-	for len(s.heap) > 0 && s.arena[s.heap[0].slot].gen != s.heap[0].gen {
-		s.heapPopTop()
+// fire removes e, the front entry peek returned, and executes it.
+func (s *Scheduler) fire(e *entry) {
+	at, i, a := e.at, e.slot, uint64(e.arg)
+	s.q.pop()
+	sl := &s.arena[i]
+	h, kind, p := sl.h, sl.kind, sl.p
+	if sl.legs > 0 {
+		sl.legs--
+	} else {
+		a = sl.a
 	}
+	if sl.legs == 0 {
+		s.freeSlot(i)
+	}
+	s.live--
+	if at > s.now {
+		s.now = at
+	}
+	s.Processed++
+	h.OnSimEvent(kind, a, p)
 }
 
 // step executes the earliest pending event. It reports false when the queue
 // is empty.
 func (s *Scheduler) step() bool {
-	for len(s.heap) > 0 {
-		it := s.heapPopTop()
-		sl := &s.arena[it.slot]
-		if sl.gen != it.gen {
-			continue // cancelled
-		}
-		fn, h, kind, a, p := sl.fn, sl.h, sl.kind, sl.a, sl.p
-		s.freeSlot(it.slot)
-		s.live--
-		if it.at > s.now {
-			s.now = it.at
-		}
-		s.Processed++
-		if fn != nil {
-			fn()
-		} else {
-			h.OnSimEvent(kind, a, p)
-		}
-		return true
+	e := s.peek()
+	if e == nil {
+		return false
 	}
-	return false
+	s.fire(e)
+	return true
 }
 
 // Run executes events in timestamp order until the queue is empty, the given
@@ -343,23 +355,17 @@ func (s *Scheduler) Run(horizon Time) uint64 {
 	s.stopped = false
 	start := s.Processed
 	for !s.stopped {
-		s.dropStaleTop()
-		if len(s.heap) == 0 {
-			// Idle: the clock still advances to the horizon, so that
-			// RunFor(d) always moves virtual time forward by d.
+		// Peek: do not run events beyond the horizon. Idle or not, the
+		// clock still advances to the horizon, so that RunFor(d) always
+		// moves virtual time forward by d.
+		e := s.peek()
+		if e == nil || e.at > horizon {
 			if horizon > s.now {
 				s.now = horizon
 			}
 			break
 		}
-		// Peek: do not run events beyond the horizon.
-		if s.heap[0].at > horizon {
-			if horizon > s.now {
-				s.now = horizon
-			}
-			break
-		}
-		s.step()
+		s.fire(e)
 	}
 	return s.Processed - start
 }

@@ -562,3 +562,39 @@ func ExampleScheduler() {
 	// first at 1ms
 	// second at 2ms
 }
+
+// reschedHandler re-arms itself at a random distance, the shape of a
+// protocol timer or a multicast leg.
+type reschedHandler struct {
+	s *Scheduler
+	r *Rand
+}
+
+func (h *reschedHandler) OnSimEvent(kind uint8, a uint64, _ any) {
+	h.s.AfterTyped(h.r.Duration(time.Microsecond, 10*time.Millisecond), h, kind, a, nil)
+}
+
+// BenchmarkQueue measures one event (a pop plus the push that replaces it)
+// through a queue holding a fixed number of pending entries with delays
+// spread over 10 ms: 40 is an n=5 cluster's population, 3400 an n=251
+// cluster's timers plus one entry per in-flight broadcast, 100000 the same
+// cluster with one entry per in-flight multicast leg.
+func BenchmarkQueue(b *testing.B) {
+	for _, pending := range []int{40, 3400, 100_000} {
+		b.Run(fmt.Sprintf("pending=%d", pending), func(b *testing.B) {
+			s := NewScheduler()
+			h := &reschedHandler{s: s, r: NewRand(1)}
+			for i := range pending {
+				s.AfterTyped(h.r.Duration(0, 10*time.Millisecond), h, 1, uint64(i), nil)
+			}
+			for range 2 * pending { // settle into the steady-state spread
+				s.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				s.step()
+			}
+		})
+	}
+}

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/star"
@@ -46,6 +48,22 @@ type FedSpec struct {
 	Traffic int
 }
 
+// ParseShape parses a federation shape "SxM" (S shards of M processes
+// each, e.g. "8x16") into FedSpec's Shards and ShardSize.
+func ParseShape(shape string) (shards, size int, err error) {
+	sPart, mPart, ok := strings.Cut(shape, "x")
+	if !ok {
+		return 0, 0, fmt.Errorf("want a shape SxM, e.g. 8x16, got %q", shape)
+	}
+	if shards, err = strconv.Atoi(sPart); err != nil {
+		return 0, 0, fmt.Errorf("bad shard count %q: %w", sPart, err)
+	}
+	if size, err = strconv.Atoi(mPart); err != nil {
+		return 0, 0, fmt.Errorf("bad shard size %q: %w", mPart, err)
+	}
+	return shards, size, nil
+}
+
 func (s FedSpec) withDefaults() FedSpec {
 	if s.Algo == "" {
 		s.Algo = star.Fig3
@@ -61,16 +79,9 @@ func (s FedSpec) withDefaults() FedSpec {
 
 // FedResult aggregates one federated run.
 type FedResult struct {
-	Spec FedSpec
-
 	// Federation is the two-tier verdict (global leader, handoffs,
 	// stabilization, invariant violations).
 	Federation star.FederationReport
-	// Tier is the delegate election's own stabilization verdict, and
-	// TierNet its traffic; TierRecovery its journal activity.
-	Tier         star.Stabilization
-	TierNet      star.NetStats
-	TierRecovery star.RecoveryStats
 
 	// Events totals simulator events across every component cluster.
 	Events uint64
@@ -139,15 +150,7 @@ func RunFed(spec FedSpec) (*FedResult, error) {
 		return nil, fmt.Errorf("harness: federation: %w", err)
 	}
 	elapsed := time.Since(wall)
-	rep := f.Report()
-	res := &FedResult{
-		Spec:         spec,
-		Federation:   *rep.Federation,
-		Tier:         rep.Stabilization,
-		TierNet:      rep.Net,
-		TierRecovery: rep.Recovery,
-		Elapsed:      elapsed,
-	}
+	res := &FedResult{Federation: *f.Report().Federation, Elapsed: elapsed}
 	res.Events = f.Tier().Metrics().Events
 	for s := 0; s < f.Shards(); s++ {
 		res.Events += f.Shard(s).Metrics().Events

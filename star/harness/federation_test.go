@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -154,4 +155,32 @@ func TestFlatConfig(t *testing.T) {
 func (c Config) withQuickDuration(d time.Duration) Config {
 	c.Duration = d
 	return c
+}
+
+// TestParseShape: the SxM shape both -fed flags take.
+func TestParseShape(t *testing.T) {
+	for _, tc := range []struct {
+		shape         string
+		shards, size  int
+		wantErrSubstr string
+	}{
+		{shape: "8x16", shards: 8, size: 16},
+		{shape: "2x3", shards: 2, size: 3},
+		{shape: "816", wantErrSubstr: "want a shape SxM"},
+		{shape: "", wantErrSubstr: "want a shape SxM"},
+		{shape: "ax16", wantErrSubstr: `bad shard count "a"`},
+		{shape: "8x", wantErrSubstr: `bad shard size ""`},
+		{shape: "8x1x6", wantErrSubstr: `bad shard size "1x6"`},
+	} {
+		shards, size, err := ParseShape(tc.shape)
+		if tc.wantErrSubstr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErrSubstr) {
+				t.Errorf("ParseShape(%q) err = %v, want it to contain %q", tc.shape, err, tc.wantErrSubstr)
+			}
+			continue
+		}
+		if err != nil || shards != tc.shards || size != tc.size {
+			t.Errorf("ParseShape(%q) = %d, %d, %v; want %d, %d", tc.shape, shards, size, err, tc.shards, tc.size)
+		}
+	}
 }
