@@ -62,9 +62,13 @@ func (c *crashList) Set(s string) error {
 }
 
 func main() {
+	var algos []string
+	for _, a := range star.Algorithms() {
+		algos = append(algos, string(a))
+	}
 	var (
 		family   = flag.String("family", "combined", "assumption family: "+strings.Join(star.Families(), "|"))
-		algo     = flag.String("algo", "fig3", "algorithm: fig1|fig2|fig3|fg|stable|timefree")
+		algo     = flag.String("algo", "fig3", "algorithm: "+strings.Join(algos, "|"))
 		n        = flag.Int("n", 5, "number of processes")
 		t        = flag.Int("t", 2, "resilience (max crashes tolerated)")
 		center   = flag.Int("center", 0, "star center process id")

@@ -6,7 +6,8 @@
 // The families are adversarial: being δ-timely does not imply winning
 // reception races, and unconstrained links suffer growing outages. The
 // heartbeat baseline needs every leader link timely; the time-free baseline
-// needs winning responses; the paper's Figure 3 handles all of it.
+// needs the leader's ALIVEs to win reception races; the paper's Figure 3
+// handles all of it.
 //
 //	go run ./examples/coverage
 package main

@@ -1,6 +1,6 @@
-// Package baseline implements the two classical Ω constructions the paper
-// positions itself against, used as comparison points in the coverage
-// experiments (EXPERIMENTS.md, experiment C1-COVERAGE):
+// Package baseline implements the heartbeat/timeout Ω construction the
+// paper positions itself against, used as a comparison point in the
+// coverage experiments (EXPERIMENTS.md, experiment C1-COVERAGE):
 //
 //   - StableNode ("stable"): a heartbeat/timeout leader elector in the style
 //     of Larrea, Fernández & Arévalo [14]: each process trusts the senders
@@ -10,18 +10,9 @@
 //     under the eventual t-source model (where only t links are timely) and
 //     under the time-free message-pattern model (no timing at all).
 //
-//   - TimeFreeNode ("timefree"): the time-free construction of Mostéfaoui,
-//     Mourgaya & Raynal [16,18]: processes exchange round-tagged beacons,
-//     close a round after alpha = n-t receptions, suspect the processes that
-//     were not among the winners, and raise a gossiped counter for k when
-//     n-t processes suspected k in the same round. Correct under the
-//     message-pattern assumption (|Q| = t points always receiving the
-//     center's beacon among the first n-t), with no timers at all; it fails
-//     under timeliness-only models, where being δ-timely does not imply
-//     winning the per-round reception races.
-//
-// Both baselines elect min_(counter, id), exactly like the paper's
-// algorithms, so the stabilization checker applies uniformly.
+// The other classical construction, the time-free message pattern of
+// Mostéfaoui, Mourgaya & Raynal [16,18], is Figure 1 without its round
+// timer and runs as core.VariantTimeFree.
 package baseline
 
 import (
@@ -32,10 +23,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Timer keys shared by both baselines.
+// Timer keys.
 const (
-	timerBeacon proc.TimerKey = 0 // periodic heartbeat/round broadcast
-	timerSweep  proc.TimerKey = 1 // stable: periodic timeout sweep
+	timerBeacon proc.TimerKey = 0 // periodic heartbeat broadcast
+	timerSweep  proc.TimerKey = 1 // periodic timeout sweep
 )
 
 // StableConfig parameterizes StableNode.

@@ -10,7 +10,8 @@ import (
 // Variant selects which of the paper's algorithms a Node runs.
 type Variant int
 
-// The four algorithm variants, in the paper's order of presentation.
+// The four algorithm variants, in the paper's order of presentation, and
+// the time-free baseline the paper subsumes.
 const (
 	// VariantFig1 is the A'-based algorithm (Figure 1): no window test,
 	// no minimum test. Requires the rotating t-star at every round.
@@ -24,6 +25,14 @@ const (
 	// VariantFG is Figure 3 with the Section 7 generalization: the known
 	// functions F and G extend the window test and the timeout.
 	VariantFG
+	// VariantTimeFree is Figure 1 without the timer conjunct of line 8:
+	// a receiving round closes on alpha receptions alone, so the node
+	// never arms TimerRound and its timeout stays 0. This is the
+	// time-free message-pattern construction of Mostéfaoui, Mourgaya and
+	// Raynal [16,18], where only the round winners matter. It needs
+	// Alpha >= 2: at Alpha 1 the node's own reception closes every round
+	// at once (a Zeno livelock no timeout floor can prevent).
+	VariantTimeFree
 )
 
 func (v Variant) String() string {
@@ -36,6 +45,8 @@ func (v Variant) String() string {
 		return "fig3"
 	case VariantFG:
 		return "fg"
+	case VariantTimeFree:
+		return "timefree"
 	default:
 		return fmt.Sprintf("Variant(%d)", int(v))
 	}
@@ -52,8 +63,10 @@ func ParseVariant(s string) (Variant, error) {
 		return VariantFig3, nil
 	case "fg":
 		return VariantFG, nil
+	case "timefree":
+		return VariantTimeFree, nil
 	default:
-		return 0, fmt.Errorf("core: unknown variant %q (want fig1|fig2|fig3|fg)", s)
+		return 0, fmt.Errorf("core: unknown variant %q (want fig1|fig2|fig3|fg|timefree)", s)
 	}
 }
 
@@ -176,8 +189,11 @@ func (c Config) Validate() error {
 	if c.Alpha < 1 || c.Alpha > c.N {
 		return fmt.Errorf("core: Alpha must be in [1,%d], got %d", c.N, c.Alpha)
 	}
-	if c.Variant < VariantFig1 || c.Variant > VariantFG {
+	if c.Variant < VariantFig1 || c.Variant > VariantTimeFree {
 		return fmt.Errorf("core: invalid variant %d", c.Variant)
+	}
+	if c.Variant == VariantTimeFree && c.Alpha < 2 {
+		return fmt.Errorf("core: the time-free variant needs Alpha >= 2, got %d (Zeno guard)", c.Alpha)
 	}
 	if c.AlivePeriod <= 0 {
 		return fmt.Errorf("core: AlivePeriod must be positive, got %v", c.AlivePeriod)

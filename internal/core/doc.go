@@ -19,6 +19,17 @@
 //     and g that let the star gaps (D + f(rn)) and the timely-message delays
 //     (δ + g(rn)) grow without bound.
 //
+// A fifth variant is the baseline the paper subsumes rather than one of its
+// figures:
+//
+//   - VariantTimeFree: Figure 1 without the timer conjunct of line 8, i.e.
+//     the time-free message-pattern construction of Mostéfaoui, Mourgaya &
+//     Raynal [16,18]. A receiving round closes after alpha receptions, the
+//     processes not among its winners are its suspects, and no round timer
+//     is ever armed. It is correct when t processes always receive the
+//     center's ALIVE among their first alpha, and fails under
+//     timeliness-only models, where a δ-timely link need not win the race.
+//
 // # Mapping from the paper's pseudocode
 //
 // Paper variable -> code field (Node):

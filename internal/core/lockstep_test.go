@@ -82,7 +82,7 @@ func (m *naiveNode) suspicion(from int, rn int64, s *bitset.Set) {
 }
 
 func (m *naiveNode) windowOK(rn int64, k int) bool {
-	if m.cfg.Variant == VariantFig1 {
+	if m.cfg.Variant == VariantFig1 || m.cfg.Variant == VariantTimeFree {
 		return true
 	}
 	low := rn - m.level[k]
@@ -146,10 +146,11 @@ func (ls *lockStep) check(msg string) {
 
 // TestLockStepWithPaperOrder feeds Node and the naive handler identical
 // random SUSPICION streams, with an occasional ALIVE merge, for every
-// variant at n=5 (the one-word tally) and n=70 (the aligned one). Rounds span
+// variant (the time-free one included: its counter rule is Figure 1's) at
+// n=5 (the one-word tally) and n=70 (the aligned one). Rounds span
 // more than the 8-slot ring, so evicted and overflow rows are read too.
 func TestLockStepWithPaperOrder(t *testing.T) {
-	variants := []Variant{VariantFig1, VariantFig2, VariantFig3, VariantFG}
+	variants := []Variant{VariantFig1, VariantFig2, VariantFig3, VariantFG, VariantTimeFree}
 	for _, n := range []int{5, 70} {
 		for _, v := range variants {
 			for seed := int64(1); seed <= 4; seed++ {

@@ -79,7 +79,8 @@ type Node struct {
 	alivePool wire.AlivePool
 	suspPool  wire.SuspicionPool
 
-	// timerExpired mirrors "timer_i has expired" for the current round.
+	// timerExpired mirrors "timer_i has expired" for the current round;
+	// always true under VariantTimeFree, which has no timer.
 	timerExpired bool
 
 	// joined records that the one-shot JoinCurrentRound synchronization
@@ -274,7 +275,8 @@ func (n *Node) SuspLevelInto(dst []int64) []int64 {
 // Rounds returns the current sending and receiving round numbers.
 func (n *Node) Rounds() (sRN, rRN int64) { return n.sRN, n.rRN }
 
-// CurrentTimeout returns the value the round timer was last armed with.
+// CurrentTimeout returns the value the round timer was last armed with (0
+// under VariantTimeFree).
 func (n *Node) CurrentTimeout() time.Duration { return n.lastTimeout }
 
 // OnTimer implements proc.Node.
@@ -396,9 +398,9 @@ func (n *Node) onSuspicion(from proc.ID, m *wire.Suspicion) {
 
 // windowTestOK evaluates line "*": p_k must have been suspected by >= alpha
 // processes in every round of the window [rn - susp_level[k] - F(rn), rn).
-// VariantFig1 has no window test.
+// VariantFig1 and VariantTimeFree have no window test.
 func (n *Node) windowTestOK(rn int64, k int) bool {
-	if n.cfg.Variant == VariantFig1 {
+	if n.cfg.Variant == VariantFig1 || n.cfg.Variant == VariantTimeFree {
 		return true
 	}
 	low := rn - n.suspLevel[k]
@@ -480,8 +482,14 @@ var _ proc.Crashable = (*Node)(nil)
 var _ proc.LeaderOracle = (*Node)(nil)
 
 // armRoundTimer (re)arms the receiving-round timer with value d and resets
-// the expiry flag (line 11 plus the init block's "set timer_i").
+// the expiry flag (line 11 plus the init block's "set timer_i"). The
+// time-free variant has no timer: its line-8 guard is the reception count
+// alone, so the flag stays set and the timeout stays 0.
 func (n *Node) armRoundTimer(d time.Duration) {
+	if n.cfg.Variant == VariantTimeFree {
+		n.timerExpired = true
+		return
+	}
 	n.lastTimeout = d
 	if d > n.metrics.MaxTimeout {
 		n.metrics.MaxTimeout = d

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -580,6 +581,7 @@ func TestConfigValidation(t *testing.T) {
 func TestParseVariant(t *testing.T) {
 	for s, want := range map[string]Variant{
 		"fig1": VariantFig1, "fig2": VariantFig2, "fig3": VariantFig3, "fg": VariantFG,
+		"timefree": VariantTimeFree,
 	} {
 		got, err := ParseVariant(s)
 		if err != nil || got != want {
@@ -591,6 +593,8 @@ func TestParseVariant(t *testing.T) {
 	}
 	if _, err := ParseVariant("nope"); err == nil {
 		t.Error("ParseVariant accepted garbage")
+	} else if !strings.Contains(err.Error(), "timefree") {
+		t.Errorf("ParseVariant error %q does not list timefree", err)
 	}
 }
 

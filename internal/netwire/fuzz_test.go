@@ -17,10 +17,18 @@ import (
 	"repro/internal/wire"
 )
 
+// retiredKinds are the reserved kind bytes 4-6 and the kinds they tagged
+// before those kinds were deleted; a frame carrying one must not decode.
+var retiredKinds = []struct {
+	b    byte
+	name string
+}{{4, "accusation"}, {5, "query"}, {6, "response"}}
+
 // seedFrames is the FuzzDecode seed corpus: one valid frame per (kind,
-// size), ALIVE vectors at the packed widths that matter (0, Lemma 8's 1 at
-// n=251, and 64), every rejected packed form, and the structural edge
-// cases. Decode sees [version][kind][body], so the length prefix is cut.
+// size), one frame per (retired kind byte, size), ALIVE vectors at the
+// packed widths that matter (0, Lemma 8's 1 at n=251, and 64), every
+// rejected packed form, and the structural edge cases. Decode sees
+// [version][kind][body], so the length prefix is cut.
 func seedFrames(t testing.TB) []namedFrame {
 	var out []namedFrame
 	rng := rand.New(rand.NewSource(42))
@@ -31,6 +39,10 @@ func seedFrames(t testing.TB) []namedFrame {
 				t.Fatal(err)
 			}
 			out = append(out, namedFrame{name: strings.ToLower(kind.String()) + "-n" + fmt.Sprint(n), frame: frame[4:]})
+		}
+		for _, r := range retiredKinds {
+			frame := binary.BigEndian.AppendUint64([]byte{Version, r.b}, uint64(n))
+			out = append(out, namedFrame{name: r.name + "-n" + fmt.Sprint(n), frame: frame})
 		}
 	}
 	for _, c := range []struct{ n, w int }{{5, 0}, {251, 1}, {2, 64}} {

@@ -21,7 +21,7 @@
 //
 // Fields are fixed-width big-endian integers, bools are one 0/1 byte and a
 // Suspicion set is [universe u16] plus its 64-bit words. An int64 vector
-// (Alive.SuspLevel, Response.Counters) is packed as a frame of reference:
+// (Alive.SuspLevel) is packed as a frame of reference:
 //
 //	[n u16][base i64][w u8][n offsets v−base, w bits each, MSB-first]
 //
@@ -122,14 +122,6 @@ func appendBody(buf []byte, m wire.Message) ([]byte, error) {
 		}
 	case *wire.Heartbeat:
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-	case *wire.Accusation:
-		buf = binary.BigEndian.AppendUint32(buf, uint32(v.Target))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Epoch))
-	case *wire.Query:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-	case *wire.Response:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Seq))
-		buf, err = appendPacked(buf, v.Counters)
 	case *wire.Prepare:
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Instance))
 		buf = appendBallot(buf, v.Ballot)
@@ -304,9 +296,8 @@ type Pools struct {
 }
 
 // Decode decodes one frame (as returned by ReadFrame: [version][kind][body])
-// into a message drawn from p's pools. Pooled payloads must be recycled by
-// the caller once consumed; non-pooled kinds (Accusation, Query, Response)
-// are freshly allocated and left to the garbage collector.
+// into a message drawn from p's pools; the caller recycles it once
+// consumed.
 func (p *Pools) Decode(frame []byte) (wire.Message, error) {
 	if len(frame) < 2 {
 		return nil, fmt.Errorf("%w: %d-byte frame", ErrFrame, len(frame))
@@ -370,17 +361,6 @@ func (p *Pools) decodeBody(data []byte, depth int) (wire.Message, []byte, error)
 	case wire.KindHeartbeat:
 		v := p.hb.Get()
 		v.Seq = r.int64()
-		m = v
-	case wire.KindAccusation:
-		m = &wire.Accusation{Target: int32(r.uint32()), Epoch: r.int64()}
-	case wire.KindQuery:
-		m = &wire.Query{Seq: r.int64()}
-	case wire.KindResponse:
-		v := &wire.Response{Seq: r.int64()}
-		if n, base, w := r.vector(p.MaxEntries); r.err == nil {
-			v.Counters = make([]int64, n)
-			r.unpack(v.Counters, base, w)
-		}
 		m = v
 	case wire.KindPrepare:
 		v := p.prep.Get()

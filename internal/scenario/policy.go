@@ -63,7 +63,7 @@ func outageDelay(p Params, ev *netsim.Envelope) time.Duration {
 	}
 	k := int64(since / p.OutagePeriod)
 	into := since % p.OutagePeriod
-	width := p.OutageBase << uint(min64(k/4, 24))
+	width := p.OutageBase << uint(min(k/4, 24))
 	if width > p.OutagePeriod/2 {
 		width = p.OutagePeriod / 2
 	}
@@ -71,13 +71,6 @@ func outageDelay(p Params, ev *netsim.Envelope) time.Duration {
 		return 0
 	}
 	return width - into
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // The victim of the order/lose adversary is the CURRENT LEADER as observed

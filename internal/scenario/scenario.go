@@ -87,10 +87,9 @@ type Restart struct {
 }
 
 // TagFunc extracts the round tag from a payload, reporting ok=false for
-// untagged messages. Round-tagged kinds are ALIVE (core algorithms; tag is
-// the sending round), HEARTBEAT (timeout baselines; tag is the beacon
-// sequence) and RESPONSE (query-response baselines; tag is the query
-// sequence, scoped per receiver). wire.Mux envelopes are unwrapped.
+// untagged messages. Round-tagged kinds are ALIVE (core algorithms and the
+// time-free baseline; tag is the sending round) and HEARTBEAT (the timeout
+// baseline; tag is the beacon sequence). wire.Mux envelopes are unwrapped.
 type TagFunc func(payload any) (tag int64, ok bool)
 
 // RoundTag is the default TagFunc covering all round-tagged message kinds.
@@ -102,8 +101,6 @@ func RoundTag(payload any) (int64, bool) {
 		case *wire.Alive:
 			return m.RN, true
 		case *wire.Heartbeat:
-			return m.Seq, true
-		case *wire.Response:
 			return m.Seq, true
 		default:
 			return 0, false

@@ -23,11 +23,10 @@ func TestRoundTagExtraction(t *testing.T) {
 	}{
 		{&wire.Alive{RN: 9}, 9, true},
 		{&wire.Heartbeat{Seq: 4}, 4, true},
-		{&wire.Response{Seq: 3}, 3, true},
 		{&wire.Mux{Lane: 1, Inner: &wire.Alive{RN: 12}}, 12, true},
 		{&wire.Mux{Lane: 0, Inner: &wire.Mux{Lane: 1, Inner: &wire.Heartbeat{Seq: 2}}}, 2, true},
 		{&wire.Suspicion{RN: 5, Suspects: bitset.New(3)}, 0, false},
-		{&wire.Query{Seq: 8}, 0, false},
+		{&wire.Decide{Instance: 8, Value: 8}, 0, false},
 		{"garbage", 0, false},
 	}
 	for _, c := range cases {

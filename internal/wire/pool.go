@@ -19,8 +19,8 @@ import "repro/internal/bitset"
 //     runtime) simply never call Retain/Recycle; pooled payloads then age
 //     out to the garbage collector and the pool's Get falls back to
 //     allocating, which is exactly the seed behaviour.
-//   - Messages built by hand (tests, netwire's non-pooled kinds) have no
-//     home pool; Retain and Recycle are no-ops on them.
+//   - Messages built by hand (tests) have no home pool; Retain and
+//     Recycle are no-ops on them.
 //
 // The contract this imposes on receivers is the one the package already
 // documents: do not retain a payload pointer past the OnMessage callback —

@@ -10,7 +10,7 @@
 //     (Figure 1, line 10); suspects is the set of processes not heard from in
 //     receiving round rn.
 //
-// The baseline Ω algorithms and the consensus layer add further kinds, each
+// The heartbeat baseline and the consensus layer add further kinds, each
 // with an explicit integer tag (Kind).
 //
 // The simulated and goroutine transports pass message values by pointer
@@ -18,9 +18,9 @@
 // internal/netwire is the only codec: it frames a message as [kind][body]
 // for a byte stream, and every type's Size returns the exact length of that
 // encoding, so every transport accounts real wire bytes without serializing
-// on the hot path. An int64 vector (Alive.SuspLevel, Response.Counters)
-// travels as a frame of reference, one base plus a w-bit offset per entry
-// (Span); by Lemma 8 a Figure 3 ALIVE is a base plus an n-bit set.
+// on the hot path. An int64 vector (Alive.SuspLevel) travels as a frame of
+// reference, one base plus a w-bit offset per entry (Span); by Lemma 8 a
+// Figure 3 ALIVE is a base plus an n-bit set.
 package wire
 
 import (
@@ -38,9 +38,12 @@ const (
 	KindAlive Kind = iota + 1
 	KindSuspicion
 	KindHeartbeat
-	KindAccusation
-	KindQuery
-	KindResponse
+	// Bytes 4-6 are reserved: they tagged ACCUSATION, QUERY and RESPONSE,
+	// kinds no protocol here sends. Skipping them keeps every live kind's
+	// wire byte.
+	_
+	_
+	_
 	KindPrepare
 	KindPromise
 	KindAccept
@@ -65,12 +68,6 @@ func (k Kind) String() string {
 		return "SUSPICION"
 	case KindHeartbeat:
 		return "HEARTBEAT"
-	case KindAccusation:
-		return "ACCUSATION"
-	case KindQuery:
-		return "QUERY"
-	case KindResponse:
-		return "RESPONSE"
 	case KindPrepare:
 		return "PREPARE"
 	case KindPromise:
@@ -143,45 +140,6 @@ func (*Heartbeat) Kind() Kind { return KindHeartbeat }
 
 // Size implements Message.
 func (m *Heartbeat) Size() int { return 1 + 8 }
-
-// Accusation is used by the eventual-t-source baseline: the sender accuses
-// Target of having missed a heartbeat deadline (counter-based Ω construction
-// in the style of Aguilera et al. [2]).
-type Accusation struct {
-	Target int32
-	Epoch  int64 // accusation epoch, so duplicates are idempotent
-}
-
-// Kind implements Message.
-func (*Accusation) Kind() Kind { return KindAccusation }
-
-// Size implements Message.
-func (m *Accusation) Size() int { return 1 + 4 + 8 }
-
-// Query is used by the message-pattern baseline [16]: a round-stamped query
-// answered by Response; the first n-t responses are the "winning" ones.
-type Query struct {
-	Seq int64
-}
-
-// Kind implements Message.
-func (*Query) Kind() Kind { return KindQuery }
-
-// Size implements Message.
-func (m *Query) Size() int { return 1 + 8 }
-
-// Response answers a Query; Counters carries the responder's accusation
-// counters so that query-based baselines can gossip state.
-type Response struct {
-	Seq      int64
-	Counters []int64
-}
-
-// Kind implements Message.
-func (*Response) Kind() Kind { return KindResponse }
-
-// Size implements Message.
-func (m *Response) Size() int { return 1 + 8 + packedSize(m.Counters) }
 
 // Span returns the frame of reference of xs: base is min(xs) and w is the
 // bit width of max(xs)−min(xs), taken with wrapping subtraction, so
@@ -333,9 +291,6 @@ var (
 	_ Message = (*Alive)(nil)
 	_ Message = (*Suspicion)(nil)
 	_ Message = (*Heartbeat)(nil)
-	_ Message = (*Accusation)(nil)
-	_ Message = (*Query)(nil)
-	_ Message = (*Response)(nil)
 	_ Message = (*Prepare)(nil)
 	_ Message = (*Promise)(nil)
 	_ Message = (*Accept)(nil)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -34,6 +35,24 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(200).String() != "Kind(200)" {
 		t.Errorf("unknown kind = %q", Kind(200).String())
+	}
+}
+
+// TestKindWireBytes: the kind byte is the wire format, so the retired bytes
+// 4-6 stay reserved and every live kind keeps its value.
+func TestKindWireBytes(t *testing.T) {
+	for k, want := range map[Kind]uint8{
+		KindAlive: 1, KindSuspicion: 2, KindHeartbeat: 3, KindPrepare: 7, KindPromise: 8,
+		KindAccept: 9, KindAccepted: 10, KindDecide: 11, KindMux: 12, KindABCast: 13, KindCount: 14,
+	} {
+		if uint8(k) != want {
+			t.Errorf("%v is byte %d, want %d", k, uint8(k), want)
+		}
+	}
+	for b := uint8(4); b <= 6; b++ {
+		if got, want := Kind(b).String(), fmt.Sprintf("Kind(%d)", b); got != want {
+			t.Errorf("reserved byte %d names %q, want %q", b, got, want)
+		}
 	}
 }
 

@@ -4,7 +4,8 @@ import "fmt"
 
 // Algo names an eventual-leader implementation. The four core variants are
 // the paper's Figures 1-3 and the §7 generalization; the two baselines are
-// the classical constructions the paper subsumes.
+// the classical constructions the paper subsumes (TimeFree runs as a fifth
+// core variant, Stable as its own node).
 type Algo string
 
 // The runnable algorithms.
@@ -27,8 +28,10 @@ const (
 	// Stable is the classical heartbeat/timeout baseline [14]; it needs
 	// every leader link to be eventually timely.
 	Stable Algo = "stable"
-	// TimeFree is the query/response message-pattern baseline [16,18];
-	// it needs winning responses and uses no timers at all.
+	// TimeFree is the time-free message-pattern baseline [16,18]: Figure
+	// 1 without the round timer, so a receiving round closes on its first
+	// alpha ALIVEs. It needs the center's ALIVE to win those races and uses
+	// no timeout at all.
 	TimeFree Algo = "timefree"
 )
 

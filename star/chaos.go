@@ -260,14 +260,13 @@ func (g *chaosGuard) Start(env proc.Env) {
 	c := g.c
 	if fl := c.chaosFloor[g.id]; fl != nil {
 		c.chaosFloor[g.id] = nil
-		if sn := c.snaps[g.id]; sn != nil {
-			var post journal.Snapshot
-			sn.ExportSnapshot(&post)
+		if cn := c.cores[g.id]; cn != nil {
+			post := cn.SuspLevel()
 			for i, lv := range fl {
-				if i < len(post.Levels) && post.Levels[i] < lv {
+				if i < len(post) && post[i] < lv {
 					c.chaosMon.Violate(c.engNow(), chaos.RuleRestoreRegression,
 						fmt.Sprintf("process %d: susp_level[%d] restored to %d, below journaled %d",
-							g.id, i, post.Levels[i], lv))
+							g.id, i, post[i], lv))
 				}
 			}
 		}

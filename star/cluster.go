@@ -19,14 +19,6 @@ import (
 	"repro/internal/sim"
 )
 
-// snapshotter is the per-node recovery seam: core.Node and the time-free
-// baseline implement it; algorithms that don't (Stable) simply never
-// restore and are skipped by the snapshot sweep.
-type snapshotter interface {
-	ExportSnapshot(*journal.Snapshot)
-	RestoreSnapshot(*journal.Snapshot) error
-}
-
 // recOutcome records how one restart's recovery resolved, for restart to
 // emit as EventRecovery after the restart completes (emitting from inside
 // buildProcess would run under the process's callback lock on the live
@@ -67,24 +59,23 @@ type Cluster struct {
 
 	// Per-process protocol handles. The transport endpoint (entry in
 	// endpoints) is the registered node — a mux when application lanes
-	// are enabled. With churn, restarted incarnations replace their
-	// entries via the restart factory.
+	// are enabled. cores[id] is nil only under Stable; it serves the
+	// susp_level, round, timeout and snapshot reads. timers also covers
+	// Stable's adaptive timeout. With churn, restarted incarnations
+	// replace their entries via the restart factory.
 	endpoints []proc.Node
 	oracles   []proc.LeaderOracle
 	cores     []*core.Node
 	conss     []*consensus.Node
 	abs       []*abcast.Node
-	rounders  []interface{ Rounds() (int64, int64) }
 	timers    []interface{ CurrentTimeout() time.Duration }
 
-	// Recovery state (WithRecovery): the per-process snapshot seams, the
-	// incarnation counters stamped into saved snapshots, the per-process
-	// outcome of the last restart's recovery (read by restart for
-	// EventRecovery), and a scratch snapshot reused by the sweep. All of
-	// it is written under the owning process's engine lock (buildProcess
-	// runs inside the restart path, which holds it) or by the single
-	// snapshotting context.
-	snaps        []snapshotter
+	// Recovery state (WithRecovery): the incarnation counters stamped into
+	// saved snapshots, the per-process outcome of the last restart's
+	// recovery (read by restart for EventRecovery), and a scratch snapshot
+	// reused by the sweep. All of it is written under the owning process's
+	// engine lock (buildProcess runs inside the restart path, which holds
+	// it) or by the single snapshotting context.
 	incarnations []uint64
 	recOutcomes  []recOutcome
 	scratchSnap  journal.Snapshot
@@ -192,10 +183,8 @@ func New(opts ...Option) (*Cluster, error) {
 		cores:     make([]*core.Node, cfg.n),
 		conss:     make([]*consensus.Node, cfg.n),
 		abs:       make([]*abcast.Node, cfg.n),
-		rounders:  make([]interface{ Rounds() (int64, int64) }, cfg.n),
 		timers:    make([]interface{ CurrentTimeout() time.Duration }, cfg.n),
 
-		snaps:        make([]snapshotter, cfg.n),
 		incarnations: make([]uint64, cfg.n),
 		recOutcomes:  make([]recOutcome, cfg.n),
 
@@ -464,7 +453,7 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 
 	var omega proc.Node
 	switch c.cfg.algo {
-	case Fig1, Fig2, Fig3, FG:
+	case Fig1, Fig2, Fig3, FG, TimeFree:
 		variant, err := core.ParseVariant(string(c.cfg.algo))
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
@@ -499,19 +488,6 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 		}
 		omega = node
 		c.cores[id] = nil
-	case TimeFree:
-		node, err := baseline.NewTimeFree(baseline.TimeFreeConfig{
-			N: p.N, T: p.T, Alpha: p.Alpha,
-			Period:           c.cfg.alivePeriod,
-			Retention:        c.cfg.retention,
-			WindowSlots:      c.cfg.windowSlots(),
-			JoinCurrentRound: useJump,
-		})
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidParams, err)
-		}
-		omega = node
-		c.cores[id] = nil
 	default:
 		return fmt.Errorf("%w: %q", ErrUnknownAlgorithm, c.cfg.algo)
 	}
@@ -522,15 +498,14 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 	}
 	c.oracles[id] = oracle
 
-	// Install the recovery seam and apply the resolved restore. Stable
-	// has no snapshot support: its restarts always take the fresh path.
-	sn, _ := omega.(snapshotter)
-	c.snaps[id] = sn
-	if sn == nil {
+	// Apply the resolved restore. Stable has no snapshot support: its
+	// restarts always take the fresh path.
+	cn := c.cores[id]
+	if cn == nil {
 		restore = nil
 	}
 	if restore != nil {
-		if err := sn.RestoreSnapshot(restore); err != nil {
+		if err := cn.RestoreSnapshot(restore); err != nil {
 			// Unreachable while the shape pre-checks above mirror
 			// RestoreSnapshot's validation; fail loudly if they drift.
 			return fmt.Errorf("%w: %v", ErrInvalidParams, err)
@@ -570,7 +545,6 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 			c.chaosFloor[id] = append([]int64(nil), restore.Levels...)
 		}
 	}
-	c.rounders[id], _ = omega.(interface{ Rounds() (int64, int64) })
 	c.timers[id], _ = omega.(interface{ CurrentTimeout() time.Duration })
 
 	endpoint := omega
@@ -657,14 +631,12 @@ func (c *Cluster) collect(at time.Duration) {
 		}
 		p.Lock()
 		ls.Leaders[id] = c.oracles[id].Leader()
+		var roundAdv int64
 		if cn := c.cores[id]; cn != nil {
 			c.levelBuf = cn.SuspLevelInto(c.levelBuf)
 			c.bounds.Observe(c.levelBuf)
 			c.timeoutSeries[id] = append(c.timeoutSeries[id], cn.CurrentTimeout())
-		}
-		var roundAdv int64
-		if rd := c.rounders[id]; rd != nil {
-			if _, r := rd.Rounds(); r > c.lastRounds[id] {
+			if _, r := cn.Rounds(); r > c.lastRounds[id] {
 				c.lastRounds[id] = r
 				roundAdv = r
 			}
@@ -692,8 +664,8 @@ func (c *Cluster) collect(at time.Duration) {
 }
 
 // snapshotAll is the recovery-journal sweep (the SnapshotEvery cadence):
-// every live, snapshot-capable process's state is exported under its engine
-// lock and saved. The save itself runs outside the lock — file I/O must not
+// every live process's core node (all algorithms but Stable) exports its
+// state under its engine lock and the state is saved. The save itself runs outside the lock — file I/O must not
 // stall protocol callbacks. One scratch snapshot is reused across processes
 // and ticks (each engine runs an every action from exactly one context: the
 // simulator's event loop, or one wall-clock ticker goroutine).
@@ -707,14 +679,14 @@ func (c *Cluster) snapshotAll() {
 			continue
 		}
 		p.Lock()
-		sn := c.snaps[id]
-		if sn == nil || p.Crashed() {
+		cn := c.cores[id]
+		if cn == nil || p.Crashed() {
 			p.Unlock()
 			continue
 		}
 		c.scratchSnap.Proc = id
 		c.scratchSnap.Incarnation = c.incarnations[id]
-		sn.ExportSnapshot(&c.scratchSnap)
+		cn.ExportSnapshot(&c.scratchSnap)
 		p.Unlock()
 		if err := c.cfg.recovery.Save(&c.scratchSnap); err != nil {
 			c.recStats.saveErrors.Add(1)
@@ -870,11 +842,11 @@ func (c *Cluster) Rounds(id int) (sending, receiving int64) {
 	}
 	c.lock(id)
 	defer c.unlock(id)
-	rd := c.rounders[id]
-	if rd == nil {
+	cn := c.cores[id]
+	if cn == nil {
 		return 0, 0
 	}
-	return rd.Rounds()
+	return cn.Rounds()
 }
 
 // Report computes the domain verdict from everything sampled so far: the

@@ -44,8 +44,8 @@ func newSimEngine(c *Cluster) (*simEngine, error) {
 	c.sc.SetCrashedProbe(net.Crashed)
 	c.sc.SetChurnEpochProbe(c.churnEpoch.Load)
 	c.sc.SetRoundProbe(func(q proc.ID) int64 {
-		if rd := c.rounders[q]; rd != nil {
-			_, r := rd.Rounds()
+		if cn := c.cores[q]; cn != nil {
+			_, r := cn.Rounds()
 			return r
 		}
 		return -1

@@ -13,7 +13,7 @@ import (
 //     eventually timely: it works under AllTimely and breaks under the
 //     eventual t-source (only t timely links) and under the time-free
 //     message-pattern family (no timing at all).
-//   - The time-free baseline needs winning responses: it works under the
+//   - The time-free baseline needs winning ALIVEs: it works under the
 //     (moving) message pattern and breaks under timeliness-only families —
 //     the two assumption styles are incomparable (§1.2).
 //   - Figure 1 handles every A' family but breaks under the intermittent
