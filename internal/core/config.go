@@ -129,11 +129,17 @@ type Config struct {
 	// rounds.DefaultSlots.
 	WindowSlots int
 
-	// Retention, when positive, prunes suspicions/rec_from bookkeeping
-	// rows older than Retention rounds behind the newest round seen. It
-	// must comfortably exceed the eventual suspicion-level bound B+1
-	// plus max F, or liveness of crash detection can be lost. 0 keeps
-	// everything (paper-faithful).
+	// Retention, when positive, is how many rounds a SUSPICION may lag
+	// the receiving round r_rn and still be counted: bookkeeping rows
+	// below the horizon r_rn − Retention − reach are pruned, where reach
+	// is how far back the window test (line "*") reads — 0 under Figure 1
+	// and the time-free variant, max susp_level under Figures 2 and 3, and
+	// max susp_level + F(r_rn) under §7. While Metrics.BelowHorizon reads
+	// 0 (no SUSPICION below the horizon, no window test reaching below
+	// it) the node observes exactly what unbounded history would.
+	// Restarts are outside that equivalence: a restarted member lags by
+	// its downtime, which no finite Retention covers (ROADMAP.md, "Ω
+	// across restarts"). 0 keeps everything (paper-faithful).
 	Retention int64
 
 	// OnIncrement, when non-nil, observes every susp_level increment

@@ -62,8 +62,14 @@
 //     links never duplicate, so this is pure hardening with no behavioural
 //     effect in any modeled execution.
 //   - suspicions/rec_from rows are unbounded in the paper; Config.Retention
-//     optionally prunes rows far behind the newest round to run very long
-//     simulations in bounded memory (0 disables pruning, the default).
+//     optionally prunes rows below r_rn − Retention − the window test's
+//     reach, to run very long simulations in bounded memory (0 disables
+//     pruning, the default). No later message can read those rows unless
+//     a SUSPICION lags r_rn by more than Retention, or a level grows past
+//     the max it was pruned under; Metrics.BelowHorizon counts both, and
+//     while it reads 0 the run is identical to unbounded history. Restarts
+//     are outside the equivalence: a restarted member lags by its downtime
+//     (ROADMAP.md, "Ω across restarts").
 //   - Config.JoinCurrentRound (off by default, so absent from the base
 //     algorithm) lets a churned-back incarnation adopt its peers' round
 //     frontier from the first message it receives. The paper starts all

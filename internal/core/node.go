@@ -36,9 +36,15 @@ type Metrics struct {
 	LateAlive      uint64 // ALIVE messages discarded because rn < r_rn
 	DupSuspicion   uint64 // duplicated SUSPICION messages ignored
 
+	// BelowHorizon counts where bounded retention may differ from the
+	// paper's unbounded history: SUSPICIONs whose round is below the
+	// applied horizon (their tally row was, or is now, pruned) and window
+	// tests (line "*") that reach below it. Always 0 under Retention 0.
+	BelowHorizon uint64
+
 	// Ring-window health: rounds whose data was evicted to the overflow
-	// map, and lookups and claims served by it. Both ~0 in
-	// non-adversarial runs; growth means the round skew exceeded
+	// map, and lookups and claims served by it. Both 0 while every live
+	// round fits the ring; growth means the round skew exceeded
 	// Config.WindowSlots and the store degraded (correctly) to map
 	// behaviour. The window test of line "*" is one lookup per round it
 	// reads, and under Figure 3 and §7 it runs only for targets that
@@ -100,10 +106,6 @@ type Node struct {
 	minLevel int64
 	maxLevel int64
 	atMin    bitset.Set
-
-	// maxRoundSeen is the newest round appearing in any received
-	// message; drives Retention pruning.
-	maxRoundSeen int64
 
 	// prunedBelow is the horizon actually applied by the last prune:
 	// rounds below it hold no suspicion data. Evictions use it (not the
@@ -199,19 +201,13 @@ func (n *Node) applySnapshot(s *journal.Snapshot) {
 		}
 	}
 	n.rescanExtrema()
-	if s.MaxRoundSeen > n.maxRoundSeen {
-		n.maxRoundSeen = s.MaxRoundSeen
-	}
 	// Restored state IS the frontier context a jump would approximate;
 	// suppress the one-shot JoinCurrentRound synchronization.
 	n.joined = true
-	// Re-derive the pruning horizon under the restored frontier so the
-	// window does not carry a stale (too-low) horizon into old rounds.
-	if n.cfg.Retention != 0 {
-		if h := n.maxRoundSeen - n.cfg.Retention; h > n.prunedBelow {
-			n.prunedBelow = h
-		}
-	}
+	// Re-derive the pruning horizon from the restored receiving round and
+	// levels so the window does not carry a stale (too-low) horizon into
+	// old rounds.
+	n.prune()
 }
 
 // ExportSnapshot fills s with the node's recovery-relevant state. Proc and
@@ -220,7 +216,7 @@ func (n *Node) applySnapshot(s *journal.Snapshot) {
 func (n *Node) ExportSnapshot(s *journal.Snapshot) {
 	s.SRN = n.sRN
 	s.RRN = n.rRN
-	s.MaxRoundSeen = n.maxRoundSeen
+	s.MaxRoundSeen = 0 // not part of core's state (see journal.Snapshot)
 	if cap(s.Levels) < len(n.suspLevel) {
 		s.Levels = make([]int64, len(n.suspLevel))
 	}
@@ -345,7 +341,6 @@ func (n *Node) maybeJoin(rn int64) {
 
 // onAlive handles lines 4-7.
 func (n *Node) onAlive(from proc.ID, m *wire.Alive) {
-	n.noteRound(m.RN)
 	// Line 5: pointwise maximum merge of the gossiped susp_level.
 	for k, v := range m.SuspLevel {
 		if k < len(n.suspLevel) && v > n.suspLevel[k] {
@@ -363,7 +358,6 @@ func (n *Node) onAlive(from proc.ID, m *wire.Alive) {
 
 // onSuspicion handles lines 13-18 including the variant-specific tests.
 func (n *Node) onSuspicion(from proc.ID, m *wire.Suspicion) {
-	n.noteRound(m.RN)
 	row := n.win.Claim(m.RN, n.rRN, n.prunedBelow)
 	if !row.SuspLive {
 		row.BeginSusp()
@@ -392,6 +386,7 @@ func (n *Node) onSuspicion(from proc.ID, m *wire.Suspicion) {
 		// this very message; the map implementation's per-message sweep
 		// would delete it now, so the next report for this round starts
 		// from scratch again.
+		n.metrics.BelowHorizon++
 		n.win.DropSusp(m.RN)
 	}
 }
@@ -409,6 +404,9 @@ func (n *Node) windowTestOK(rn int64, k int) bool {
 	}
 	if low < 1 {
 		low = 1 // rounds are numbered from 1 (see package docs)
+	}
+	if low < n.prunedBelow {
+		n.metrics.BelowHorizon++ // reads rows bounded retention dropped
 	}
 	for x := low; x < rn; x++ {
 		row := n.win.Get(x)
@@ -560,22 +558,32 @@ func (n *Node) rescanExtrema() {
 	n.maxLevel = max
 }
 
-// noteRound tracks the newest round seen in any message, for pruning.
-func (n *Node) noteRound(rn int64) {
-	if rn > n.maxRoundSeen {
-		n.maxRoundSeen = rn
+// horizon is the lowest round a later message can still read: a SUSPICION
+// lagging the receiving round by up to Retention rounds, plus the reach of
+// its window test (line "*"), which reads susp_level[k] + F(rn) rounds back
+// under Figures 2 and 3 and §7 and nothing under Figure 1 and the time-free
+// variant. maxLevel bounds every level, and §7's F is non-decreasing, so
+// F(r_rn) bounds F at any round that lags r_rn.
+func (n *Node) horizon() int64 {
+	h := n.rRN - n.cfg.Retention
+	switch n.cfg.Variant {
+	case VariantFig2, VariantFig3:
+		h -= n.maxLevel
+	case VariantFG:
+		h -= n.maxLevel + n.cfg.F(n.rRN)
 	}
+	return h
 }
 
-// prune drops bookkeeping rows older than the retention horizon.
+// prune drops bookkeeping rows below the retention horizon.
 func (n *Node) prune() {
 	if n.cfg.Retention == 0 {
 		return
 	}
-	horizon := n.maxRoundSeen - n.cfg.Retention
-	if horizon <= n.prunedBelow {
+	h := n.horizon()
+	if h <= n.prunedBelow {
 		return
 	}
-	n.prunedBelow = horizon
-	n.win.Prune(n.rRN, horizon)
+	n.prunedBelow = h
+	n.win.Prune(n.rRN, h)
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/bitset"
+	"repro/internal/journal"
 	"repro/internal/proc"
 	"repro/internal/rounds"
 	"repro/internal/wire"
@@ -498,13 +499,86 @@ func TestCrashedNodeDoesNothing(t *testing.T) {
 	}
 }
 
+// advanceTo completes receiving rounds until r_rn reaches rn: every other
+// process's ALIVE for the round arrives, then the round timer expires.
+func advanceTo(n *Node, rn int64) {
+	for _, r := n.Rounds(); r < rn; _, r = n.Rounds() {
+		for from := range n.cfg.N {
+			if from != n.env.ID() {
+				n.OnMessage(from, &wire.Alive{RN: r, SuspLevel: make([]int64, n.cfg.N)})
+			}
+		}
+		n.OnTimer(TimerRound)
+	}
+}
+
 func TestRetentionPrunes(t *testing.T) {
 	n, _ := newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig1, Retention: 10})
 	for rn := int64(1); rn <= 100; rn++ {
+		advanceTo(n, rn)
 		feedSuspicion(n, rn, 3, 0, 1, 2)
 	}
 	if got := n.win.SuspRounds(); got > 12 {
 		t.Fatalf("suspicion rounds tracked = %d, want <= 12 with Retention=10", got)
+	}
+	if got := n.Metrics().BelowHorizon; got != 0 {
+		t.Fatalf("BelowHorizon = %d, want 0 (no SUSPICION lagged r_rn)", got)
+	}
+}
+
+// TestRestoredHorizonFromReceivingRound: a restored node measures its
+// retention horizon from the snapshot's RRN less the window test's reach
+// (susp_level max, plus F under §7), never from MaxRoundSeen.
+func TestRestoredHorizonFromReceivingRound(t *testing.T) {
+	levels := []int64{0, 2, 7, 1}
+	cases := []struct {
+		variant Variant
+		want    int64
+	}{
+		{VariantFig1, 100 - 5},
+		{VariantTimeFree, 100 - 5},
+		{VariantFig2, 100 - 5 - 7},
+		{VariantFig3, 100 - 5 - 7},
+		{VariantFG, 100 - 5 - 7 - 10}, // F(100) = 10
+	}
+	for _, tc := range cases {
+		t.Run(tc.variant.String(), func(t *testing.T) {
+			cfg := Config{N: 4, T: 1, Variant: tc.variant, Retention: 5,
+				F: func(rn int64) int64 { return rn / 10 }}
+			n, err := NewNode(0, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := &journal.Snapshot{SRN: 100, RRN: 100, MaxRoundSeen: 1000, Levels: levels}
+			if err := n.RestoreSnapshot(snap); err != nil {
+				t.Fatal(err)
+			}
+			n.Start(newFakeEnv(0, 4))
+			if n.prunedBelow != tc.want {
+				t.Fatalf("horizon = %d, want %d", n.prunedBelow, tc.want)
+			}
+		})
+	}
+	// Observable under Figure 1: a round just above the restored horizon
+	// still counts, one below it never accumulates.
+	n, err := NewNode(0, Config{N: 4, T: 1, Variant: VariantFig1, Retention: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.RestoreSnapshot(&journal.Snapshot{SRN: 100, RRN: 100, MaxRoundSeen: 1000, Levels: make([]int64, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	n.Start(newFakeEnv(0, 4))
+	feedSuspicion(n, 94, 3, 0, 1, 2)
+	if got := n.SuspLevel()[3]; got != 0 {
+		t.Fatalf("susp_level[3] = %d after round 94, want 0 (below the horizon)", got)
+	}
+	feedSuspicion(n, 96, 3, 0, 1, 2)
+	if got := n.SuspLevel()[3]; got != 1 {
+		t.Fatalf("susp_level[3] = %d after round 96, want 1", got)
+	}
+	if got := n.Metrics().BelowHorizon; got != 3 {
+		t.Fatalf("BelowHorizon = %d, want 3 (round 94's reports)", got)
 	}
 }
 

@@ -97,6 +97,7 @@ func TestTimeFreeRetention(t *testing.T) {
 	cfg.Retention = 5
 	n, _ := newStartedNode(t, 0, cfg)
 	for rn := int64(1); rn <= 60; rn++ {
+		advanceTo(n, rn)
 		n.OnMessage(1, &wire.Suspicion{RN: rn, Suspects: bitset.FromMembers(4, 3)})
 	}
 	if got := n.win.SuspRounds(); got > 7 {

@@ -105,7 +105,9 @@ func TestFutureAliveAcrossRingWrap(t *testing.T) {
 // row), so repeated reports from the same sender never accumulate.
 func TestLateSuspicionBehindRetentionHorizon(t *testing.T) {
 	n, _ := newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig1, Retention: 5})
-	// Advance the frontier far ahead; horizon = 100-5 = 95.
+	// Advance the receiving round far ahead; the next SUSPICION prunes to
+	// horizon = 100-5 = 95.
+	advanceTo(n, 100)
 	feedSuspicion(n, 100, 3, 0)
 	// Three distinct senders report round 2, one message each: each row
 	// is recreated fresh, so the count never reaches alpha=3.
@@ -119,6 +121,27 @@ func TestLateSuspicionBehindRetentionHorizon(t *testing.T) {
 	feedSuspicion(n, 2, 3, 0)
 	if got := n.Metrics().DupSuspicion; got != 0 {
 		t.Fatalf("DupSuspicion = %d, want 0", got)
+	}
+	if got := n.Metrics().BelowHorizon; got != 4 {
+		t.Fatalf("BelowHorizon = %d, want 4 (every round-2 report)", got)
+	}
+}
+
+// TestWindowTestBelowHorizonCounted: a window test (line "*") whose window
+// starts below the applied horizon is counted in BelowHorizon, since rows
+// bounded retention dropped may hold what unbounded history would read.
+func TestWindowTestBelowHorizonCounted(t *testing.T) {
+	n, _ := newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig2, Retention: 5})
+	advanceTo(n, 100)
+	feedSuspicion(n, 100, 3, 0) // prunes to 100-5-0 = 95
+	// susp_level[3] = 10 now makes round 100's window [90, 100).
+	n.OnMessage(1, &wire.Alive{RN: 100, SuspLevel: []int64{0, 0, 0, 10}})
+	feedSuspicion(n, 100, 3, 1, 2)
+	if got := n.Metrics().BelowHorizon; got != 1 {
+		t.Fatalf("BelowHorizon = %d, want 1", got)
+	}
+	if got := n.SuspLevel()[3]; got != 10 {
+		t.Fatalf("susp_level[3] = %d, want 10 (rounds 90-99 hold no suspicions)", got)
 	}
 }
 

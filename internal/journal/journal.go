@@ -37,9 +37,11 @@ type Snapshot struct {
 	Proc        int
 	Incarnation uint64
 
-	// SRN and RRN are the sending and receiving round counters; and
-	// MaxRoundSeen the newest round observed in any message (drives
-	// retention pruning after restore).
+	// SRN and RRN are the sending and receiving round counters.
+	// MaxRoundSeen once held the newest round observed in any message;
+	// core no longer reads it (its retention horizon comes from RRN) and
+	// exports 0. The field stays so FileJournal's record layout (bytes
+	// 32:40) does not change.
 	SRN, RRN     int64
 	MaxRoundSeen int64
 

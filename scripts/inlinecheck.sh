@@ -18,7 +18,7 @@ status=0
 for fn in \
 	'(*Set).Contains' '(*Set).ForEach' '(*Set).Clear' \
 	'(*Window).Get' '(*Row).BeginRec' '(*Row).BeginSusp' \
-	'(*Node).minTestOK' '(*Node).noteRound' \
+	'(*Node).minTestOK' \
 	'(*Tally).Reached' \
 	'(*queue).bucket' '(*queue).up' '(*entry).before' '(*Scheduler).push'; do
 	if ! grep -qF "can inline $fn" <<<"$report"; then

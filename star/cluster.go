@@ -635,7 +635,9 @@ func (c *Cluster) collect(at time.Duration) {
 		if cn := c.cores[id]; cn != nil {
 			c.levelBuf = cn.SuspLevelInto(c.levelBuf)
 			c.bounds.Observe(c.levelBuf)
-			c.timeoutSeries[id] = append(c.timeoutSeries[id], cn.CurrentTimeout())
+			if c.cfg.algo != TimeFree { // no timer: the series would be all 0
+				c.timeoutSeries[id] = append(c.timeoutSeries[id], cn.CurrentTimeout())
+			}
 			if _, r := cn.Rounds(); r > c.lastRounds[id] {
 				c.lastRounds[id] = r
 				roundAdv = r

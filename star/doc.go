@@ -63,11 +63,15 @@
 //
 // # Memory
 //
-// By default per-round protocol bookkeeping is retained for DefaultRetention
-// rounds behind the frontier — far above the paper's suspicion-level bound,
-// so behaviour is unchanged while memory stays O(window) with zero
-// steady-state eviction traffic. UnboundedRetention() restores the paper's
-// keep-everything semantics (memory then grows with the round count).
+// By default per-round protocol bookkeeping is pruned below each process's
+// receiving round less DefaultRetention less the window test's reach (its
+// max suspicion level, plus F under §7): no message a process can still
+// count reads below that, so behaviour matches unbounded history while
+// NodeMetrics.BelowHorizon reads 0, as it does on every crash-free
+// configuration of the benchmark. Restarts are outside that equivalence: a
+// restarted member lags by its downtime (ROADMAP.md, "Ω across restarts").
+// UnboundedRetention() restores the paper's keep-everything semantics
+// (memory then grows with the round count).
 //
 // # Applications
 //

@@ -27,14 +27,20 @@ func (f optionFunc) apply(c *config) error { return f(c) }
 
 // Defaults applied by New when the corresponding option is absent.
 const (
-	// DefaultRetention bounds per-round bookkeeping to this many rounds
-	// behind the frontier. It is far above the paper's level bound for
-	// every realistic gap (B+1+max F is a few dozen at most), so bounded
-	// retention is observation-equivalent to the paper-faithful unbounded
-	// default of earlier revisions — but runs in O(window) memory with
-	// zero steady-state eviction traffic. Use UnboundedRetention for
-	// paper-faithful unbounded history.
-	DefaultRetention = 512
+	// DefaultRetention is how many rounds a SUSPICION may lag its
+	// receiver's receiving round and still be counted: per-round
+	// bookkeeping below the receiving round less DefaultRetention less the
+	// window test's reach is pruned (see core.Config.Retention). The
+	// deepest lag on any crash-free configuration of the benchmark is 14
+	// rounds at n=5 (workload seeds 1-5) and 13 at n=251 over 300 rounds;
+	// DefaultRetention is the smallest power of two at least 4× that, so
+	// bounded retention is observation-equivalent to UnboundedRetention
+	// there (NodeMetrics.BelowHorizon counts every departure, and reads 0).
+	// Restarts are outside the equivalence: a restarted member lags by
+	// its downtime, which no finite retention covers (ROADMAP.md, "Ω
+	// across restarts"). Use UnboundedRetention for paper-faithful
+	// unbounded history.
+	DefaultRetention = 64
 
 	DefaultAlivePeriod = 10 * time.Millisecond
 	DefaultTimeoutUnit = time.Millisecond
@@ -153,10 +159,13 @@ func (c *config) finish() error {
 	return nil
 }
 
-// windowSlots sizes the protocol layers' ring windows so that, under bounded
-// retention, a row is always pruned before its slot is recycled — the
-// steady state then runs with zero eviction copies. Slots cost a pointer
-// each until a round claims them, so the deep ring is cheap.
+// windowSlots sizes the protocol layers' ring windows at twice the
+// retention: the live span from the horizon up to the receiving round
+// (Retention plus the window test's reach) fits while the reach is at most
+// Retention. Rows further out — ALIVE rounds when sending
+// rounds outrun receiving rounds (Figures 1 and 2), windows that F stretches
+// (§7) — move to the exact overflow map (NodeMetrics.WindowEvictions). Slots
+// cost a pointer each until a round claims them.
 func (c *config) windowSlots() int {
 	if c.retention == 0 {
 		return 0 // unbounded history: protocol default ring, overflow absorbs

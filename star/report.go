@@ -163,9 +163,13 @@ type NodeMetrics struct {
 	MaxTimeout     time.Duration
 	LateAlive      uint64 // ALIVEs discarded as late
 	DupSuspicion   uint64 // duplicate SUSPICIONs ignored
+	// BelowHorizon counts SUSPICIONs below the retention horizon and
+	// window tests reaching below it: 0 means bounded retention saw
+	// exactly what unbounded history would have.
+	BelowHorizon uint64
 
 	// Ring-window health: rows evicted to the overflow map and lookups
-	// served by it. Both ~0 in non-adversarial runs.
+	// served by it. Both 0 while every live round fits the ring.
 	WindowEvictions uint64
 	WindowOverflow  uint64
 }
@@ -180,6 +184,7 @@ func nodeMetricsFrom(m core.Metrics) NodeMetrics {
 		MaxTimeout:      m.MaxTimeout,
 		LateAlive:       m.LateAlive,
 		DupSuspicion:    m.DupSuspicion,
+		BelowHorizon:    m.BelowHorizon,
 		WindowEvictions: m.WindowEvictions,
 		WindowOverflow:  m.WindowOverflow,
 	}

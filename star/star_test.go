@@ -175,26 +175,104 @@ func TestDefaultsAreSane(t *testing.T) {
 }
 
 // TestUnboundedRetentionMatchesDefault: the bounded default must be
-// observation-equivalent to paper-faithful unbounded retention in benign
-// runs (retention >> B+1).
+// observation-equivalent to paper-faithful unbounded retention on every
+// configuration sim-paper-n5 runs (bench/starbench's paperConfigs), over
+// five seeds: the same per-process increments, max level and rounds done,
+// final levels, empirical B, event count, leader and stabilization time.
+// On every row without restarts no SUSPICION may land below the horizon
+// and no window test may reach below it; a restarted member lags by its
+// downtime, which no finite retention covers.
 func TestUnboundedRetentionMatchesDefault(t *testing.T) {
-	mk := func(opts ...star.Option) string {
-		c, err := star.New(append([]star.Option{star.N(5), star.Seed(3)}, opts...)...)
+	crashSpec := star.Intermittent(star.Gap(3), star.Center(1), star.CrashAt(3, time.Second))
+	fgSpec := star.IntermittentFG(star.Gap(4), star.Growth(
+		func(k int64) int64 { return k / 2 },
+		func(rn int64) time.Duration { return time.Duration(rn) * 20 * time.Microsecond }))
+	propose := func(c *star.Cluster, dur time.Duration) error {
+		const proposeAt = 100 * time.Millisecond
+		if err := c.Run(proposeAt); err != nil {
+			return err
+		}
+		for inst := int64(0); inst < 10; inst++ {
+			for p := 0; p < c.N(); p++ {
+				if err := c.Propose(p, inst, int64(p)*1000+inst); err != nil {
+					return err
+				}
+			}
+		}
+		return c.Run(dur - proposeAt)
+	}
+	// with returns fresh options per run: a MemJournal is stateful.
+	with := func(algo star.Algo, spec star.ScenarioSpec, extra ...star.Option) func() []star.Option {
+		return func() []star.Option {
+			return append([]star.Option{star.Algorithm(algo), star.Scenario(spec)}, extra...)
+		}
+	}
+	churn := func() []star.Option {
+		return append(with(star.Fig3, star.Combined())(),
+			star.Churn(500*time.Millisecond, 2*time.Second, 600*time.Millisecond, 10*time.Second),
+			star.WithRecovery(star.MemJournal()))
+	}
+	configs := []struct {
+		name     string
+		dur      time.Duration
+		opts     func() []star.Option
+		drive    func(*star.Cluster, time.Duration) error
+		restarts bool
+	}{
+		{name: "combined/fig1", dur: 5 * time.Second, opts: with(star.Fig1, star.Combined())},
+		{name: "combined/fig2", dur: 5 * time.Second, opts: with(star.Fig2, star.Combined())},
+		{name: "combined/fig3", dur: 5 * time.Second, opts: with(star.Fig3, star.Combined())},
+		{name: "intermittent4/fig1", dur: 10 * time.Second, opts: with(star.Fig1, star.Intermittent(star.Gap(4)))},
+		{name: "intermittent4/fig2", dur: 10 * time.Second, opts: with(star.Fig2, star.Intermittent(star.Gap(4)))},
+		{name: "intermittent4/fig3", dur: 10 * time.Second, opts: with(star.Fig3, star.Intermittent(star.Gap(4)))},
+		{name: "intermittent3+crash+spread/fig3", dur: 10 * time.Second, opts: with(star.Fig3, crashSpec, star.CheckSpread())},
+		{name: "intermittentfg/fg", dur: 10 * time.Second, opts: with(star.FG, fgSpec)},
+		{name: "pattern/timefree", dur: 10 * time.Second, opts: with(star.TimeFree, star.Pattern())},
+		{name: "alltimely/stable", dur: 10 * time.Second, opts: with(star.Stable, star.AllTimely())},
+		{name: "combined/fig3+consensus", dur: 10 * time.Second, opts: with(star.Fig3, star.Combined(), star.WithConsensus(nil)), drive: propose},
+		{name: "combined+churn+journal/fig3", dur: 10 * time.Second, opts: churn, restarts: true},
+	}
+	// run returns the run's observable digest and its BelowHorizon total.
+	run := func(t *testing.T, opts []star.Option, dur time.Duration, drive func(*star.Cluster, time.Duration) error) (string, uint64) {
+		c, err := star.New(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		if err := c.Run(10 * time.Second); err != nil {
+		if drive == nil {
+			err = c.Run(dur)
+		} else {
+			err = drive(c, dur)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		rep := c.Report()
-		return fmt.Sprintf("stab=%v leader=%d maxLevel=%d B=%d levels=%v",
-			rep.Stabilized, rep.Leader, rep.MaxSuspLevel, rep.BoundB, rep.FinalLevels)
+		m := c.Metrics()
+		var b strings.Builder
+		fmt.Fprintf(&b, "events=%d stab=%v leader=%d at=%v B=%d levels=%v nodes:",
+			m.Events, rep.Stabilized, rep.Leader, rep.StabilizedAt, rep.BoundB, rep.FinalLevels)
+		var below uint64
+		for _, nm := range m.Nodes {
+			fmt.Fprintf(&b, " %d/%d/%d", nm.Increments, nm.MaxSuspLevel, nm.RoundsDone)
+			below += nm.BelowHorizon
+		}
+		return b.String(), below
 	}
-	bounded := mk()
-	unbounded := mk(star.UnboundedRetention())
-	if bounded != unbounded {
-		t.Fatalf("bounded retention changed domain behaviour:\n bounded:   %s\n unbounded: %s", bounded, unbounded)
+	for _, cfg := range configs {
+		t.Run(cfg.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 5; seed++ {
+				base := []star.Option{star.N(5), star.Resilience(2), star.Seed(seed)}
+				bounded, below := run(t, append(base, cfg.opts()...), cfg.dur, cfg.drive)
+				unbounded, _ := run(t, append(append(base, cfg.opts()...), star.UnboundedRetention()), cfg.dur, cfg.drive)
+				if bounded != unbounded {
+					t.Errorf("seed %d: bounded retention changed behaviour:\n bounded:   %s\n unbounded: %s", seed, bounded, unbounded)
+				}
+				if !cfg.restarts && below != 0 {
+					t.Errorf("seed %d: BelowHorizon = %d without restarts, want 0", seed, below)
+				}
+			}
+		})
 	}
 }
 
