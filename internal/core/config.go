@@ -106,6 +106,10 @@ type Config struct {
 	// the window test by F(rn) rounds; G extends the round timeout by
 	// G(rn). nil means the constant-zero function (which makes VariantFG
 	// behave exactly like VariantFig3, as noted at the end of §7).
+	// Retention > 0 assumes F is non-decreasing, as §7's F is: the
+	// retention horizon bounds F at a lagging round by F(r_rn), so a
+	// non-monotone F can make the window test read rows already pruned,
+	// which shows up in Metrics.BelowHorizon.
 	F func(rn int64) int64
 	G func(rn int64) time.Duration
 
@@ -140,6 +144,14 @@ type Config struct {
 	// Restarts are outside that equivalence: a restarted member lags by
 	// its downtime, which no finite Retention covers (ROADMAP.md, "Ω
 	// across restarts"). 0 keeps everything (paper-faithful).
+	//
+	// The horizon trails r_rn, so rows stay bounded only while r_rn
+	// advances and max susp_level and F stay bounded. A receiver whose
+	// receiving round is stranded keeps every row at or ahead of it; under
+	// §7 with F(rn) = rn/2 about r_rn/2 rows are kept, growing with the
+	// run; under Figure 2 a crashed process's level rises about one per
+	// round, so the reach covers every round since the crash (Figure 3's
+	// line "**" keeps levels bounded).
 	Retention int64
 
 	// OnIncrement, when non-nil, observes every susp_level increment

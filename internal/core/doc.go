@@ -63,8 +63,10 @@
 //     effect in any modeled execution.
 //   - suspicions/rec_from rows are unbounded in the paper; Config.Retention
 //     optionally prunes rows below r_rn − Retention − the window test's
-//     reach, to run very long simulations in bounded memory (0 disables
-//     pruning, the default). No later message can read those rows unless
+//     reach, to run very long simulations in bounded memory while r_rn
+//     advances and the reach stays bounded (0 disables pruning, the
+//     default). A stranded r_rn, a growing F or, under Figure 2, a crashed
+//     process's rising level keeps rows growing (see Config.Retention). No later message can read those rows unless
 //     a SUSPICION lags r_rn by more than Retention, or a level grows past
 //     the max it was pruned under; Metrics.BelowHorizon counts both, and
 //     while it reads 0 the run is identical to unbounded history. Restarts

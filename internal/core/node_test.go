@@ -526,6 +526,43 @@ func TestRetentionPrunes(t *testing.T) {
 	}
 }
 
+// TestStalledReceivingRoundKeepsRows pins where bounded retention stops
+// bounding memory: the horizon trails r_rn, so while r_rn stalls every
+// SUSPICION row at or ahead of it is kept, and a higher max susp_level moves
+// the horizon further back. Rows go once r_rn advances past them.
+func TestStalledReceivingRoundKeepsRows(t *testing.T) {
+	n, _ := newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig1, Retention: 10})
+	for rn := int64(1); rn <= 100; rn++ {
+		feedSuspicion(n, rn, 3, 0, 1, 2)
+	}
+	if _, r := n.Rounds(); r != 1 {
+		t.Fatalf("r_rn = %d, want 1 (stalled)", r)
+	}
+	if got := n.win.SuspRounds(); got != 100 {
+		t.Fatalf("suspicion rounds tracked = %d with r_rn stalled, want 100", got)
+	}
+	advanceTo(n, 101)
+	feedSuspicion(n, 101, 3, 0, 1, 2)
+	if got := n.win.SuspRounds(); got != 11 {
+		t.Fatalf("suspicion rounds tracked = %d at r_rn 101, want 11 (rounds 91-101)", got)
+	}
+
+	// Figure 3: the window test reads max susp_level rounds further back,
+	// so a level of 50 keeps 50 more rows at the same r_rn.
+	n, _ = newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig3, Retention: 10})
+	n.OnMessage(1, &wire.Alive{RN: 1, SuspLevel: []int64{0, 0, 50, 0}})
+	advanceTo(n, 101)
+	for rn := int64(1); rn <= 101; rn++ {
+		feedSuspicion(n, rn, 3, 0, 1, 2)
+	}
+	if got := n.win.SuspRounds(); got != 61 {
+		t.Fatalf("suspicion rounds tracked = %d at r_rn 101, max level 50, want 61 (rounds 41-101)", got)
+	}
+	if got := n.Metrics().BelowHorizon; got != 3*40 {
+		t.Fatalf("BelowHorizon = %d, want %d (rounds 1-40's reports)", got, 3*40)
+	}
+}
+
 // TestRestoredHorizonFromReceivingRound: a restored node measures its
 // retention horizon from the snapshot's RRN less the window test's reach
 // (susp_level max, plus F under §7), never from MaxRoundSeen.

@@ -67,9 +67,14 @@
 // receiving round less DefaultRetention less the window test's reach (its
 // max suspicion level, plus F under §7): no message a process can still
 // count reads below that, so behaviour matches unbounded history while
-// NodeMetrics.BelowHorizon reads 0, as it does on every crash-free
-// configuration of the benchmark. Restarts are outside that equivalence: a
+// NodeMetrics.BelowHorizon reads 0, as it does on every crash-free simulated
+// configuration measured. Restarts are outside that equivalence: a
 // restarted member lags by its downtime (ROADMAP.md, "Ω across restarts").
+// Memory is O(Retention + reach) rows only while the receiving round
+// advances and the reach stays bounded: a process whose receiving round is
+// stranded keeps every row ahead of it, §7 with a growing F (F(rn) = rn/2
+// keeps about rn/2 rows) grows with the run, and under Figure 2 a crashed
+// process's rising level stretches the reach back to the crash.
 // UnboundedRetention() restores the paper's keep-everything semantics
 // (memory then grows with the round count).
 //

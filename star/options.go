@@ -31,15 +31,19 @@ const (
 	// receiver's receiving round and still be counted: per-round
 	// bookkeeping below the receiving round less DefaultRetention less the
 	// window test's reach is pruned (see core.Config.Retention). The
-	// deepest lag on any crash-free configuration of the benchmark is 14
-	// rounds at n=5 (workload seeds 1-5) and 13 at n=251 over 300 rounds;
-	// DefaultRetention is the smallest power of two at least 4× that, so
-	// bounded retention is observation-equivalent to UnboundedRetention
-	// there (NodeMetrics.BelowHorizon counts every departure, and reads 0).
-	// Restarts are outside the equivalence: a restarted member lags by
-	// its downtime, which no finite retention covers (ROADMAP.md, "Ω
-	// across restarts"). Use UnboundedRetention for paper-faithful
-	// unbounded history.
+	// deepest lag measured is 14 rounds on the crash-free simulated
+	// configurations at n=5 (seeds 1-5) and 13 at n=251 over 300 rounds;
+	// DefaultRetention is the smallest power of two at least 4× that, and
+	// on those runs bounded retention is observation-equivalent to
+	// UnboundedRetention (NodeMetrics.BelowHorizon counts every departure,
+	// and reads 0 there). Over live and TCP transports the lag is set by
+	// real scheduling, so no constant guarantees it; in-process loopback
+	// clusters of five measured a lag of at most 12 rounds. Restarts are
+	// outside the equivalence: a restarted member lags by its downtime,
+	// which no finite retention covers (ROADMAP.md, "Ω across restarts").
+	// Memory stays bounded only while the receiving round advances and
+	// the window test's reach stays bounded (see core.Config.Retention).
+	// Use UnboundedRetention for paper-faithful unbounded history.
 	DefaultRetention = 64
 
 	DefaultAlivePeriod = 10 * time.Millisecond
