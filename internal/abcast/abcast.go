@@ -56,6 +56,14 @@ import (
 // timerPropose drives the retransmit and compaction tick.
 const timerPropose proc.TimerKey = 0
 
+// proposePeriod is the retransmit and compaction period: how often every
+// member drops sequenced keys from its pending index and the leader proposes
+// the ones still unsequenced. It bounds how long a key that missed the
+// propose-on-arrival path (no stable leader yet, or its slot went to another
+// value) waits for a slot; a stable leader's commit latency does not depend
+// on it.
+const proposePeriod = 50 * time.Millisecond
+
 // rediffuseAfter is how many propose ticks one of this process's own
 // broadcasts may stay undelivered before its content is diffused again.
 // Diffusion is otherwise broadcast-once: a multicast partially lost to a
@@ -81,14 +89,6 @@ type Config struct {
 	// Oracle is the Ω leader hint (shared with the consensus lane).
 	Oracle func() proc.ID
 
-	// ProposePeriod is the retransmit and compaction period: how often
-	// every member drops sequenced keys from its pending index and the
-	// leader proposes the ones still unsequenced. It bounds how long a key
-	// that missed the propose-on-arrival path (no stable leader yet, or its
-	// slot went to another value) waits for a slot; a stable leader's
-	// commit latency does not depend on it. 0 means 50ms.
-	ProposePeriod time.Duration
-
 	// OnDeliver, when non-nil, observes every delivery in order.
 	OnDeliver func(d Delivery)
 
@@ -96,13 +96,6 @@ type Config struct {
 	// the dedicated consensus lane (slot instance, encoded key) before
 	// the broadcast layer interprets it. Observability only.
 	OnDecide func(inst, v int64)
-}
-
-func (c Config) withDefaults() Config {
-	if c.ProposePeriod == 0 {
-		c.ProposePeriod = 50 * time.Millisecond
-	}
-	return c
 }
 
 // key encodes (sender, localID) as the int64 consensus value:
@@ -149,7 +142,6 @@ type pendingKey struct {
 // node. Register both on the same Mux (consensus lane first is customary but
 // not required).
 func NewPair(cfg Config) (*Node, *consensus.Node, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Oracle == nil {
 		return nil, nil, fmt.Errorf("abcast: Oracle is required")
 	}
@@ -191,7 +183,7 @@ func NewPair(cfg Config) (*Node, *consensus.Node, error) {
 func (n *Node) Start(env proc.Env) {
 	n.env = env
 	n.nextLocalID = int64(env.Now())
-	env.SetTimer(timerPropose, n.cfg.ProposePeriod)
+	env.SetTimer(timerPropose, proposePeriod)
 }
 
 // OnCrash implements proc.Crashable.
@@ -251,7 +243,7 @@ func (n *Node) OnTimer(tk proc.TimerKey) {
 	n.ledLastTick = n.cfg.Oracle() == n.env.ID()
 	n.sweepPending()
 	n.rediffuse()
-	n.env.SetTimer(timerPropose, n.cfg.ProposePeriod)
+	n.env.SetTimer(timerPropose, proposePeriod)
 }
 
 // rediffuse re-floods the contents of this process's own broadcasts that

@@ -189,7 +189,7 @@ func TestDeliveryWaitsForContent(t *testing.T) {
 	// A decision arriving before the content must not deliver early or
 	// out of order. Drive the node directly.
 	node := &Node{
-		cfg:       Config{N: 3, T: 1, Oracle: func() proc.ID { return 0 }}.withDefaults(),
+		cfg:       Config{N: 3, T: 1, Oracle: func() proc.ID { return 0 }},
 		contents:  make(map[int64]int64),
 		sequenced: make(map[int64]bool),
 		delivered: make(map[int64]bool),
@@ -219,7 +219,7 @@ func TestDeliveryWaitsForContent(t *testing.T) {
 
 func TestDuplicateSequencingSkipped(t *testing.T) {
 	node := &Node{
-		cfg:       Config{N: 3, T: 1, Oracle: func() proc.ID { return 0 }}.withDefaults(),
+		cfg:       Config{N: 3, T: 1, Oracle: func() proc.ID { return 0 }},
 		contents:  make(map[int64]int64),
 		sequenced: make(map[int64]bool),
 		delivered: make(map[int64]bool),

@@ -32,24 +32,15 @@ const (
 // StableConfig parameterizes StableNode.
 type StableConfig struct {
 	N int
-	// Period is the heartbeat period; 0 means 10ms.
+	// Period is the heartbeat period; 0 means 10ms. Each per-sender
+	// freshness timeout starts at 2*Period and grows by Period/2 on every
+	// false suspicion.
 	Period time.Duration
-	// InitialTimeout is the starting per-sender freshness timeout; it
-	// grows by Increment on every false suspicion. 0 means 2*Period.
-	InitialTimeout time.Duration
-	// Increment is the timeout growth step; 0 means Period/2.
-	Increment time.Duration
 }
 
 func (c StableConfig) withDefaults() StableConfig {
 	if c.Period == 0 {
 		c.Period = 10 * time.Millisecond
-	}
-	if c.InitialTimeout == 0 {
-		c.InitialTimeout = 2 * c.Period
-	}
-	if c.Increment == 0 {
-		c.Increment = c.Period / 2
 	}
 	return c
 }
@@ -88,7 +79,7 @@ func (s *StableNode) Start(env proc.Env) {
 	now := env.Now()
 	for i := 0; i < n; i++ {
 		s.lastSeen[i] = now
-		s.timeout[i] = s.cfg.InitialTimeout
+		s.timeout[i] = 2 * s.cfg.Period
 		s.trusted[i] = true
 	}
 	s.beacon()
@@ -115,7 +106,7 @@ func (s *StableNode) OnMessage(from proc.ID, msg any) {
 	if !s.trusted[from] {
 		// False suspicion detected: trust again with a longer leash.
 		s.trusted[from] = true
-		s.timeout[from] += s.cfg.Increment
+		s.timeout[from] += s.cfg.Period / 2
 	}
 }
 

@@ -34,6 +34,10 @@ import (
 // timerRetry drives proposer retries.
 const timerRetry proc.TimerKey = 0
 
+// retryPeriod is how often an undecided proposer re-examines its duty (and
+// escalates its ballot).
+const retryPeriod = 100 * time.Millisecond
+
 // Config parameterizes a consensus node.
 type Config struct {
 	N, T int
@@ -42,20 +46,9 @@ type Config struct {
 	// method of a co-hosted core.Node. Required.
 	Oracle func() proc.ID
 
-	// RetryPeriod is how often an undecided proposer re-examines its
-	// duty (and escalates its ballot). 0 means 100ms.
-	RetryPeriod time.Duration
-
 	// OnDecide, when non-nil, is invoked exactly once per instance at
 	// the moment this process learns the decision.
 	OnDecide func(instance, value int64)
-}
-
-func (c Config) withDefaults() Config {
-	if c.RetryPeriod == 0 {
-		c.RetryPeriod = 100 * time.Millisecond
-	}
-	return c
 }
 
 // Validate reports configuration errors (Theorem 5 needs t < n/2).
@@ -126,7 +119,6 @@ type Node struct {
 
 // New builds a consensus node.
 func New(cfg Config) (*Node, error) {
-	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -139,7 +131,7 @@ func (n *Node) quorum() int { return n.cfg.N/2 + 1 }
 // Start implements proc.Node.
 func (n *Node) Start(env proc.Env) {
 	n.env = env
-	env.SetTimer(timerRetry, n.cfg.RetryPeriod)
+	env.SetTimer(timerRetry, retryPeriod)
 }
 
 // OnCrash implements proc.Crashable.
@@ -198,7 +190,7 @@ func (n *Node) OnTimer(key proc.TimerKey) {
 			n.maybeLead(inst, st)
 		}
 	}
-	n.env.SetTimer(timerRetry, n.cfg.RetryPeriod)
+	n.env.SetTimer(timerRetry, retryPeriod)
 }
 
 // maybeLead starts a ballot when the oracle points at this process.

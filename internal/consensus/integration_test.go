@@ -152,8 +152,7 @@ func TestConsensusSafetyWithSelfishOracle(t *testing.T) {
 		id := id
 		c, err := New(Config{
 			N: n, T: tt,
-			Oracle:      func() proc.ID { return id }, // selfish: "I lead"
-			RetryPeriod: 30 * time.Millisecond,
+			Oracle: func() proc.ID { return id }, // selfish: "I lead"
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -188,6 +187,15 @@ func TestConsensusSafetyWithSelfishOracle(t *testing.T) {
 		if seen && (val < 100 || val > 104) {
 			t.Fatalf("instance %d: non-proposed value %d", inst, val)
 		}
+	}
+	// The broken oracle must actually make proposers compete: without
+	// rejected ballots the safety check above exercises nothing.
+	var nacks uint64
+	for _, c := range nodes {
+		nacks += c.Nacks
+	}
+	if nacks == 0 {
+		t.Fatal("no ballot was rejected: the selfish proposers never competed")
 	}
 }
 

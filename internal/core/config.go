@@ -96,11 +96,6 @@ type Config struct {
 	// (max susp_level) into time. 0 means 1ms.
 	TimeoutUnit time.Duration
 
-	// MinTimeout floors every receiving-round timeout, excluding Zeno
-	// executions (see package docs). 0 means 1µs. Set negative to force
-	// a literal zero floor (only safe when Alpha >= 2).
-	MinTimeout time.Duration
-
 	// F and G are the Section 7 functions, used only by VariantFG and
 	// assumed known by all processes (as the paper requires). F extends
 	// the window test by F(rn) rounds; G extends the round timeout by
@@ -129,8 +124,13 @@ type Config struct {
 	// deepest window test (susp_level bound B+1 plus max F) and the
 	// typical skew between the rounds appearing in received messages and
 	// the local receiving round; rounds outside the ring fall back to an
-	// exact but slower overflow map (counted in Metrics). 0 means
-	// rounds.DefaultSlots.
+	// exact but slower overflow map (counted in Metrics). 0 means twice
+	// Retention, capped at 8192, or rounds.DefaultSlots when Retention is
+	// 0: the live span from the horizon up to r_rn (Retention plus the
+	// window test's reach) then fits while the reach is at most Retention. Rows further out — ALIVE rounds when sending
+	// rounds outrun receiving rounds (Figures 1 and 2), windows that F
+	// stretches (§7) — move to the overflow map. Slots cost a pointer
+	// each until a round claims them.
 	WindowSlots int
 
 	// Retention, when positive, is how many rounds a SUSPICION may lag
@@ -140,10 +140,14 @@ type Config struct {
 	// and the time-free variant, max susp_level under Figures 2 and 3, and
 	// max susp_level + F(r_rn) under §7. While Metrics.BelowHorizon reads
 	// 0 (no SUSPICION below the horizon, no window test reaching below
-	// it) the node observes exactly what unbounded history would.
-	// Restarts are outside that equivalence: a restarted member lags by
-	// its downtime, which no finite Retention covers (ROADMAP.md, "Ω
-	// across restarts"). 0 keeps everything (paper-faithful).
+	// it) the node observes exactly what unbounded history would. That
+	// holds on the benchmark's sim-paper-n5 configurations at star's
+	// default of 64, but not under unbounded delays: spike drift and
+	// growing outages (the C1 coverage grid) stretch the SUSPICION lag
+	// past any fixed Retention. Restarts are outside the equivalence too:
+	// a restarted member lags by its downtime, which no finite Retention
+	// covers (ROADMAP.md, "Ω across restarts"). 0 keeps everything
+	// (paper-faithful).
 	//
 	// The horizon trails r_rn, so rows stay bounded only while r_rn
 	// advances and max susp_level and F stay bounded. A receiver whose
@@ -163,7 +167,15 @@ type Config struct {
 const (
 	DefaultAlivePeriod = 10 * time.Millisecond
 	DefaultTimeoutUnit = time.Millisecond
-	DefaultMinTimeout  = time.Microsecond
+)
+
+const (
+	// minTimeout floors every receiving-round timeout, excluding Zeno
+	// executions (see package docs).
+	minTimeout = time.Microsecond
+
+	// maxDerivedSlots caps the ring width derived from Retention.
+	maxDerivedSlots = 1 << 13
 )
 
 // withDefaults returns a copy of c with zero fields replaced by defaults.
@@ -180,11 +192,11 @@ func (c Config) withDefaults() Config {
 	if c.TimeoutUnit == 0 {
 		c.TimeoutUnit = DefaultTimeoutUnit
 	}
-	switch {
-	case c.MinTimeout == 0:
-		c.MinTimeout = DefaultMinTimeout
-	case c.MinTimeout < 0:
-		c.MinTimeout = 0
+	if c.WindowSlots == 0 {
+		c.WindowSlots = rounds.DefaultSlots
+		if c.Retention > 0 {
+			c.WindowSlots = int(min(2*c.Retention, maxDerivedSlots))
+		}
 	}
 	if c.F == nil {
 		c.F = func(int64) int64 { return 0 }
@@ -218,9 +230,6 @@ func (c Config) Validate() error {
 	}
 	if c.TimeoutUnit <= 0 {
 		return fmt.Errorf("core: TimeoutUnit must be positive, got %v", c.TimeoutUnit)
-	}
-	if c.Alpha == 1 && c.MinTimeout <= 0 {
-		return fmt.Errorf("core: Alpha=1 requires a positive MinTimeout (Zeno guard)")
 	}
 	if c.Retention < 0 {
 		return fmt.Errorf("core: Retention must be >= 0, got %d", c.Retention)

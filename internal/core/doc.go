@@ -54,10 +54,10 @@
 //   - Process ids are 0-based; round numbers start at 1 as in the paper.
 //   - The timer value "max susp_level" is scaled by Config.TimeoutUnit to
 //     convert the paper's abstract time units into simulator time, and is
-//     floored at Config.MinTimeout (default 1µs) to exclude Zeno executions
-//     in which a zero timeout lets infinitely many receiving rounds complete
-//     in zero time. The paper implicitly excludes these because processes
-//     take a bounded number of steps per time unit (§2.1).
+//     floored at 1µs to exclude Zeno executions in which a zero timeout
+//     lets infinitely many receiving rounds complete in zero time. The
+//     paper implicitly excludes these because processes take a bounded
+//     number of steps per time unit (§2.1).
 //   - SUSPICION processing is deduplicated per (round, sender). The model's
 //     links never duplicate, so this is pure hardening with no behavioural
 //     effect in any modeled execution.
@@ -92,8 +92,9 @@
 // rounds within susp_level[k] + F(rn) of the message's round, and Theorem 4
 // bounds susp_level — so map operations and row allocations happen only
 // under pathological round skew (counted in Metrics.WindowEvictions /
-// WindowOverflow), where behaviour degrades to the seed's map semantics
-// byte-for-byte rather than breaking.
+// WindowOverflow), where lookups degrade to map operations but the node
+// observes exactly what a wider ring would (window_test.go forces the
+// collisions with a 4-slot ring).
 //
 // Outgoing ALIVE and SUSPICION payloads (with their susp_level snapshots
 // and suspect bitsets) come from per-node pools (internal/wire); the

@@ -109,8 +109,11 @@ type Node struct {
 
 	// prunedBelow is the horizon actually applied by the last prune:
 	// rounds below it hold no suspicion data. Evictions use it (not the
-	// live horizon) so that ring behaviour matches the map
-	// implementation's prune timing exactly.
+	// live horizon), so a ring eviction never drops a row the last prune
+	// kept and the node observes the same whatever WindowSlots is. Under
+	// Retention 0 it stays 1: the paper's unbounded history, which
+	// star's TestUnboundedRetentionMatchesDefault compares the default
+	// retention against.
 	prunedBelow int64
 
 	// lastTimeout is the value the round timer was last armed with,
@@ -182,7 +185,7 @@ func (n *Node) Start(env proc.Env) {
 	n.sRN = 0
 	n.rRN = 1
 	// "set timer_i to 0": the initial round timeout is the floor.
-	n.armRoundTimer(n.cfg.MinTimeout)
+	n.armRoundTimer(minTimeout)
 	// Task T1 starts immediately.
 	n.aliveTick()
 }
@@ -382,10 +385,11 @@ func (n *Node) onSuspicion(from proc.ID, m *wire.Suspicion) {
 	}
 	n.prune()
 	if n.cfg.Retention != 0 && m.RN < n.prunedBelow {
-		// The row was (re)created behind an already-applied horizon by
-		// this very message; the map implementation's per-message sweep
-		// would delete it now, so the next report for this round starts
-		// from scratch again.
+		// The row was (re)created behind the applied horizon by this very
+		// message. Drop it again, so rows below the horizon stay pruned
+		// and never pile up reports: the next one for this round starts
+		// from scratch. Unbounded history (Retention 0) would count it,
+		// hence BelowHorizon.
 		n.metrics.BelowHorizon++
 		n.win.DropSusp(m.RN)
 	}
@@ -463,14 +467,14 @@ func (n *Node) checkGuard() {
 }
 
 // roundTimeout computes the line-11 timer value: max susp_level, scaled,
-// plus G(r_rn+1) for the §7 variant, floored by MinTimeout.
+// plus G(r_rn+1) for the §7 variant, floored by minTimeout.
 func (n *Node) roundTimeout() time.Duration {
 	d := time.Duration(n.maxLevel) * n.cfg.TimeoutUnit
 	if n.cfg.Variant == VariantFG {
 		d += n.cfg.G(n.rRN + 1)
 	}
-	if d < n.cfg.MinTimeout {
-		d = n.cfg.MinTimeout
+	if d < minTimeout {
+		d = minTimeout
 	}
 	return d
 }

@@ -465,15 +465,21 @@ func TestRoundTimeoutScalesWithMaxLevel(t *testing.T) {
 	}
 }
 
+// TestTimeoutFloor: "set timer_i to 0" arms the 1µs Zeno floor, and a round
+// closed with every level zero re-arms it.
 func TestTimeoutFloor(t *testing.T) {
-	n, env := newStartedNode(t, 0, Config{N: 3, T: 1, MinTimeout: 5 * time.Millisecond})
-	env.take()
+	n, env := newStartedNode(t, 0, Config{N: 3, T: 1})
+	if got := env.timers[TimerRound]; got != time.Microsecond {
+		t.Fatalf("initial timeout = %v, want the 1µs floor", got)
+	}
 	n.OnTimer(TimerRound)
 	n.OnMessage(1, &wire.Alive{RN: 1, SuspLevel: make([]int64, 3)})
-	if got := env.timers[TimerRound]; got != 5*time.Millisecond {
-		t.Fatalf("timeout = %v, want 5ms floor (all levels zero)", got)
+	if _, r := n.Rounds(); r != 2 {
+		t.Fatalf("r_rn = %d, want 2", r)
 	}
-	_ = n
+	if got := env.timers[TimerRound]; got != time.Microsecond {
+		t.Fatalf("timeout = %v, want the 1µs floor (all levels zero)", got)
+	}
 }
 
 func TestLeaderSelection(t *testing.T) {
@@ -674,7 +680,6 @@ func TestConfigValidation(t *testing.T) {
 		{N: 4, T: 1, AlivePeriod: -time.Second},
 		{N: 4, T: 1, Variant: Variant(99)},
 		{N: 4, T: 1, Retention: -1},
-		{N: 2, T: 1, MinTimeout: -1}, // alpha 1 with zero floor: Zeno
 	}
 	for i, cfg := range bad {
 		if _, err := NewNode(0, cfg); err == nil {
@@ -686,6 +691,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := NewNode(0, Config{N: 4, T: 1}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestWindowSlotsDefault: a zero WindowSlots sizes the ring at twice
+// Retention, capped, or at rounds.DefaultSlots with unbounded history; an
+// explicit WindowSlots wins.
+func TestWindowSlotsDefault(t *testing.T) {
+	cases := []struct {
+		retention int64
+		slots     int
+		want      int
+	}{
+		{64, 0, 128},
+		{0, 0, rounds.DefaultSlots},
+		{1 << 20, 0, 8192},
+		{64, 8, 8},
+		{0, 1000, 1000},
+	}
+	for _, tc := range cases {
+		cfg := Config{N: 4, T: 1, Retention: tc.retention, WindowSlots: tc.slots}.withDefaults()
+		if cfg.WindowSlots != tc.want {
+			t.Errorf("Retention %d, WindowSlots %d: got %d slots, want %d",
+				tc.retention, tc.slots, cfg.WindowSlots, tc.want)
+		}
 	}
 }
 

@@ -6,11 +6,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The ring-window tests pin the tentpole refactor's contract: replacing the
-// round-keyed maps with a fixed ring plus overflow map must not change the
-// paper's counting behaviour for any message timing — including rounds far
-// enough apart to collide in the ring. A tiny WindowSlots forces the
-// collision paths that real runs only hit under adversarial round skew.
+// The ring-window tests pin the store's contract: keeping rows in a fixed
+// ring plus an overflow map must not change the paper's counting behaviour
+// for any message timing — including rounds far enough apart to collide in
+// the ring. A tiny WindowSlots forces the collision paths that real runs
+// only hit under adversarial round skew.
 
 // TestRingWrapPreservesSuspicionCounts drives two rounds that share a ring
 // slot (rn and rn+W) and checks both keep independent counts and dedup
@@ -101,8 +101,8 @@ func TestFutureAliveAcrossRingWrap(t *testing.T) {
 
 // TestLateSuspicionBehindRetentionHorizon pins the Retention interplay: a
 // SUSPICION far behind the horizon is counted from scratch on every
-// delivery (the map implementation recreated and immediately pruned its
-// row), so repeated reports from the same sender never accumulate.
+// delivery (its row is recreated and pruned again at once), so repeated
+// reports from the same sender never accumulate.
 func TestLateSuspicionBehindRetentionHorizon(t *testing.T) {
 	n, _ := newStartedNode(t, 0, Config{N: 4, T: 1, Variant: VariantFig1, Retention: 5})
 	// Advance the receiving round far ahead; the next SUSPICION prunes to

@@ -1,14 +1,15 @@
-// Package rounds provides the round-indexed bookkeeping store shared by the
-// protocol layers (internal/core, internal/baseline): for each receiving
-// round rn a process tracks who it heard an ALIVE from (rec_from), and, for
-// each peer, whether the distinct processes that reported suspecting it have
-// reached the threshold alpha (suspicions, as a bitset.Tally that also holds
-// which senders' SUSPICION was already counted: dedup hardening).
+// Package rounds provides the round-indexed bookkeeping store of the Ω core
+// (internal/core), and Ring, its generic sibling behind the scenario order
+// gate (internal/scenario). For each receiving round rn a process tracks who
+// it heard an ALIVE from (rec_from), and, for each peer, whether the
+// distinct processes that reported suspecting it have reached the threshold
+// alpha (suspicions, as a bitset.Tally that also holds which senders'
+// SUSPICION was already counted: dedup hardening).
 //
-// The paper's pseudocode indexes these by an unbounded round number, and the
-// seed implementation stored them in three round-keyed maps — one map insert
-// per row, one delete per completed round, and a map sweep per prune. But
-// the paper's own structure bounds the set of rounds that are *hot*: the
+// The paper's pseudocode indexes these by an unbounded round number; a
+// round-keyed map per structure would cost one map insert per row, one
+// delete per completed round, and a map sweep per prune. But the paper's
+// own structure bounds the set of rounds that are *hot*: the
 // window test only consults rounds in [rn - susp_level[k] - F(rn), rn), and
 // messages arrive within a bounded skew of the round frontier in every
 // non-adversarial execution. So the store is a ring of W row pointers
@@ -24,11 +25,11 @@
 // the receiving round, or suspicion counters inside the retention horizon)
 // moves there rather than being dropped, and rounds whose slot is owned by
 // a newer round are served from the overflow map. Late or far-future
-// messages therefore observe byte-identical state to the map
-// implementation; only the storage changed. Evictions and overflow hits are
-// counted so that experiments can verify the ring is actually absorbing the
-// workload (Stats), and pathological round skew degrades to the seed's map
-// behaviour instead of breaking.
+// messages therefore observe the same state whatever the ring's width; only
+// where a row lives changes. Evictions and overflow hits are counted so that
+// experiments can verify the ring is actually absorbing the workload
+// (Stats), and pathological round skew degrades to map lookups instead of
+// breaking.
 package rounds
 
 import (
@@ -249,8 +250,8 @@ func (w *Window) overflowRow(rn int64) *Row {
 
 // evict moves the resident row s to the overflow map when it still holds
 // consultable data, and reports whether it did (the slot then needs a new
-// row). Data below the caller's horizons is dropped, matching exactly what
-// the map implementation's deletes would have made unobservable; a row with
+// row). Data below the caller's horizons is dropped, as Prune would drop
+// it, so an eviction never changes what a later lookup sees; a row with
 // nothing left to keep stays in its slot and is recycled in place. The row
 // moves whole — storage and all — so an eviction copies nothing, and the
 // slot's replacement comes off the free list that released overflow rows
@@ -300,8 +301,7 @@ func (w *Window) CompleteRec(rn int64) {
 // Prune drops all data below the given horizons: suspicion parts below
 // suspDeadBelow, rec parts below both recDeadBelow and suspDeadBelow (a
 // rec row at or ahead of the receiving round stays consultable regardless
-// of age, exactly like the map implementation's prune). Rows left with no
-// live part go back to the free list.
+// of age). Rows left with no live part go back to the free list.
 func (w *Window) Prune(recDeadBelow, suspDeadBelow int64) {
 	for i, s := range w.slots {
 		if s == nil || s.RN >= suspDeadBelow {
@@ -331,8 +331,11 @@ func (w *Window) Prune(recDeadBelow, suspDeadBelow int64) {
 }
 
 // DropSusp discards round rn's suspicion data wherever it lives (ring or
-// overflow). Callers use it to reproduce the map implementation's
-// per-message retention sweep for rounds behind an unmoved horizon.
+// overflow). The core calls it on a SUSPICION below its applied retention
+// horizon, so a row that message recreated is pruned again at once and rows
+// below the horizon never pile up reports. Unbounded history (Retention 0)
+// would keep counting them; the core counts each such message in its
+// BelowHorizon metric.
 func (w *Window) DropSusp(rn int64) {
 	i := rn & w.mask
 	if s := w.slots[i]; s != nil && s.RN == rn {

@@ -72,7 +72,7 @@ func AllTimely(p Params) (*Scenario, error) {
 }
 
 // TSource builds the eventual t-source model [2]: a fixed star with fixed Q
-// and δ-timely points from round StartRN on; all other links asynchronous.
+// and δ-timely points from round 1 on; all other links asynchronous.
 func TSource(p Params) (*Scenario, error) {
 	return buildStar(p, FamilyTSource,
 		"eventual t-source: fixed Q, delta-timely center->Q links",
@@ -112,18 +112,16 @@ func Combined(p Params) (*Scenario, error) {
 }
 
 // Intermittent builds the paper's A: the Combined star exists only on the
-// round subsequence S = {StartRN, StartRN+D, ...}; outside S the adversary
+// round subsequence S = {1, 1+D, 1+2D, ...}; outside S the adversary
 // delays the center's messages beyond every timeout (ModeLose).
 func Intermittent(p Params) (*Scenario, error) {
-	p.LoseOutsideS = true
 	p.RotateLoseVictims = true
 	return buildStar(p, FamilyIntermittent,
 		fmt.Sprintf("A: intermittent rotating star, gap D=%d, adversarial outside S", p.D),
 		func(p Params) StarSchedule {
 			return &intermittentStar{
-				inner:        newRotatingStar(p, ModeNone, true),
-				member:       fixedGapMembership(p.StartRN, p.D),
-				loseOutsideS: p.LoseOutsideS,
+				inner:  newRotatingStar(p, ModeNone, true),
+				member: fixedGapMembership(startRN, p.D),
 			}
 		})
 }
@@ -131,7 +129,6 @@ func Intermittent(p Params) (*Scenario, error) {
 // IntermittentFG builds the §7 A_{f,g} model: star gaps grow as D + F(s_k)
 // and timely delays grow as δ + G(rn).
 func IntermittentFG(p Params) (*Scenario, error) {
-	p.LoseOutsideS = true
 	p.RotateLoseVictims = true
 	if p.F == nil {
 		p.F = func(int64) int64 { return 0 }
@@ -143,9 +140,8 @@ func IntermittentFG(p Params) (*Scenario, error) {
 		fmt.Sprintf("A_fg: growing star gaps D=%d + f(s_k), growing delays delta + g(rn)", p.D),
 		func(p Params) StarSchedule {
 			return &intermittentStar{
-				inner:        newRotatingStar(p, ModeNone, true),
-				member:       growingGapMembership(p.StartRN, p.D, p.F),
-				loseOutsideS: p.LoseOutsideS,
+				inner:  newRotatingStar(p, ModeNone, true),
+				member: growingGapMembership(startRN, p.D, p.F),
 			}
 		})
 }
@@ -157,8 +153,8 @@ func buildStar(p Params, fam Family, desc string, mk func(Params) StarSchedule) 
 		return nil, err
 	}
 	sched := mk(p)
-	pol := &starPolicy{params: p, schedule: sched, tag: p.Tag}
-	gate := newWinningGate(p, sched, p.Tag, p.Alpha)
+	pol := &starPolicy{params: p, schedule: sched}
+	gate := newWinningGate(p, sched, p.Alpha)
 	return &Scenario{
 		Name:        string(fam),
 		Description: desc,

@@ -50,7 +50,6 @@ import (
 type winningGate struct {
 	params   Params
 	schedule StarSchedule
-	tag      TagFunc
 	limit    int // max others delivered before the center's message
 
 	// crashed, when set, reports whether a process crashed; a crashed
@@ -136,7 +135,7 @@ const gateRingSlots = 256
 // only removes settled entries far behind the frontier.
 const gateRetention = 4096
 
-func newWinningGate(p Params, schedule StarSchedule, tag TagFunc, alpha int) *winningGate {
+func newWinningGate(p Params, schedule StarSchedule, alpha int) *winningGate {
 	limit := alpha - 2
 	if limit < 0 {
 		limit = 0
@@ -148,7 +147,6 @@ func newWinningGate(p Params, schedule StarSchedule, tag TagFunc, alpha int) *wi
 	return &winningGate{
 		params:     p,
 		schedule:   schedule,
-		tag:        tag,
 		limit:      limit,
 		state:      state,
 		loseHeld:   make([]holdHeap, p.N),
@@ -203,7 +201,7 @@ func (g *winningGate) OnArrival(ev *netsim.Envelope, now sim.Time) bool {
 	if ev.Released {
 		return true // never re-hold
 	}
-	rn, ok := g.tag(ev.Payload)
+	rn, ok := RoundTag(ev.Payload)
 	if !ok {
 		return true
 	}
@@ -339,7 +337,7 @@ func (g *winningGate) OnDelivered(ev *netsim.Envelope, now sim.Time) []*netsim.E
 		}
 	}
 
-	rn, ok := g.tag(ev.Payload)
+	rn, ok := RoundTag(ev.Payload)
 	if !ok {
 		return out
 	}

@@ -88,7 +88,6 @@ func outageDelay(p Params, ev *netsim.Envelope) time.Duration {
 type starPolicy struct {
 	params   Params
 	schedule StarSchedule
-	tag      TagFunc
 
 	// timeoutProbe feeds the ModeLose adversary (see SetTimeoutProbe).
 	timeoutProbe func() time.Duration
@@ -120,7 +119,7 @@ func (sp *starPolicy) Delay(ev *netsim.Envelope, r *sim.Rand) time.Duration {
 	if ev.From == ev.To {
 		return r.Duration(0, p.BaseLo/2)
 	}
-	rn, tagged := sp.tag(ev.Payload)
+	rn, tagged := RoundTag(ev.Payload)
 	if tagged && ev.From == sp.schedule.Center() {
 		switch sp.schedule.Mode(rn, ev.To) {
 		case ModeTimely:
@@ -254,7 +253,7 @@ func (ap *allTimelyPolicy) Delay(ev *netsim.Envelope, r *sim.Rand) time.Duration
 		}
 		return r.Duration(p.BaseLo, p.BaseHi)
 	}
-	if _, tagged := p.Tag(ev.Payload); tagged && p.AdversarialOrder && ap.leaderProbe != nil {
+	if _, tagged := RoundTag(ev.Payload); tagged && p.AdversarialOrder && ap.leaderProbe != nil {
 		if ap.leaderProbe() == ev.From {
 			// The chased leader stays within the δ bound — the whole
 			// point of this model: the adversary's order attack is

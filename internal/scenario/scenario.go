@@ -86,14 +86,16 @@ type Restart struct {
 	At sim.Time
 }
 
-// TagFunc extracts the round tag from a payload, reporting ok=false for
+// startRN is RN₀, the first round the star constrains: rounds before it
+// are unconstrained. Rounds are numbered from 1, so the star holds from the
+// start.
+const startRN = 1
+
+// RoundTag extracts the round tag from a payload, reporting ok=false for
 // untagged messages. Round-tagged kinds are ALIVE (core algorithms and the
 // time-free baseline; tag is the sending round) and HEARTBEAT (the timeout
 // baseline; tag is the beacon sequence). wire.Mux envelopes are unwrapped.
-type TagFunc func(payload any) (tag int64, ok bool)
-
-// RoundTag is the default TagFunc covering all round-tagged message kinds.
-func RoundTag(payload any) (int64, bool) {
+func RoundTag(payload any) (tag int64, ok bool) {
 	for {
 		switch m := payload.(type) {
 		case *wire.Mux:
@@ -235,16 +237,9 @@ type Params struct {
 	SpikeLo        time.Duration
 	SpikeHi        time.Duration
 
-	// StartRN is RN₀: rounds before it are unconstrained. Default 1.
-	StartRN int64
-
 	// D is the intermittent gap bound: the star exists on rounds
-	// StartRN, StartRN+D, StartRN+2D, ... Default 1 (every round).
+	// 1, 1+D, 1+2D, ... Default 1 (every round).
 	D int64
-
-	// LoseOutsideS makes rounds outside S adversarial (ModeLose) rather
-	// than merely unconstrained. The Intermittent constructors set it.
-	LoseOutsideS bool
 
 	// F and G are the §7 growth functions (IntermittentFG only).
 	F func(k int64) int64
@@ -303,9 +298,6 @@ type Params struct {
 	// Every restart must follow a crash of the same process, and at no
 	// instant may more than T processes be down simultaneously.
 	Restarts []Restart
-
-	// Tag overrides the round-tag extractor; nil means RoundTag.
-	Tag TagFunc
 }
 
 func (p Params) withDefaults() Params {
@@ -327,17 +319,11 @@ func (p Params) withDefaults() Params {
 	if p.SpikeHi == 0 {
 		p.SpikeHi = 60 * time.Millisecond
 	}
-	if p.StartRN == 0 {
-		p.StartRN = 1
-	}
 	if p.D == 0 {
 		p.D = 1
 	}
 	if p.Alpha == 0 {
 		p.Alpha = p.N - p.T
-	}
-	if p.Tag == nil {
-		p.Tag = RoundTag
 	}
 	return p
 }

@@ -56,7 +56,7 @@ func TestFixedStarMembership(t *testing.T) {
 		}
 	}
 	if s.Mode(0, 1) != ModeNone {
-		t.Error("mode before StartRN should be none")
+		t.Error("mode before round 1 should be none")
 	}
 }
 

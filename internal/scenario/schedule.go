@@ -4,16 +4,15 @@ import "repro/internal/proc"
 
 // fixedStar is a star with a constant point set and a constant mode.
 type fixedStar struct {
-	center  proc.ID
-	points  map[proc.ID]bool
-	mode    Mode
-	startRN int64
+	center proc.ID
+	points map[proc.ID]bool
+	mode   Mode
 }
 
 func (s *fixedStar) Center() proc.ID { return s.center }
 
 func (s *fixedStar) Mode(rn int64, q proc.ID) Mode {
-	if rn < s.startRN || !s.points[q] {
+	if rn < startRN || !s.points[q] {
 		return ModeNone
 	}
 	return s.mode
@@ -29,7 +28,7 @@ func newFixedStar(p Params, mode Mode) *fixedStar {
 			n++
 		}
 	}
-	return &fixedStar{center: p.Center, points: points, mode: mode, startRN: p.StartRN}
+	return &fixedStar{center: p.Center, points: points, mode: mode}
 }
 
 // rotatingStar changes its point set every round: Q(rn) is a window of t
@@ -37,24 +36,22 @@ func newFixedStar(p Params, mode Mode) *fixedStar {
 // mixed is set, each (rn, q) point independently gets ModeTimely or
 // ModeWinning from a deterministic hash; otherwise all points use mode.
 type rotatingStar struct {
-	center  proc.ID
-	n       int // processes; Q(rn) rotates over the n-1 besides the center
-	t       int
-	mode    Mode
-	mixed   bool
-	startRN int64
-	seed    uint64
+	center proc.ID
+	n      int // processes; Q(rn) rotates over the n-1 besides the center
+	t      int
+	mode   Mode
+	mixed  bool
+	seed   uint64
 }
 
 func newRotatingStar(p Params, mode Mode, mixed bool) *rotatingStar {
 	return &rotatingStar{
-		center:  p.Center,
-		n:       p.N,
-		t:       p.T,
-		mode:    mode,
-		mixed:   mixed,
-		startRN: p.StartRN,
-		seed:    p.Seed,
+		center: p.Center,
+		n:      p.N,
+		t:      p.T,
+		mode:   mode,
+		mixed:  mixed,
+		seed:   p.Seed,
 	}
 }
 
@@ -80,7 +77,7 @@ func (s *rotatingStar) inQ(rn int64, q proc.ID) bool {
 }
 
 func (s *rotatingStar) Mode(rn int64, q proc.ID) Mode {
-	if rn < s.startRN || !s.inQ(rn, q) {
+	if rn < startRN || !s.inQ(rn, q) {
 		return ModeNone
 	}
 	if !s.mixed {
@@ -98,11 +95,10 @@ func (s *rotatingStar) Mode(rn int64, q proc.ID) Mode {
 }
 
 // intermittentStar restricts an inner schedule to a round subsequence S and
-// optionally attacks (ModeLose) the center's messages outside S.
+// attacks (ModeLose) the center's messages outside S.
 type intermittentStar struct {
-	inner        StarSchedule
-	member       func(rn int64) bool
-	loseOutsideS bool
+	inner  StarSchedule
+	member func(rn int64) bool
 }
 
 func (s *intermittentStar) Center() proc.ID { return s.inner.Center() }
@@ -111,10 +107,7 @@ func (s *intermittentStar) Mode(rn int64, q proc.ID) Mode {
 	if s.member(rn) {
 		return s.inner.Mode(rn, q)
 	}
-	if s.loseOutsideS {
-		return ModeLose
-	}
-	return ModeNone
+	return ModeLose
 }
 
 // fixedGapMembership returns the membership test of S = {start, start+D,

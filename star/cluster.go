@@ -464,7 +464,6 @@ func (c *Cluster) buildProcess(id int, rejoin bool) error {
 			AlivePeriod:      c.cfg.alivePeriod,
 			TimeoutUnit:      c.cfg.timeoutUnit,
 			Retention:        c.cfg.retention,
-			WindowSlots:      c.cfg.windowSlots(),
 			JoinCurrentRound: useJump,
 		}
 		if variant == core.VariantFG {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"testing"
+	"time"
 
 	"repro/star"
 )
@@ -67,5 +68,40 @@ func TestC1CoverageKeyCells(t *testing.T) {
 					c.algo, c.family, res.Report.Changes, res.MaxSuspLevel)
 			}
 		})
+	}
+}
+
+// TestGridNeedsUnboundedRetention pins why Config.options passes
+// star.UnboundedRetention: star's default retention is not
+// observation-equivalent on the C1 grid. Its unbounded spike drift and
+// growing outages stretch the SUSPICION lag past the default horizon. The
+// cell is the cheapest C1 cell (seed 42) on which the default reads
+// NodeMetrics.BelowHorizon > 0, run for the shortest horizon that shows it;
+// a behaviour change that moves that first read needs a new cell or horizon.
+func TestGridNeedsUnboundedRetention(t *testing.T) {
+	cfg := GridCellConfig(GridSpec{N: 5, T: 2, Seed: 42}, "intermittent", star.TimeFree)
+	cfg.Duration = 34400 * time.Millisecond
+	below := func(m star.Metrics) uint64 {
+		var b uint64
+		for _, nm := range m.Nodes {
+			b += nm.BelowHorizon
+		}
+		return b
+	}
+
+	c, err := star.New(star.N(cfg.N), star.Resilience(cfg.T), star.Seed(cfg.Seed),
+		star.Algorithm(cfg.Algo), star.Scenario(cfg.Scenario))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Run(cfg.Duration); err != nil {
+		t.Fatal(err)
+	}
+	if got := below(c.Metrics()); got == 0 {
+		t.Fatal("default retention read BelowHorizon 0: the cell no longer shows the departure")
+	}
+	if got := below(run(t, cfg).Metrics); got != 0 {
+		t.Fatalf("harness run read BelowHorizon %d, want 0 (unbounded history)", got)
 	}
 }

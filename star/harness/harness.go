@@ -49,6 +49,11 @@ type Result struct {
 
 // options translates a Config into the star option list. Experiments
 // reproduce the paper, so history is unbounded unless Options bound it.
+// star's default retention would change results: on the C1 grid (seed 42,
+// 120s) its unbounded spike drift and growing outages push the SUSPICION
+// lag past the default horizon, NodeMetrics.BelowHorizon reads above 0 in
+// 31 of 40 core-algorithm cells, and movingsource/timefree stops
+// stabilizing (TestGridNeedsUnboundedRetention).
 func (c Config) options() []star.Option {
 	opts := []star.Option{
 		star.N(c.N),

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/rounds"
 )
@@ -31,12 +32,17 @@ const (
 	// receiver's receiving round and still be counted: per-round
 	// bookkeeping below the receiving round less DefaultRetention less the
 	// window test's reach is pruned (see core.Config.Retention). The
-	// deepest lag measured is 14 rounds on the crash-free simulated
-	// configurations at n=5 (seeds 1-5) and 13 at n=251 over 300 rounds;
-	// DefaultRetention is the smallest power of two at least 4× that, and
-	// on those runs bounded retention is observation-equivalent to
-	// UnboundedRetention (NodeMetrics.BelowHorizon counts every departure,
-	// and reads 0 there). Over live and TCP transports the lag is set by
+	// deepest lag measured is 14 rounds on the benchmark's sim-paper-n5
+	// configurations without restarts (seeds 1-5) and 13 at n=251 over 300
+	// rounds; DefaultRetention is the smallest power of two at least 4×
+	// that, and on those runs bounded retention is observation-equivalent
+	// to UnboundedRetention (NodeMetrics.BelowHorizon counts every
+	// departure, and reads 0 there). It is not equivalent under unbounded
+	// delays: on the C1 coverage grid (n=5, seed 42, 120s), spike drift and
+	// growing outages stretch the lag past any fixed horizon, BelowHorizon
+	// is positive in 31 of its 40 core-algorithm cells (up to 49 813) and
+	// movingsource/timefree no longer stabilizes, so the experiments run
+	// UnboundedRetention. Over live and TCP transports the lag is set by
 	// real scheduling, so no constant guarantees it; in-process loopback
 	// clusters of five measured a lag of at most 12 rounds. Restarts are
 	// outside the equivalence: a restarted member lags by its downtime,
@@ -46,8 +52,8 @@ const (
 	// Use UnboundedRetention for paper-faithful unbounded history.
 	DefaultRetention = 64
 
-	DefaultAlivePeriod = 10 * time.Millisecond
-	DefaultTimeoutUnit = time.Millisecond
+	DefaultAlivePeriod = core.DefaultAlivePeriod
+	DefaultTimeoutUnit = core.DefaultTimeoutUnit
 	DefaultSampleEvery = 20 * time.Millisecond
 	DefaultMaxEvents   = 200_000_000
 
@@ -161,25 +167,6 @@ func (c *config) finish() error {
 		}
 	}
 	return nil
-}
-
-// windowSlots sizes the protocol layers' ring windows at twice the
-// retention: the live span from the horizon up to the receiving round
-// (Retention plus the window test's reach) fits while the reach is at most
-// Retention. Rows further out — ALIVE rounds when sending
-// rounds outrun receiving rounds (Figures 1 and 2), windows that F stretches
-// (§7) — move to the exact overflow map (NodeMetrics.WindowEvictions). Slots
-// cost a pointer each until a round claims them.
-func (c *config) windowSlots() int {
-	if c.retention == 0 {
-		return 0 // unbounded history: protocol default ring, overflow absorbs
-	}
-	slots := 2 * c.retention
-	const maxSlots = 1 << 13
-	if slots > maxSlots {
-		slots = maxSlots
-	}
-	return int(slots)
 }
 
 // N sets the number of processes (required).
