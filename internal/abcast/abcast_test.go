@@ -41,6 +41,23 @@ type system struct {
 	nodes  []*Node
 }
 
+// The system is the scenario adversary's view of itself: it observes
+// crashes and rounds, but neither the leader (no chase) nor timeouts.
+func (s *system) Crashed(q proc.ID) bool    { return s.net.Crashed(q) }
+func (s *system) Round(q proc.ID) int64     { _, r := s.omegas[q].Rounds(); return r }
+func (s *system) Leader() proc.ID           { return proc.None }
+func (s *system) MaxTimeout() time.Duration { return 0 }
+
+func (s *system) Down() int {
+	down := 0
+	for id := range s.omegas {
+		if s.net.Crashed(id) {
+			down++
+		}
+	}
+	return down
+}
+
 func buildSystem(t *testing.T, sc *scenario.Scenario) *system {
 	t.Helper()
 	p := sc.Params
@@ -69,11 +86,7 @@ func buildSystem(t *testing.T, sc *scenario.Scenario) *system {
 		net.Register(id, mux)
 		net.StartAt(id, 0)
 	}
-	sc.SetCrashedProbe(net.Crashed)
-	sc.SetRoundProbe(func(q proc.ID) int64 {
-		_, r := sys.omegas[q].Rounds()
-		return r
-	})
+	sc.Attach(sys)
 	for _, c := range sc.Crashes {
 		net.CrashAt(c.ID, c.At)
 	}

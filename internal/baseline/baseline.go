@@ -137,9 +137,8 @@ func (s *StableNode) OnTimer(key proc.TimerKey) {
 // OnCrash implements proc.Crashable.
 func (s *StableNode) OnCrash() { s.crashed = true }
 
-// CurrentTimeout returns the largest per-sender timeout currently in use;
-// the scenario adversary's timeout probe reads it to stay ahead of the
-// algorithm's calibration.
+// CurrentTimeout returns the largest per-sender timeout currently in use
+// (star's timeout series and the scenario's Probes.MaxTimeout read it).
 func (s *StableNode) CurrentTimeout() time.Duration {
 	var max time.Duration
 	for _, to := range s.timeout {

@@ -20,6 +20,32 @@ type theorem5System struct {
 	cons   []*Node
 }
 
+// The system is the scenario adversary's view of itself: it observes
+// crashes, rounds and timeouts, but not the leader (no chase).
+func (s *theorem5System) Crashed(q proc.ID) bool { return s.net.Crashed(q) }
+func (s *theorem5System) Round(q proc.ID) int64  { _, r := s.omegas[q].Rounds(); return r }
+func (s *theorem5System) Leader() proc.ID        { return proc.None }
+
+func (s *theorem5System) Down() int {
+	down := 0
+	for id := range s.omegas {
+		if s.net.Crashed(id) {
+			down++
+		}
+	}
+	return down
+}
+
+func (s *theorem5System) MaxTimeout() time.Duration {
+	var max time.Duration
+	for id, om := range s.omegas {
+		if !s.net.Crashed(id) && om.CurrentTimeout() > max {
+			max = om.CurrentTimeout()
+		}
+	}
+	return max
+}
+
 func buildTheorem5(t *testing.T, sc *scenario.Scenario, decisions *[][2]int64) *theorem5System {
 	t.Helper()
 	p := sc.Params
@@ -58,20 +84,7 @@ func buildTheorem5(t *testing.T, sc *scenario.Scenario, decisions *[][2]int64) *
 		net.StartAt(id, 0)
 	}
 
-	sc.SetCrashedProbe(net.Crashed)
-	sc.SetRoundProbe(func(q proc.ID) int64 {
-		_, r := sys.omegas[q].Rounds()
-		return r
-	})
-	sc.SetTimeoutProbe(func() time.Duration {
-		var max time.Duration
-		for id, om := range sys.omegas {
-			if !net.Crashed(id) && om.CurrentTimeout() > max {
-				max = om.CurrentTimeout()
-			}
-		}
-		return max
-	})
+	sc.Attach(sys)
 	for _, c := range sc.Crashes {
 		net.CrashAt(c.ID, c.At)
 	}

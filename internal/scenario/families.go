@@ -65,7 +65,7 @@ func AllTimely(p Params) (*Scenario, error) {
 		Name:        string(FamilyAllTimely),
 		Description: "every link timely (delay <= delta) after a 200ms asynchronous prefix",
 		Params:      p,
-		Policy:      &allTimelyPolicy{params: p, stabilize: sim.Time(200 * time.Millisecond)},
+		Policy:      &allTimelyPolicy{params: p, stabilize: sim.Time(200 * time.Millisecond), probes: unattached{}},
 		Crashes:     p.Crashes,
 		Restarts:    p.Restarts,
 	}, nil
@@ -112,8 +112,8 @@ func Combined(p Params) (*Scenario, error) {
 }
 
 // Intermittent builds the paper's A: the Combined star exists only on the
-// round subsequence S = {1, 1+D, 1+2D, ...}; outside S the adversary
-// delays the center's messages beyond every timeout (ModeLose).
+// round subsequence S = {1, 1+D, 1+2D, ...}; outside S the adversary holds
+// the center's messages until their receivers' rounds pass (ModeLose).
 func Intermittent(p Params) (*Scenario, error) {
 	p.RotateLoseVictims = true
 	return buildStar(p, FamilyIntermittent,
@@ -153,7 +153,7 @@ func buildStar(p Params, fam Family, desc string, mk func(Params) StarSchedule) 
 		return nil, err
 	}
 	sched := mk(p)
-	pol := &starPolicy{params: p, schedule: sched}
+	pol := &starPolicy{params: p, schedule: sched, probes: unattached{}}
 	gate := newWinningGate(p, sched, p.Alpha)
 	return &Scenario{
 		Name:        string(fam),
@@ -164,7 +164,6 @@ func buildStar(p Params, fam Family, desc string, mk func(Params) StarSchedule) 
 		Gate:        gate,
 		Crashes:     p.Crashes,
 		Restarts:    p.Restarts,
-		star:        pol,
 		gate:        gate,
 	}, nil
 }

@@ -24,9 +24,8 @@ import (
 //     asynchrony permits. Delay-based attacks cannot achieve this: receiving
 //     rounds lag ever further behind sending rounds (the dynamic proved in
 //     the paper's Claim C1), so every bounded-ahead delay eventually lands
-//     "in time" again. The receiver's current round is supplied by the round
-//     probe (SetRoundProbe); without a probe the lose constraint falls back
-//     to the delay policy's probe-scaled delays.
+//     "in time" again. The receiver's current round is read from
+//     Probes.Round; a receiver whose round is unknown is never lose-held.
 //
 // The gate holds messages rather than tuning delays: both properties are
 // purely about order, so this realizes them exactly even under unbounded
@@ -52,27 +51,11 @@ type winningGate struct {
 	schedule StarSchedule
 	limit    int // max others delivered before the center's message
 
-	// crashed, when set, reports whether a process crashed; a crashed
-	// center releases its constraints (A2 case (1)) and messages to
-	// crashed receivers are not held.
-	crashed func(proc.ID) bool
-
-	// roundProbe, when set, returns a process's current receiving round
-	// (or a negative value when unknown); it powers the lose holds.
-	roundProbe func(proc.ID) int64
-
-	// leaderProbe, when set, returns the adversary's observation of the
-	// current leader (the chase target); see SetLeaderProbe.
-	leaderProbe func() proc.ID
-
-	// epochProbe, when set, returns the cluster's churn epoch (bumped on
-	// every crash/restart). The lose budget depends only on the crashed
-	// set, so its value is cached per epoch instead of rescanning all n
-	// processes on every arrival and delivery.
-	epochProbe  func() uint64
-	cachedEpoch uint64
-	budgetValid bool
-	budget      int
+	// probes is the adversary's view (Scenario.Attach): a crashed center
+	// releases its constraints (A2 case (1)), messages to crashed
+	// receivers are not held, and the lose holds read the receiver's
+	// round, the chased leader and the down count from it.
+	probes Probes
 
 	state      []*rounds.Ring[gateEntry] // per receiver, indexed by rn
 	loseHeld   []holdHeap                // per receiver
@@ -151,6 +134,7 @@ func newWinningGate(p Params, schedule StarSchedule, alpha int) *winningGate {
 		state:      state,
 		loseHeld:   make([]holdHeap, p.N),
 		lastBudget: p.N, // recomputed on first use
+		probes:     unattached{},
 	}
 }
 
@@ -164,29 +148,11 @@ func newWinningGate(p Params, schedule StarSchedule, alpha int) *winningGate {
 
 // loseBudget returns how many senders the lose adversary may starve per
 // receiver without deadlocking receiving rounds: a round needs alpha
-// receptions (self plus alpha-1 others) out of n-1-crashed live senders, so
-// at most n - alpha - crashed senders can be held back. The center's lose
+// receptions (self plus alpha-1 others) out of n-1-down live senders, so at
+// most n - alpha - down senders can be held back. The center's lose
 // constraint has priority rank 1, the rotating victim rank 2.
 func (g *winningGate) loseBudget() int {
-	if g.epochProbe != nil {
-		if ep := g.epochProbe(); g.budgetValid && ep == g.cachedEpoch {
-			return g.budget
-		} else {
-			g.cachedEpoch = ep
-		}
-	}
-	crashed := 0
-	if g.crashed != nil {
-		for id := 0; id < g.params.N; id++ {
-			if g.crashed(id) {
-				crashed++
-			}
-		}
-	}
-	b := g.params.N - g.params.Alpha - crashed
-	g.budget = b
-	g.budgetValid = true
-	return b
+	return g.params.N - g.params.Alpha - g.probes.Down()
 }
 
 // stale reports whether round rn is too far behind the frontier for its
@@ -210,7 +176,7 @@ func (g *winningGate) OnArrival(ev *netsim.Envelope, now sim.Time) bool {
 	if ev.To == center || ev.From == ev.To {
 		return true
 	}
-	if g.crashed != nil && (g.crashed(center) || g.crashed(ev.To)) {
+	if g.probes.Crashed(center) || g.probes.Crashed(ev.To) {
 		return true
 	}
 	if g.stale(rn) {
@@ -223,21 +189,19 @@ func (g *winningGate) OnArrival(ev *netsim.Envelope, now sim.Time) bool {
 	// — the chase target moves over time, so without this cap messages
 	// from several successive targets could pile onto one round and
 	// starve it, which would be message loss, not delay.
-	if g.roundProbe != nil {
-		budget := g.loseBudget()
-		if rank := g.loseRank(ev, rn); rank > 0 && rank <= budget {
-			e := g.state[ev.To].Claim(rn)
-			if int(e.loseHolds) >= budget {
-				return true // round's starvation budget exhausted
-			}
-			if r := g.roundProbe(ev.To); r >= 0 && rn >= r {
-				g.holdsLose++
-				e.loseHolds++
-				heap.Push(&g.loseHeld[ev.To], loseHold{ev: ev, rank: rank, rn: rn})
-				return false
-			}
-			return true
+	budget := g.loseBudget()
+	if rank := g.loseRank(ev, rn); rank > 0 && rank <= budget {
+		e := g.state[ev.To].Claim(rn)
+		if int(e.loseHolds) >= budget {
+			return true // round's starvation budget exhausted
 		}
+		if r := g.probes.Round(ev.To); r >= 0 && rn >= r {
+			g.holdsLose++
+			e.loseHolds++
+			heap.Push(&g.loseHeld[ev.To], loseHold{ev: ev, rank: rank, rn: rn})
+			return false
+		}
+		return true
 	}
 
 	// Winning holds: competitors wait for the center's message.
@@ -259,8 +223,8 @@ func (g *winningGate) OnArrival(ev *netsim.Envelope, now sim.Time) bool {
 // messages. The rank doubles as a priority against the hold budget.
 func (g *winningGate) loseRank(ev *netsim.Envelope, rn int64) int {
 	chased := proc.None
-	if g.params.RotateLoseVictims && g.leaderProbe != nil {
-		chased = g.leaderProbe()
+	if g.params.RotateLoseVictims {
+		chased = g.probes.Leader()
 	}
 	if ev.From == g.schedule.Center() {
 		switch g.schedule.Mode(rn, ev.To) {
@@ -301,40 +265,38 @@ func (g *winningGate) OnDelivered(ev *netsim.Envelope, now sim.Time) []*netsim.E
 	// Lose releases: anything whose round the receiver has moved past
 	// (heap-ordered, so only the releasable prefix is touched), plus a
 	// full sweep when the budget shrank (a crash happened).
-	if g.roundProbe != nil {
-		if hh := &g.loseHeld[ev.To]; hh.Len() > 0 {
-			r := g.roundProbe(ev.To)
-			for hh.Len() > 0 && (r < 0 || (*hh)[0].rn < r) {
-				h := heap.Pop(hh).(loseHold)
-				g.decLose(ev.To, h.rn)
-				out = append(out, h.ev)
-			}
+	if hh := &g.loseHeld[ev.To]; hh.Len() > 0 {
+		r := g.probes.Round(ev.To)
+		for hh.Len() > 0 && (r < 0 || (*hh)[0].rn < r) {
+			h := heap.Pop(hh).(loseHold)
+			g.decLose(ev.To, h.rn)
+			out = append(out, h.ev)
 		}
-		if budget := g.loseBudget(); budget < g.lastBudget {
-			g.lastBudget = budget
-			// Sweep receivers in id order: releases append to out, so
-			// iteration order here leaks into delivery order and must be
-			// deterministic.
-			for to := proc.ID(0); to < proc.ID(g.params.N); to++ {
-				hh := &g.loseHeld[to]
-				if hh.Len() == 0 {
-					continue
-				}
-				keep := (*hh)[:0]
-				for _, h := range *hh {
-					if h.rank > budget {
-						g.decLose(to, h.rn)
-						out = append(out, h.ev)
-					} else {
-						keep = append(keep, h)
-					}
-				}
-				*hh = keep
-				heap.Init(hh)
+	}
+	if budget := g.loseBudget(); budget < g.lastBudget {
+		g.lastBudget = budget
+		// Sweep receivers in id order: releases append to out, so
+		// iteration order here leaks into delivery order and must be
+		// deterministic.
+		for to := proc.ID(0); to < proc.ID(g.params.N); to++ {
+			hh := &g.loseHeld[to]
+			if hh.Len() == 0 {
+				continue
 			}
-		} else if budget > g.lastBudget {
-			g.lastBudget = budget
+			keep := (*hh)[:0]
+			for _, h := range *hh {
+				if h.rank > budget {
+					g.decLose(to, h.rn)
+					out = append(out, h.ev)
+				} else {
+					keep = append(keep, h)
+				}
+			}
+			*hh = keep
+			heap.Init(hh)
 		}
+	} else if budget > g.lastBudget {
+		g.lastBudget = budget
 	}
 
 	rn, ok := RoundTag(ev.Payload)

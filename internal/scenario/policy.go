@@ -74,13 +74,13 @@ func outageDelay(p Params, ev *netsim.Envelope) time.Duration {
 }
 
 // The victim of the order/lose adversary is the CURRENT LEADER as observed
-// through the leader probe (SetLeaderProbe). Chasing the leader is the
-// canonical adversary for Ω constructions: any fair (e.g. round-robin)
-// attack raises every counter at the same rate and preserves the argmin, so
-// the initial leader keeps winning; chasing the minimum forces churn until
-// some process is protected from the chase — which is exactly what the star
-// assumption provides for its center. The probe returns proc.None when no
-// observation is available (attack disabled).
+// through Probes.Leader. Chasing the leader is the canonical adversary for Ω
+// constructions: any fair (e.g. round-robin) attack raises every counter at
+// the same rate and preserves the argmin, so the initial leader keeps
+// winning; chasing the minimum forces churn until some process is protected
+// from the chase — which is exactly what the star assumption provides for
+// its center. The probe returns proc.None when no observation is available
+// (attack disabled).
 
 // starPolicy implements netsim.DelayPolicy from a star schedule: the
 // center's round-tagged messages get mode-dependent delays, everything else
@@ -88,29 +88,15 @@ func outageDelay(p Params, ev *netsim.Envelope) time.Duration {
 type starPolicy struct {
 	params   Params
 	schedule StarSchedule
-
-	// timeoutProbe feeds the ModeLose adversary (see SetTimeoutProbe).
-	timeoutProbe func() time.Duration
-
-	// leaderProbe feeds the leader-chasing adversary (SetLeaderProbe).
-	leaderProbe func() proc.ID
-
-	// roundProbe mirrors the gate's round probe (SetRoundProbe); the
-	// policy uses it to pace unconstrained round-tagged messages.
-	roundProbe func(proc.ID) int64
-
-	// loseViaGate is set when a round probe is installed: the gate then
-	// enforces lose constraints by order, and the policy reverts the
-	// targeted messages to ordinary asynchronous delays.
-	loseViaGate bool
+	probes   Probes // the adversary's view (Scenario.Attach)
 }
 
 // chasedLeader returns the adversary's current target, or proc.None.
 func (sp *starPolicy) chasedLeader() proc.ID {
-	if sp.leaderProbe == nil || (!sp.params.AdversarialOrder && !sp.params.RotateLoseVictims) {
+	if !sp.params.AdversarialOrder && !sp.params.RotateLoseVictims {
 		return proc.None
 	}
-	return sp.leaderProbe()
+	return sp.probes.Leader()
 }
 
 // Delay implements netsim.DelayPolicy.
@@ -136,22 +122,18 @@ func (sp *starPolicy) Delay(ev *netsim.Envelope, r *sim.Rand) time.Duration {
 				d += p.G(rn)
 			}
 			return d
-		case ModeLose:
-			if sp.loseViaGate {
-				return asyncDelay(p, ev, r)
-			}
-			return sp.loseDelay(r)
-		case ModeWinning:
-			// Order is enforced by the gate; the delay itself is
-			// ordinary asynchrony.
+		case ModeWinning, ModeLose:
+			// Order is enforced by the gate (competitors wait for a
+			// winning message; a losing one waits for its receiver's
+			// round to pass); the delay itself is ordinary asynchrony.
 			return asyncDelay(p, ev, r)
 		}
 	}
 	// The leader chase. A chased center is only attackable on its
 	// unconstrained (ModeNone) messages — its Timely/Winning/Lose
 	// messages returned above — which is how the star neutralizes the
-	// chase. Lose-chasing is enforced by the gate when the round probe
-	// is wired; order-chasing merely loses reception races.
+	// chase. Lose-chasing is enforced by the gate; order-chasing merely
+	// loses reception races.
 	if tagged && ev.From == sp.chasedLeader() && !p.RotateLoseVictims {
 		// Order chase: lose reception races, and still suffer the
 		// link's outages (the chase must not shield from them).
@@ -163,9 +145,6 @@ func (sp *starPolicy) Delay(ev *netsim.Envelope, r *sim.Rand) time.Duration {
 	}
 	d := asyncDelay(p, ev, r)
 	if tagged && p.RotateLoseVictims {
-		if !sp.loseViaGate && ev.From == sp.chasedLeader() {
-			return sp.loseDelay(r)
-		}
 		// Pace unconstrained round-tagged messages to arrive near
 		// their receiver's processing round. Task T1 broadcasts every
 		// β while receiving rounds advance once per (growing) timeout,
@@ -186,15 +165,12 @@ func (sp *starPolicy) Delay(ev *netsim.Envelope, r *sim.Rand) time.Duration {
 
 // paceDelay estimates how long until the receiver processes round rn and
 // returns a delay landing the message about two rounds ahead of it (0 when
-// probes are missing or the message is already near its round). Estimates
-// use the current largest timeout; undershoot merely weakens the adversary
-// (the message is counted), overshoot adds sporadic suspicions of arbitrary
-// senders, which the window test absorbs.
+// the receiver's round is unknown or the message is already near its round).
+// Estimates use the current largest timeout; undershoot merely weakens the
+// adversary (the message is counted), overshoot adds sporadic suspicions of
+// arbitrary senders, which the window test absorbs.
 func (sp *starPolicy) paceDelay(ev *netsim.Envelope, rn int64) time.Duration {
-	if sp.roundProbe == nil {
-		return 0
-	}
-	r := sp.roundProbe(ev.To)
+	r := sp.probes.Round(ev.To)
 	if r < 0 {
 		return 0
 	}
@@ -202,30 +178,7 @@ func (sp *starPolicy) paceDelay(ev *netsim.Envelope, rn int64) time.Duration {
 	if ahead <= 0 {
 		return 0
 	}
-	per := sp.params.BaseHi
-	if sp.timeoutProbe != nil {
-		if to := sp.timeoutProbe(); to > per {
-			per = to
-		}
-	}
-	return time.Duration(ahead) * per
-}
-
-// loseDelay produces a delay large enough that the receiver's round guard
-// fires before the message arrives, however large timeouts have grown. This
-// is a legal asynchronous behaviour (no bound on transfer delays) and is the
-// adversary that separates Figure 1 from Figures 2/3.
-func (sp *starPolicy) loseDelay(r *sim.Rand) time.Duration {
-	base := 20 * sp.params.BaseHi
-	if sp.timeoutProbe != nil {
-		if to := sp.timeoutProbe(); to > 0 {
-			// Outrun the timeout race: rounds complete within
-			// roughly max(β, timeout); four timeouts plus slack
-			// lands well past the guard.
-			base = 4*to + 10*sp.params.BaseHi
-		}
-	}
-	return base + r.Duration(0, sp.params.BaseHi)
+	return time.Duration(ahead) * max(sp.params.BaseHi, sp.probes.MaxTimeout())
 }
 
 // allTimelyPolicy bounds every link by δ after a stabilization time, and is
@@ -234,9 +187,9 @@ func (sp *starPolicy) loseDelay(r *sim.Rand) time.Duration {
 // processes but must respect the δ bound — which is exactly why time-free
 // algorithms fail in this model while timer-based ones succeed.
 type allTimelyPolicy struct {
-	params      Params
-	stabilize   sim.Time
-	leaderProbe func() proc.ID
+	params    Params
+	stabilize sim.Time
+	probes    Probes // the adversary's view (Scenario.Attach)
 }
 
 // Delay implements netsim.DelayPolicy.
@@ -253,13 +206,11 @@ func (ap *allTimelyPolicy) Delay(ev *netsim.Envelope, r *sim.Rand) time.Duration
 		}
 		return r.Duration(p.BaseLo, p.BaseHi)
 	}
-	if _, tagged := RoundTag(ev.Payload); tagged && p.AdversarialOrder && ap.leaderProbe != nil {
-		if ap.leaderProbe() == ev.From {
-			// The chased leader stays within the δ bound — the whole
-			// point of this model: the adversary's order attack is
-			// all it has, and timer-based algorithms absorb it.
-			return r.Duration(p.Delta*8/10, p.Delta)
-		}
+	if _, tagged := RoundTag(ev.Payload); tagged && p.AdversarialOrder && ap.probes.Leader() == ev.From {
+		// The chased leader stays within the δ bound — the whole point
+		// of this model: the adversary's order attack is all it has, and
+		// timer-based algorithms absorb it.
+		return r.Duration(p.Delta*8/10, p.Delta)
 	}
 	if p.AdversarialOrder {
 		return r.Duration(p.Delta/20, p.Delta/10)

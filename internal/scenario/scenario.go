@@ -16,13 +16,15 @@
 //     independently per round, either δ-timely or winning.
 //   - Intermittent: the paper's A — Combined, but the star only exists on a
 //     round subsequence S with gaps bounded by D; outside S an adversary
-//     actively delays the center's messages beyond every current timeout.
+//     holds the center's messages until their receivers' rounds have passed.
 //   - IntermittentFG: the §7 A_{f,g} model — star gaps grow as D + f(s_k)
 //     and timely delays grow as δ + g(rn).
 //
 // A Scenario bundles a delay policy, an optional order gate (for the
-// winning-message property, which constrains reception order rather than
-// time), and a crash schedule. Scenarios are deterministic given their seed.
+// winning-message property and the lose adversary, which constrain
+// reception order rather than time), and a crash schedule. The adversaries
+// observe the system through one Probes value (Scenario.Attach). Scenarios
+// are deterministic given their seed.
 package scenario
 
 import (
@@ -48,9 +50,11 @@ const (
 	// ModeWinning guarantees the message is received among the first
 	// alpha-1 same-round messages of its receiver (order, not time).
 	ModeWinning
-	// ModeLose is the adversary: the message is delayed long enough to
-	// arrive after the receiver's round guard has fired (used outside
-	// the subsequence S to attack non-intermittent algorithms).
+	// ModeLose is the adversary: the order gate holds the message until
+	// its receiver's receiving round has passed the message's round, so
+	// it is neither timely nor winning (used outside the subsequence S
+	// to attack non-intermittent algorithms). The delay itself is
+	// ordinary asynchrony.
 	ModeLose
 )
 
@@ -139,38 +143,57 @@ type Scenario struct {
 	// processes; empty for the pure crash-stop scenarios).
 	Restarts []Restart
 
-	star *starPolicy // retained to wire probes late
-	gate *winningGate
+	gate *winningGate // retained for Attach and GateStats
 }
 
-// SetTimeoutProbe installs the adversary's introspection hook: a function
-// returning the largest receiving-round timeout currently armed by any
-// correct process. ModeLose delays scale with it so that false suspicions of
-// the center continue forever no matter how far timeouts grow (the adversary
-// permitted by pure asynchrony). Without a probe, ModeLose falls back to a
-// large constant multiple of the base delay.
-func (s *Scenario) SetTimeoutProbe(probe func() time.Duration) {
-	if s.star != nil {
-		s.star.timeoutProbe = probe
+// Probes is the adversary's view of the system it attacks: the delay policy
+// and the order gate observe the cluster through it and nothing else. The
+// gate calls it on every arrival and delivery, so every method must be
+// cheap. A scenario that is never attached answers each method with its
+// "unknown" value, which disarms the observation that method feeds.
+type Probes interface {
+	// Crashed reports whether process q is down now: a crashed center
+	// releases its order constraints (A2's case (1)), and messages to a
+	// crashed receiver are never held.
+	Crashed(q proc.ID) bool
+	// Down counts the processes down now; it sizes the lose budget.
+	// Unknown: 0.
+	Down() int
+	// Round returns q's current receiving round. The lose holds and the
+	// victim pacing act only on a known round. Unknown: -1, also for a
+	// process that has no receiving round (the Stable baseline), which
+	// the lose adversary therefore never holds.
+	Round(q proc.ID) int64
+	// Leader returns the leader estimate the order and lose adversaries
+	// chase (see the policy docs). Unknown: proc.None, no chase.
+	Leader() proc.ID
+	// MaxTimeout returns the largest receiving-round timeout armed by a
+	// correct process; victim pacing scales with it. Unknown: 0.
+	MaxTimeout() time.Duration
+}
+
+// unattached is the view of a scenario that was never attached: every probe
+// answers "unknown".
+type unattached struct{}
+
+func (unattached) Crashed(proc.ID) bool      { return false }
+func (unattached) Down() int                 { return 0 }
+func (unattached) Round(proc.ID) int64       { return -1 }
+func (unattached) Leader() proc.ID           { return proc.None }
+func (unattached) MaxTimeout() time.Duration { return 0 }
+
+// Attach installs the adversary's view of the system: the delay policy and
+// the order gate read crashes, rounds, the leader and timeouts through p
+// from then on. Call it once, before the run starts.
+func (s *Scenario) Attach(p Probes) {
+	switch pol := s.Policy.(type) {
+	case *starPolicy:
+		pol.probes = p
+	case *allTimelyPolicy:
+		pol.probes = p
 	}
-}
-
-// SetCrashedProbe lets the gate bypass ordering constraints involving a
-// crashed center (held messages are released; A2's case (1) applies).
-func (s *Scenario) SetCrashedProbe(crashed func(proc.ID) bool) {
 	if s.gate != nil {
-		s.gate.crashed = crashed
-	}
-}
-
-// SetChurnEpochProbe installs a counter of crashes and restarts (a star
-// cluster's, bumped on its one crash path): the gate caches its
-// crash-dependent lose budget per epoch so the per-arrival cost drops from
-// O(n) to O(1). Purely an optimization — with or without the probe the
-// computed budgets are identical, so determinism is unaffected.
-func (s *Scenario) SetChurnEpochProbe(probe func() uint64) {
-	if s.gate != nil {
-		s.gate.epochProbe = probe
+		s.gate.probes = p
 	}
 }
 
@@ -183,37 +206,6 @@ func (s *Scenario) GateStats() (winning, lose uint64) {
 		return 0, 0
 	}
 	return s.gate.holdsWinning, s.gate.holdsLose
-}
-
-// SetLeaderProbe installs the adversary's observation of the system's
-// current leader estimate; the order/lose adversaries chase it (see the
-// policy docs for why chasing the leader, rather than rotating fairly, is
-// the canonical attack). A nil or absent probe disables the chase.
-func (s *Scenario) SetLeaderProbe(probe func() proc.ID) {
-	if s.star != nil {
-		s.star.leaderProbe = probe
-	}
-	if s.gate != nil {
-		s.gate.leaderProbe = probe
-	}
-	if at, ok := s.Policy.(*allTimelyPolicy); ok {
-		at.leaderProbe = probe
-	}
-}
-
-// SetRoundProbe installs the receiving-round probe (see the gate docs): a
-// function returning process q's current receiving round, or a negative
-// value when unknown. With a probe installed, lose constraints are enforced
-// exactly at the order level (held until the round passes) and the delay
-// policy reverts lose-targeted messages to ordinary asynchronous delays.
-func (s *Scenario) SetRoundProbe(probe func(q proc.ID) int64) {
-	if s.gate != nil {
-		s.gate.roundProbe = probe
-	}
-	if s.star != nil {
-		s.star.roundProbe = probe
-		s.star.loseViaGate = probe != nil
-	}
 }
 
 // Params configures scenario construction. Zero fields take defaults.
@@ -264,16 +256,17 @@ type Params struct {
 	AdversarialOrder bool
 
 	// RotateLoseVictims extends the ModeLose adversary to non-center
-	// processes: the round-rn victim (round-robin over the non-center
-	// processes) has its round-rn messages withheld past every round-rn
-	// guard. Without it, an algorithm lacking the window test (Figure 1)
-	// can still luck into a stable non-center leader because the
-	// unattacked processes look permanently well-behaved; a real
-	// asynchronous adversary owes them nothing. Victim rotation is
-	// per-round (not per-wall-time): receiving rounds slow down as
-	// timeouts grow, and a time-based rotation would eventually attack
-	// less than one round per epoch and quietly disarm itself. The
-	// Intermittent constructors set it.
+	// processes: the chased leader (Probes.Leader) has its round-rn
+	// messages held by the order gate until each receiver's receiving
+	// round has passed rn, and the other processes' round-tagged messages
+	// are paced to arrive near their receiver's round. Without it, an
+	// algorithm lacking the window test (Figure 1) can still luck into a
+	// stable non-center leader because the unattacked processes look
+	// permanently well-behaved; a real asynchronous adversary owes them
+	// nothing. The holds are keyed on rounds, not on wall time: receiving
+	// rounds slow down as timeouts grow, and a time-based attack would
+	// eventually land inside the round again and quietly disarm itself.
+	// The Intermittent constructors set it.
 	RotateLoseVictims bool
 
 	// OutagePeriod/OutageBase enable deterministic per-link outages on

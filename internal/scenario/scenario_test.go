@@ -288,30 +288,6 @@ func TestSelfLinkFast(t *testing.T) {
 	}
 }
 
-func TestLoseDelayScalesWithProbe(t *testing.T) {
-	p := baseParams()
-	p.D = 5
-	sc, err := Intermittent(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := sim.NewRand(4)
-	// Find a ModeLose (rn, q): rn=2 is outside S (S = 1, 6, 11...).
-	ev := &netsim.Envelope{From: 0, To: 1, Payload: &wire.Alive{RN: 2}}
-	if sc.Schedule.Mode(2, 1) != ModeLose {
-		t.Fatal("expected ModeLose at rn=2")
-	}
-	d0 := sc.Policy.Delay(ev, r)
-	sc.SetTimeoutProbe(func() time.Duration { return time.Second })
-	d1 := sc.Policy.Delay(ev, r)
-	if d1 < 4*time.Second {
-		t.Fatalf("probe-scaled lose delay %v too small", d1)
-	}
-	if d0 >= d1 {
-		t.Fatalf("lose delay did not scale: %v -> %v", d0, d1)
-	}
-}
-
 func TestGateEnforcesWinning(t *testing.T) {
 	// 5 processes, alpha=3: at most alpha-2=1 other ALIVE(rn) may be
 	// delivered to a winning-constrained q before the center's.
@@ -365,13 +341,13 @@ func TestGateCrashedCenterReleases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	crashed := false
-	sc.SetCrashedProbe(func(id proc.ID) bool { return crashed && id == 0 })
+	probes := newFakeProbes(5)
+	sc.Attach(probes)
 	gate := sc.Gate
 	ev1 := &netsim.Envelope{Seq: 1, From: 3, To: 1, Payload: &wire.Alive{RN: 2}}
 	gate.OnArrival(ev1, 0)
 	gate.OnDelivered(ev1, 0)
-	crashed = true
+	probes.crashed[0] = true
 	// With the center crashed, further arrivals pass even past budget.
 	ev2 := &netsim.Envelope{Seq: 2, From: 4, To: 1, Payload: &wire.Alive{RN: 2}}
 	if !gate.OnArrival(ev2, 0) {

@@ -125,9 +125,9 @@ type Cluster struct {
 	// in the crash-stop model a restarted process is still faulty, so the
 	// verdicts are owed to the never-crashed set. Written only by crash.
 	everCrashed []atomic.Bool
-	// churnEpoch counts crashes and restarts: anything derived from the
-	// crashed set (the order gate's lose budget) is valid while it holds.
-	churnEpoch atomic.Uint64
+	// downCount is how many members are down now (the order gate's lose
+	// budget reads it). Written only by crash and restart.
+	downCount atomic.Int64
 }
 
 // New builds a cluster from functional options. At minimum pass N; every
@@ -306,7 +306,7 @@ func (c *Cluster) crash(id int) {
 	if !c.procs[id].Crash() {
 		return
 	}
-	c.churnEpoch.Add(1)
+	c.downCount.Add(1)
 	at := c.eng.now()
 	if c.chaosMon != nil {
 		c.chaosMon.NoteCrash(at, id)
@@ -338,7 +338,7 @@ func (c *Cluster) restart(id int) {
 	if !ok {
 		return
 	}
-	c.churnEpoch.Add(1)
+	c.downCount.Add(-1)
 	// The recovery outcome was recorded by buildProcess inside the restart.
 	// Events are emitted under the collector mutex, which serializes them
 	// with the sampler's on wall clocks.

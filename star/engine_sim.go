@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/proc"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -38,42 +39,9 @@ func newSimEngine(c *Cluster) (*simEngine, error) {
 		c.adopt(id, net.Process(id))
 	}
 
-	// Wire the adversary's introspection probes. The scenario's order and
-	// lose adversaries observe the system through these; consumers of the
-	// public API never see them.
-	c.sc.SetCrashedProbe(net.Crashed)
-	c.sc.SetChurnEpochProbe(c.churnEpoch.Load)
-	c.sc.SetRoundProbe(func(q proc.ID) int64 {
-		if cn := c.cores[q]; cn != nil {
-			_, r := cn.Rounds()
-			return r
-		}
-		return -1
-	})
-	c.sc.SetLeaderProbe(func() proc.ID {
-		// The adversary observes the leader estimate of the lowest-id
-		// correct process and chases it.
-		for id := 0; id < p.N; id++ {
-			if !net.Crashed(id) {
-				return c.oracles[id].Leader()
-			}
-		}
-		return proc.None
-	})
-	c.sc.SetTimeoutProbe(func() time.Duration {
-		var max time.Duration
-		for id := 0; id < p.N; id++ {
-			if net.Crashed(id) {
-				continue
-			}
-			if tp := c.timers[id]; tp != nil {
-				if to := tp.CurrentTimeout(); to > max {
-					max = to
-				}
-			}
-		}
-		return max
-	})
+	// The scenario's order and lose adversaries observe the cluster
+	// through simProbes; consumers of the public API never see them.
+	c.sc.Attach(simProbes{c})
 
 	// Staggered starts: processes boot within [0, DefaultStartSpread].
 	jitter := sim.NewRand(p.Seed ^ 0x737461727453)
@@ -126,4 +94,48 @@ func (e *simEngine) events() uint64     { return e.sched.Processed }
 func (e *simEngine) netStats() NetStats { return netStatsFrom(e.net.Stats()) }
 func (e *simEngine) close() error       { return nil }
 
-var _ engine = (*simEngine)(nil)
+// simProbes is the scenario adversary's view of a simulated cluster. Its
+// methods run inside the event loop, on the scheduler's goroutine.
+type simProbes struct{ c *Cluster }
+
+func (p simProbes) Crashed(q proc.ID) bool { return p.c.down(q) }
+
+func (p simProbes) Down() int { return int(p.c.downCount.Load()) }
+
+func (p simProbes) Round(q proc.ID) int64 {
+	if cn := p.c.cores[q]; cn != nil {
+		_, r := cn.Rounds()
+		return r
+	}
+	return -1
+}
+
+// Leader is the leader estimate of the lowest-id correct process.
+func (p simProbes) Leader() proc.ID {
+	for id := 0; id < p.c.n; id++ {
+		if !p.c.down(id) {
+			return p.c.oracles[id].Leader()
+		}
+	}
+	return proc.None
+}
+
+func (p simProbes) MaxTimeout() time.Duration {
+	var max time.Duration
+	for id := 0; id < p.c.n; id++ {
+		if p.c.down(id) {
+			continue
+		}
+		if tp := p.c.timers[id]; tp != nil {
+			if to := tp.CurrentTimeout(); to > max {
+				max = to
+			}
+		}
+	}
+	return max
+}
+
+var (
+	_ engine          = (*simEngine)(nil)
+	_ scenario.Probes = simProbes{}
+)

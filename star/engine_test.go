@@ -162,3 +162,38 @@ func TestEngineParity(t *testing.T) {
 		})
 	}
 }
+
+// TestSimAttachesAdversaryProbes pins that the simulator hands the scenario
+// its view of the cluster: without it the lose adversary reads every round
+// as unknown and holds nothing, with no error anywhere. The Intermittent
+// family must lose-hold against the core algorithms; Combined has no lose
+// adversary, and Stable has no receiving round for it to read.
+func TestSimAttachesAdversaryProbes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		algo     star.Algo
+		spec     star.ScenarioSpec
+		wantLose bool
+	}{
+		{"intermittent/fig1", star.Fig1, star.Intermittent(star.Gap(4)), true},
+		{"intermittent/fig3", star.Fig3, star.Intermittent(star.Gap(4)), true},
+		{"combined/fig3", star.Fig3, star.Combined(), false},
+		{"intermittent/stable", star.Stable, star.Intermittent(star.Gap(4)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := star.New(star.N(5), star.Seed(1), star.Algorithm(tc.algo), star.Scenario(tc.spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Run(2 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			lose := c.Metrics().GateHeldLose
+			t.Logf("GateHeldLose = %d", lose)
+			if (lose > 0) != tc.wantLose {
+				t.Fatalf("GateHeldLose = %d, want > 0: %v", lose, tc.wantLose)
+			}
+		})
+	}
+}

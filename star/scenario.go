@@ -163,7 +163,7 @@ func Combined(opts ...ScenarioOption) ScenarioSpec {
 
 // Intermittent builds the paper's A: the Combined star exists only on a
 // round subsequence with gaps bounded by Gap(d); outside it an adversary
-// delays the center's messages beyond every timeout.
+// holds the center's messages until their receivers' rounds have passed.
 func Intermittent(opts ...ScenarioOption) ScenarioSpec {
 	return ScenarioSpec{family: string(scenario.FamilyIntermittent), opts: opts}
 }

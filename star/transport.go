@@ -141,7 +141,7 @@ func (t liveTransport) newEngine(c *Cluster) (engine, error) {
 // actions. The members are host.Process values on every transport, and the
 // engine hands the cluster each hosted one (Cluster.adopt) when it is built.
 // Everything above it is written once in Cluster — the crash and restart
-// path through those processes (with its EverCrashed set, churn epoch,
+// path through those processes (with its EverCrashed set, down count,
 // chaos-monitor notes and events), the scenario and chaos schedules, the
 // sampling tick and the journal cadence — so a transport contributes a clock
 // and links and nothing else.
