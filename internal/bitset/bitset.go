@@ -276,6 +276,11 @@ func (s *Set) Words() []uint64 {
 // Size accounting runs once per send, so it must not allocate.
 func (s *Set) WordCount() int { return len(s.words) }
 
+// Word returns word i of the set without copying: bit b of it is member
+// 64·i+b, and bits beyond the universe are clear. Word-wise merges read a
+// set against a foreign bitmap with it, one word per 64 members.
+func (s *Set) Word(i int) uint64 { return s.words[i] }
+
 // SetWords overwrites the set contents from a word slice previously obtained
 // via Words (same universe size). Extra bits beyond the universe are cleared.
 func (s *Set) SetWords(words []uint64) {

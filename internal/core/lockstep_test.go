@@ -121,9 +121,33 @@ func (ls *lockStep) suspicion(from int, rn int64, s *bitset.Set) {
 
 func (ls *lockStep) alive(from int, rn int64, levels []int64) {
 	ls.t.Helper()
-	ls.node.OnMessage(from, &wire.Alive{RN: rn, SuspLevel: levels})
-	ls.ref.alive(levels)
-	ls.check(fmt.Sprintf("ALIVE(%d, %v) from %d", rn, levels, from))
+	ls.aliveMsg(from, &wire.Alive{RN: rn, SuspLevel: levels})
+}
+
+func (ls *lockStep) aliveMsg(from int, m *wire.Alive) {
+	ls.t.Helper()
+	ls.node.OnMessage(from, m)
+	ls.ref.alive(m.SuspLevel)
+	ls.check(fmt.Sprintf("ALIVE(%d, %v) from %d", m.RN, m.SuspLevel, from))
+}
+
+// randomSuspicion sends a SUSPICION for round rn from a random reporter,
+// with a random density of suspects.
+func (ls *lockStep) randomSuspicion(rng *rand.Rand, rn int64) {
+	ls.t.Helper()
+	n := ls.ref.cfg.N
+	s := bitset.New(n)
+	if rng.Intn(8) == 0 {
+		// A smaller universe, as the wire decoder may hand over.
+		s = bitset.New(rng.Intn(n + 1))
+	}
+	density := 2 + rng.Intn(6)
+	for k := range s.Len() {
+		if rng.Intn(density) != 0 {
+			s.Add(k)
+		}
+	}
+	ls.suspicion(rng.Intn(n), rn, s)
 }
 
 func (ls *lockStep) check(msg string) {
@@ -138,9 +162,15 @@ func (ls *lockStep) check(msg string) {
 		ls.t.Fatalf("after %s: OnIncrement calls %v, paper's order gives %v", msg, ls.calls, ls.ref.calls)
 	}
 	// leader() (lines 19-21): the lowest id holding the minimum level.
-	want := proc.ID(slices.Index(ls.ref.level, slices.Min(ls.ref.level)))
+	low := slices.Min(ls.ref.level)
+	want := proc.ID(slices.Index(ls.ref.level, low))
 	if got := ls.node.Leader(); got != want {
 		ls.t.Fatalf("after %s: leader %d, paper's order gives %d", msg, got, want)
+	}
+	for k, v := range ls.ref.level {
+		if ls.node.atMin.Contains(k) != (v == low) {
+			ls.t.Fatalf("after %s: atMin %v disagrees at %d with the minimum %d", msg, &ls.node.atMin, k, low)
+		}
 	}
 }
 
@@ -169,19 +199,7 @@ func TestLockStepWithPaperOrder(t *testing.T) {
 							ls.alive(rng.Intn(n), rn, levels)
 							continue
 						}
-						s := bitset.New(n)
-						if rng.Intn(8) == 0 {
-							// A smaller universe, as the wire decoder
-							// may hand over.
-							s = bitset.New(rng.Intn(n + 1))
-						}
-						density := 2 + rng.Intn(6)
-						for k := range s.Len() {
-							if rng.Intn(density) != 0 {
-								s.Add(k)
-							}
-						}
-						ls.suspicion(rng.Intn(n), rn, s)
+						ls.randomSuspicion(rng, rn)
 					}
 					if ls.ref.increments == 0 {
 						t.Fatal("stream raised nothing; the comparison is vacuous")
@@ -213,6 +231,74 @@ func TestLockStepMinRisesMidMessage(t *testing.T) {
 					t.Fatalf("levels %v, want %v", got, want)
 				}
 			})
+		}
+	}
+}
+
+// TestLockStepSummarizedAlives merges ALIVEs the way a sender builds them:
+// out of a wire.AlivePool, and, when the vector is narrow (width 0 or 1),
+// with the summary aliveTick attaches. Their bases sit one below, at and one
+// above the node's minimum; wider vectors (width 2 or 3) carry none. Random
+// SUSPICIONs between them keep the levels moving, and each payload returns
+// to the pool after its merge, so later ones reuse slack that held a
+// summary. Line 5's three cases must each occur, and the dense one must be
+// exactly what DenseMerges counts.
+func TestLockStepSummarizedAlives(t *testing.T) {
+	for _, n := range []int{5, 64, 70, 251} {
+		for _, v := range []Variant{VariantFig1, VariantFig3} {
+			for seed := int64(1); seed <= 2; seed++ {
+				t.Run(fmt.Sprintf("n=%d/%v/seed=%d", n, v, seed), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
+					ls := newLockStep(t, Config{N: n, T: n / 3, Alpha: n/2 + 1, Variant: v, WindowSlots: 8})
+					var pool wire.AlivePool
+					var skip, wordWise, dense int
+					for range 10 * n {
+						rn := int64(1 + rng.Intn(12))
+						if rng.Intn(2) == 0 {
+							ls.randomSuspicion(rng, rn)
+							continue
+						}
+						low := ls.node.minLevel
+						base := max(low+int64(rng.Intn(3)-1), 0)
+						w := rng.Intn(4)
+						m := pool.Get(n)
+						m.RN = rn
+						for k := range m.SuspLevel {
+							m.SuspLevel[k] = base + rng.Int63n(1<<w)
+						}
+						m.SuspLevel[rng.Intn(n)] = base
+						if w <= 1 {
+							set := bitset.New(n)
+							for k, x := range m.SuspLevel {
+								if x == base {
+									set.Add(k)
+								}
+							}
+							m.SetNarrow(set)
+						}
+						before := ls.node.Metrics().DenseMerges
+						ls.aliveMsg(rng.Intn(n), m)
+						var want uint64
+						switch {
+						case w <= 1 && base < low:
+							skip++
+						case w <= 1 && base == low:
+							wordWise++
+						default:
+							dense++
+							want = 1
+						}
+						if got := ls.node.Metrics().DenseMerges - before; got != want {
+							t.Fatalf("ALIVE of width %d, base %d against minimum %d: DenseMerges rose by %d, want %d", w, base, low, got, want)
+						}
+						m.Retain()
+						m.Recycle()
+					}
+					if skip == 0 || wordWise == 0 || dense == 0 {
+						t.Fatalf("cases hit: skip %d, word-wise %d, dense %d; each must occur", skip, wordWise, dense)
+					}
+				})
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -35,6 +36,11 @@ type Metrics struct {
 	MaxTimeout     time.Duration
 	LateAlive      uint64 // ALIVE messages discarded because rn < r_rn
 	DupSuspicion   uint64 // duplicated SUSPICION messages ignored
+
+	// DenseMerges counts ALIVEs whose line-5 merge ran the O(n) loop:
+	// those without a summary, or whose sender's minimum is above this
+	// node's (see mergeLevels). 0 means every merge took O(n/64).
+	DenseMerges uint64
 
 	// BelowHorizon counts where bounded retention may differ from the
 	// paper's unbounded history: SUSPICIONs whose round is below the
@@ -304,6 +310,9 @@ func (n *Node) aliveTick() {
 	m := n.alivePool.Get(n.cfg.N)
 	m.RN = n.sRN
 	copy(m.SuspLevel, n.suspLevel)
+	if n.maxLevel <= n.minLevel+1 { // Lemma 8's shape: a base plus a set
+		m.SetNarrow(&n.atMin)
+	}
 	proc.Broadcast(n.env, m)
 	n.env.SetTimer(TimerAlive, n.cfg.AlivePeriod)
 }
@@ -344,18 +353,52 @@ func (n *Node) maybeJoin(rn int64) {
 
 // onAlive handles lines 4-7.
 func (n *Node) onAlive(from proc.ID, m *wire.Alive) {
-	// Line 5: pointwise maximum merge of the gossiped susp_level.
-	for k, v := range m.SuspLevel {
-		if k < len(n.suspLevel) && v > n.suspLevel[k] {
-			n.setSuspLevel(k, v)
-		}
-	}
+	n.mergeLevels(m)
 	// Line 6: record reception unless the round is already over.
 	if m.RN >= n.rRN {
 		n.recFromRow(m.RN).Rec.Add(from)
 		n.checkGuard()
 	} else {
 		n.metrics.LateAlive++
+	}
+}
+
+// mergeLevels is line 5, the pointwise maximum merge of the gossiped
+// susp_level. A summary (wire.Alive.Narrow) says the sender's entries are
+// its minimum, base, on the summary's set and base+1 elsewhere, and this
+// node's are all at least minLevel, so two cases need no per-entry pass:
+//   - base < minLevel: no sender entry exceeds minLevel, so none rises;
+//   - base == minLevel: exactly this node's entries at minLevel outside the
+//     sender's set rise, each to base+1.
+//
+// Both raise what the dense loop would, in the same ascending order, so
+// OnIncrement sees the same calls. Every other ALIVE takes the dense loop.
+func (n *Node) mergeLevels(m *wire.Alive) {
+	if set := m.Narrow(); set != nil && len(m.SuspLevel) == len(n.suspLevel) {
+		i := 0
+		for set[i] == 0 { // the set is never empty
+			i++
+		}
+		base := m.SuspLevel[64*i+bits.TrailingZeros64(uint64(set[i]))]
+		if base < n.minLevel {
+			return
+		}
+		if base == n.minLevel {
+			// A raise that empties atMin rescans it at base+1; the later
+			// words then name only entries already at base+1, a no-op.
+			for i := range n.atMin.WordCount() {
+				for rise := n.atMin.Word(i) &^ uint64(set[i]); rise != 0; rise &= rise - 1 {
+					n.setSuspLevel(64*i+bits.TrailingZeros64(rise), base+1)
+				}
+			}
+			return
+		}
+	}
+	n.metrics.DenseMerges++
+	for k, v := range m.SuspLevel {
+		if k < len(n.suspLevel) && v > n.suspLevel[k] {
+			n.setSuspLevel(k, v)
+		}
 	}
 }
 

@@ -151,6 +151,38 @@ func TestAliveCarriesSuspLevelSnapshot(t *testing.T) {
 	}
 }
 
+// TestAliveSummaryFollowsLemma8: an ALIVE carries the sender's at-minimum
+// set exactly while its levels span at most one (Lemma 8's shape).
+func TestAliveSummaryFollowsLemma8(t *testing.T) {
+	n, env := newStartedNode(t, 0, Config{N: 3, T: 1})
+	for i, c := range []struct {
+		merge []int64
+		atMin []int // nil: no summary
+	}{
+		{nil, []int{0, 1, 2}}, // Start's ALIVE
+		{[]int64{0, 1, 0}, []int{0, 2}},
+		{[]int64{0, 2, 0}, nil},
+		{[]int64{1, 2, 1}, []int{0, 2}},
+		{[]int64{2, 2, 2}, []int{0, 1, 2}},
+	} {
+		if c.merge != nil {
+			n.OnMessage(1, &wire.Alive{RN: 1, SuspLevel: c.merge})
+			n.OnTimer(TimerAlive)
+		}
+		al := alivesIn(env.take())
+		if len(al) != 1 {
+			t.Fatalf("step %d: %d ALIVEs sent", i, len(al))
+		}
+		set := al[0].Narrow()
+		if (set == nil) != (c.atMin == nil) {
+			t.Fatalf("step %d: levels %v sent with summary %v, want set %v", i, al[0].SuspLevel, set, c.atMin)
+		}
+		if set != nil && set[0] != int64(bitset.FromMembers(4, append(c.atMin, 3)...).Word(0)) {
+			t.Fatalf("step %d: summary word %b, want set %v and valid bit 3", i, set[0], c.atMin)
+		}
+	}
+}
+
 func TestSuspLevelMergeIsPointwiseMax(t *testing.T) {
 	n, env := newStartedNode(t, 0, Config{N: 3, T: 1})
 	env.take()
@@ -657,6 +689,9 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if m.MaxSuspLevel != 1 {
 		t.Errorf("MaxSuspLevel = %d", m.MaxSuspLevel)
+	}
+	if m.DenseMerges != 1 {
+		t.Errorf("DenseMerges = %d, want 1 (a hand-built ALIVE has no summary)", m.DenseMerges)
 	}
 }
 

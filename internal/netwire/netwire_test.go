@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -283,6 +284,7 @@ func TestPooledDecodeReuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	firstPtr := first.(*wire.Alive)
+	firstPtr.SetNarrow(bitset.New(len(firstPtr.SuspLevel))) // a summary to go stale
 	recycleAll(first)
 	second, err := pools.Decode(frame[4:])
 	if err != nil {
@@ -290,6 +292,55 @@ func TestPooledDecodeReuses(t *testing.T) {
 	}
 	if second.(*wire.Alive) != firstPtr {
 		t.Fatal("recycled Alive was not reused by the next decode")
+	}
+	if firstPtr.Narrow() != nil {
+		t.Fatal("a decoded Alive reports the summary its previous use carried")
+	}
+}
+
+// TestSummaryStaysOffTheWire: an ALIVE's summary (wire.Alive.SetNarrow)
+// lives in SuspLevel's slack, which neither Size nor AppendFrame reads, so
+// a summarized payload frames byte for byte like the same vector without
+// one, and decodes to a payload without one.
+func TestSummaryStaysOffTheWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 5, 64, 65, 251} {
+		for _, w := range []int{0, 1} {
+			var pool wire.AlivePool
+			m := pool.Get(n)
+			m.RN = 9
+			copy(m.SuspLevel, vecOfWidth(rng, n, w))
+			plain, err := AppendFrame(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := m.Size()
+			base, _ := wire.Span(m.SuspLevel)
+			set := bitset.New(n)
+			for k, v := range m.SuspLevel {
+				if v == base {
+					set.Add(k)
+				}
+			}
+			m.SetNarrow(set)
+			if m.Narrow() == nil {
+				t.Fatalf("n=%d w=%d: summary not attached", n, w)
+			}
+			framed, err := AppendFrame(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(framed, plain) || m.Size() != size {
+				t.Fatalf("n=%d w=%d: the summary changed the frame (%d B, Size %d) from %d B, Size %d", n, w, len(framed), m.Size(), len(plain), size)
+			}
+			dec, err := (&Pools{}).Decode(framed[4:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := dec.(*wire.Alive); got.Narrow() != nil || !slices.Equal(got.SuspLevel, m.SuspLevel) {
+				t.Fatalf("n=%d w=%d: decoded %v with summary %v", n, w, got.SuspLevel, got.Narrow())
+			}
+		}
 	}
 }
 

@@ -77,16 +77,19 @@ func (r *ref) Recycle() {
 // AlivePool recycles Alive messages together with their SuspLevel arrays.
 type AlivePool struct{ fl freeList }
 
-// Get returns a free Alive with SuspLevel sized n (contents stale).
+// Get returns a free Alive with SuspLevel sized n (contents stale) and no
+// summary. SuspLevel's capacity leaves room for one (see Alive).
 func (p *AlivePool) Get(n int) *Alive {
 	if m := p.fl.pop(); m != nil {
 		a := m.(*Alive)
-		if len(a.SuspLevel) != n {
-			a.SuspLevel = make([]int64, n)
+		if w := a.summary(); len(a.SuspLevel) == n && w != nil {
+			w[n/64] &^= 1 << (n % 64)
+		} else {
+			a.SuspLevel = make([]int64, n, n+bitset.WordsFor(n+1))
 		}
 		return a
 	}
-	a := &Alive{SuspLevel: make([]int64, n)}
+	a := &Alive{SuspLevel: make([]int64, n, n+bitset.WordsFor(n+1))}
 	a.bind(&p.fl, a)
 	return a
 }

@@ -1,6 +1,9 @@
 package wire
 
 import (
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -153,5 +156,79 @@ func TestConsensusPools(t *testing.T) {
 	// Contents are stale by contract; callers must overwrite every field.
 	if !m2.NACK {
 		t.Fatal("pool unexpectedly cleared fields (contract says stale)")
+	}
+}
+
+// TestAliveSummaryRoundTrip: SetNarrow's set comes back from Narrow bit for
+// bit, with the valid bit n set, and leaves the vector alone, at universe
+// sizes on both sides of a word boundary (at n=64 the valid bit takes a
+// word of its own). The summary fits SuspLevel's slack, so Get allocates
+// no more than the vector's own size class at n=5 and n=251. A payload
+// recycled through Get, at the same n or another, carries none, and a
+// hand-built one never does.
+func TestAliveSummaryRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, n := range []int{1, 5, 63, 64, 65, 251} {
+		var p AlivePool
+		a := p.Get(n)
+		if want := n + bitset.WordsFor(n+1); cap(a.SuspLevel) != want {
+			t.Fatalf("n=%d: SuspLevel capacity %d, want %d", n, cap(a.SuspLevel), want)
+		}
+		if a.Narrow() != nil {
+			t.Fatalf("n=%d: a fresh Alive reports a summary", n)
+		}
+		set := bitset.New(n)
+		for k := range a.SuspLevel {
+			a.SuspLevel[k] = 8
+			if rng.Intn(2) == 0 || k == n-1 {
+				a.SuspLevel[k] = 7
+				set.Add(k)
+			}
+		}
+		levels := slices.Clone(a.SuspLevel)
+		a.SetNarrow(set)
+		got := a.Narrow()
+		if got == nil {
+			t.Fatalf("n=%d: summary lost", n)
+		}
+		for k := range n + 1 {
+			if bit := got[k/64]>>(k%64)&1 != 0; bit != (k == n || set.Contains(k)) {
+				t.Fatalf("n=%d: summary bit %d is %v; set %v", n, k, bit, set)
+			}
+		}
+		if !slices.Equal(a.SuspLevel, levels) {
+			t.Fatalf("n=%d: SetNarrow changed the vector to %v", n, a.SuspLevel)
+		}
+		a.Retain()
+		a.Recycle()
+		if b := p.Get(n); b != a || b.Narrow() != nil {
+			t.Fatalf("n=%d: a recycled Alive kept its summary", n)
+		}
+		a.SetNarrow(set)
+		a.Retain()
+		a.Recycle()
+		if b := p.Get(n + 1); b != a || b.Narrow() != nil {
+			t.Fatalf("n=%d: an Alive recycled at n=%d kept its summary", n, n+1)
+		}
+		hand := &Alive{SuspLevel: make([]int64, n, n+bitset.WordsFor(n+1))}
+		hand.SuspLevel[:cap(hand.SuspLevel)][n+n/64] = 1 << (n % 64)
+		if hand.Narrow() != nil {
+			t.Fatalf("n=%d: a hand-built Alive reports a summary", n)
+		}
+	}
+	// The Alive is 64 B and its vector, slack included, rounds to the size
+	// class n entries alone take: 48 B at n=5, 2 KiB at n=251.
+	for _, c := range []struct{ n, bytes int }{{5, 64 + 48}, {251, 64 + 2048}} {
+		var p AlivePool
+		const gets = 10000
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range gets {
+			p.Get(c.n)
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / gets; got != uint64(c.bytes) {
+			t.Errorf("n=%d: Get allocates %d B, want %d", c.n, got, c.bytes)
+		}
 	}
 }

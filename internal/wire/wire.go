@@ -21,6 +21,10 @@
 // on the hot path. An int64 vector (Alive.SuspLevel) travels as a frame of
 // reference, one base plus a w-bit offset per entry (Span); by Lemma 8 a
 // Figure 3 ALIVE is a base plus an n-bit set.
+//
+// A pooled Alive can carry that set for its receivers too, as a summary in
+// SuspLevel's slack past its length (see Alive). The summary never reaches
+// the wire, and a decoded Alive carries none.
 package wire
 
 import (
@@ -96,10 +100,53 @@ type Message interface {
 }
 
 // Alive is the paper's ALIVE(rn, susp_level) message (Figure 1, line 3).
+//
+// A pooled Alive can also carry a summary of SuspLevel for the receiver's
+// merge (SetNarrow, Narrow). It lives in the slice's own slack, so the
+// struct stays 64 B: AlivePool.Get allocates SuspLevel with capacity
+// n + bitset.WordsFor(n+1), the size class of n entries alone at n=5 and
+// n=251, and the words past the length hold the sender's at-minimum set,
+// bit n marking it valid. Size and netwire read SuspLevel's length only.
 type Alive struct {
 	RN        int64   // sending round number s_rn
 	SuspLevel []int64 // gossiped susp_level array, one entry per process
 	ref
+}
+
+// summary returns the words past SuspLevel's length that hold the summary
+// (the set's n bits, then the valid bit n), or nil when m has no room for
+// one: it was built by hand, or its SuspLevel was not sized by Get.
+func (m *Alive) summary() []int64 {
+	n := len(m.SuspLevel)
+	if w := m.SuspLevel[n:cap(m.SuspLevel)]; m.home != nil && len(w) > n/64 { // WordsFor(n+1) words
+		return w
+	}
+	return nil
+}
+
+// SetNarrow attaches the summary of a vector that Lemma 8 keeps narrow:
+// atMin, over the same n processes, holds exactly the entries of SuspLevel
+// at its minimum, and every other entry is that minimum plus one. The
+// sender vouches for both; Narrow hands the set back unchecked. Only an Alive
+// from AlivePool.Get has room for a summary; SetNarrow panics on any other.
+func (m *Alive) SetNarrow(atMin *bitset.Set) {
+	w := m.summary()
+	for i := range atMin.WordCount() {
+		w[i] = int64(atMin.Word(i))
+	}
+	n := len(m.SuspLevel)
+	w[n/64] |= 1 << (n % 64)
+}
+
+// Narrow returns the summary SetNarrow attached, the sender's at-minimum
+// entries (entry k is bit k%64 of set[k/64]; bit n is the valid bit), or
+// nil when m carries none: a hand-built, decoded or freshly recycled Alive.
+func (m *Alive) Narrow() (set []int64) {
+	n := len(m.SuspLevel)
+	if w := m.summary(); w != nil && w[n/64]>>(n%64)&1 != 0 {
+		return w
+	}
+	return nil
 }
 
 // Kind implements Message.

@@ -163,6 +163,9 @@ type NodeMetrics struct {
 	MaxTimeout     time.Duration
 	LateAlive      uint64 // ALIVEs discarded as late
 	DupSuspicion   uint64 // duplicate SUSPICIONs ignored
+	// DenseMerges counts ALIVEs merged entry by entry; the rest took the
+	// O(n/64) merge a Lemma 8 summary allows (see DESIGN.md §2).
+	DenseMerges uint64
 	// BelowHorizon counts SUSPICIONs below the retention horizon and
 	// window tests reaching below it: 0 means bounded retention saw
 	// exactly what unbounded history would have.
@@ -184,6 +187,7 @@ func nodeMetricsFrom(m core.Metrics) NodeMetrics {
 		MaxTimeout:      m.MaxTimeout,
 		LateAlive:       m.LateAlive,
 		DupSuspicion:    m.DupSuspicion,
+		DenseMerges:     m.DenseMerges,
 		BelowHorizon:    m.BelowHorizon,
 		WindowEvictions: m.WindowEvictions,
 		WindowOverflow:  m.WindowOverflow,

@@ -141,6 +141,53 @@ func TestLemma8OnTheWire(t *testing.T) {
 	}
 }
 
+// TestLemma8InTheReceiver: a Figure 3 ALIVE carries its sender's
+// at-minimum set, and the receiver merges it in O(n/64) unless the sender's
+// minimum is above its own. Once an n=251 Combined cluster (sim-scale-n251's
+// configuration) has settled, no ALIVE takes the dense O(n) merge; a
+// Figure 1 cluster, whose levels spread past one, still takes it.
+func TestLemma8InTheReceiver(t *testing.T) {
+	dense := func(c *star.Cluster) (merges, alives uint64) {
+		for _, nm := range c.Metrics().Nodes {
+			merges += nm.DenseMerges
+			alives += nm.AliveSent
+		}
+		return merges, alives
+	}
+	c, err := star.New(star.N(251), star.Resilience(125), star.Seed(251),
+		star.Algorithm(star.Fig3), star.Scenario(star.Combined()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Run(50 * time.Millisecond); err != nil { // the settle
+		t.Fatal(err)
+	}
+	settled, sent := dense(c)
+	if err := c.Run(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	merges, alives := dense(c)
+	if alives == sent {
+		t.Fatal("no ALIVE sent after the settle")
+	}
+	if merges != settled {
+		t.Fatalf("n=251 Fig3: %d dense merges after the settle, want 0", merges-settled)
+	}
+
+	fig1, err := star.New(star.N(5), star.Seed(1), star.Algorithm(star.Fig1), star.Scenario(star.Combined()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fig1.Close()
+	if err := fig1.Run(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if merges, _ := dense(fig1); merges == 0 {
+		t.Fatal("n=5 Fig1: no dense merge; its levels never spread past one?")
+	}
+}
+
 // TestDefaultsAreSane: star.New(star.N(5)) alone gives a working Fig3
 // cluster under the Combined scenario with bounded retention.
 func TestDefaultsAreSane(t *testing.T) {
