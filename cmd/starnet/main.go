@@ -28,6 +28,16 @@
 // line's Chaos field carries the applied steps and the violations, and any
 // violation fails the cluster verdict.
 //
+// A topology "loss" is a chaos step too: a sticky loss step at t=0,
+// appended to the member's schedule whether or not -chaos is given (the
+// empty schedule otherwise). So a lossy topology always runs the invariant
+// monitor and its REPORT lines carry the Chaos fields. Sticky noise holds
+// the monitor's settle clock, so on such a run only the safety rules can
+// fire. At t=0 steps tie in slice order: the topology's loss follows, and
+// overrides, a t=0 loss step of the -chaos file; a later loss step of the
+// file replaces it (and a windowed one reverts to no loss, not to the
+// topology's).
+//
 // Spawn mode is the real-deployment shape: N OS processes share nothing but
 // the topology file and the sockets between them. It can also exercise
 // crash-recovery durability with -kill id@t (repeatable): at t the launcher
@@ -44,7 +54,7 @@
 //	  "algorithm": "fig3",                         // optional, default fig3
 //	  "resilience": 2,                             // optional, default N/2-ish (star default)
 //	  "seed": 1,                                   // optional
-//	  "loss": 0.0,                                 // optional outbound frame-loss probability
+//	  "loss": 0.0,                                 // optional outbound frame-loss probability (a sticky chaos loss step)
 //	  "journal_dir": "/var/run/starnet",           // optional: durable recovery journals
 //	  "snapshot_every": "500ms"                    // optional journal cadence
 //	}
@@ -156,7 +166,7 @@ func main() {
 		duration     = flag.Duration("duration", 15*time.Second, "run length")
 		until        = flag.Int64("until", 0, "absolute deadline, unix milliseconds (overrides -duration; set by the launcher so re-exec'd members finish with the rest)")
 		restartDelay = flag.Duration("restart-delay", 500*time.Millisecond, "spawn mode: pause between SIGKILL and re-exec")
-		chaosPath    = flag.String("chaos", "", "path to a chaos schedule JSON file (each member executes its share of the fault timeline)")
+		chaosPath    = flag.String("chaos", "", "path to a chaos schedule JSON file (each member executes its share of the fault timeline; a topology \"loss\" is appended as a sticky loss step at t=0)")
 		fedShape     = flag.String("fed", "", "federated mode: host an SxM federation (S TCP shards of M processes plus the tier-2 cluster) in this process, e.g. -fed 2x3")
 		fedSeed      = flag.Uint64("seed", 1, "federated mode: base seed")
 		fedJournal   = flag.String("journal", "", "federated mode: directory for durable recovery journals (one per shard plus the tier)")
@@ -219,6 +229,26 @@ func loadChaos(path string) (*star.ChaosSchedule, error) {
 	return cs, nil
 }
 
+// memberChaos returns the member's fault timeline: the -chaos file (if
+// any) followed by the topology's loss as a sticky step at t=0. nil means
+// no chaos at all.
+func memberChaos(topo *topology, chaosPath string) (*star.ChaosSchedule, error) {
+	var cs *star.ChaosSchedule
+	if chaosPath != "" {
+		var err error
+		if cs, err = loadChaos(chaosPath); err != nil {
+			return nil, err
+		}
+	}
+	if topo.Loss > 0 {
+		if cs == nil {
+			cs = star.NewChaosSchedule()
+		}
+		cs.Loss(0, topo.Loss, 0)
+	}
+	return cs, nil
+}
+
 // runMember hosts one member (or, with member < 0, all of them) until the
 // deadline, then prints the REPORT line.
 func runMember(topo *topology, member int, deadline time.Time, chaosPath string) error {
@@ -228,11 +258,6 @@ func runMember(topo *topology, member int, deadline time.Time, chaosPath string)
 	var netOpts []star.NetworkOption
 	if member >= 0 {
 		netOpts = append(netOpts, star.HostMembers(member))
-	}
-	if topo.Loss > 0 {
-		policy := star.NewLinkPolicy(topo.N, topo.Seed+uint64(member+1))
-		policy.SetLoss(topo.Loss)
-		netOpts = append(netOpts, star.WithLinkPolicy(policy))
 	}
 	opts := []star.Option{
 		star.N(topo.N),
@@ -267,11 +292,11 @@ func runMember(topo *topology, member int, deadline time.Time, chaosPath string)
 		}
 		opts = append(opts, star.WithRecovery(rs), star.SnapshotEvery(every))
 	}
-	if chaosPath != "" {
-		cs, err := loadChaos(chaosPath)
-		if err != nil {
-			return err
-		}
+	cs, err := memberChaos(topo, chaosPath)
+	if err != nil {
+		return err
+	}
+	if cs != nil {
 		opts = append(opts, star.WithChaos(cs))
 	}
 

@@ -174,6 +174,47 @@ func TestChaosScheduleSpawn(t *testing.T) {
 	}
 }
 
+// TestChaosTopologyLoss: a topology "loss" becomes a sticky loss step at
+// t=0, appended after any -chaos file's steps, and no loss and no file
+// means no chaos at all.
+func TestChaosTopologyLoss(t *testing.T) {
+	dir := t.TempDir()
+	raw, err := star.NewChaosSchedule().Kill(time.Second, 2).JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaosPath := filepath.Join(dir, "chaos.json")
+	if err := os.WriteFile(chaosPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		loss      float64
+		chaosPath string
+		want      string // schedule JSON; "" = no schedule
+	}{
+		{0, "", ""},
+		{0.2, "", `{"steps":[{"at":"0s","kind":"loss","pct":0.2}]}`},
+		{0, chaosPath, `{"steps":[{"at":"1s","kind":"kill","proc":2}]}`},
+		{0.2, chaosPath, `{"steps":[{"at":"1s","kind":"kill","proc":2},{"at":"0s","kind":"loss","pct":0.2}]}`},
+	} {
+		cs, err := memberChaos(&topology{N: 3, Loss: tc.loss}, tc.chaosPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := ""
+		if cs != nil {
+			b, err := cs.JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = string(b)
+		}
+		if got != tc.want {
+			t.Fatalf("loss %g, chaos %q: schedule %s, want %s", tc.loss, tc.chaosPath, got, tc.want)
+		}
+	}
+}
+
 // TestFedKillRestore is the federated crash-recovery e2e: a whole 2x3
 // federation (two TCP shards plus the tier-2 delegate cluster) runs in one
 // OS process with durable journals, is SIGKILLed mid-run after electing a

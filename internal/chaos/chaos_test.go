@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -9,18 +10,21 @@ import (
 	"repro/internal/journal"
 )
 
+// validSchedule uses every step kind on a 5-process cluster.
+var validSchedule = Schedule{Steps: []Step{
+	{At: 10 * time.Millisecond, Kind: StepPartition, Groups: [][]int{{1, 2}, {0, 3, 4}}},
+	{At: 20 * time.Millisecond, Kind: StepCut, From: 0, To: 3},
+	{At: 30 * time.Millisecond, Kind: StepLoss, Pct: 0.2, Window: 40 * time.Millisecond},
+	{At: 35 * time.Millisecond, Kind: StepJitter, Lo: time.Millisecond, Hi: 3 * time.Millisecond, Window: 20 * time.Millisecond},
+	{At: 40 * time.Millisecond, Kind: StepSlow, Proc: 2, Extra: 5 * time.Millisecond, Window: 20 * time.Millisecond},
+	{At: 50 * time.Millisecond, Kind: StepKill, Proc: 4},
+	{At: 60 * time.Millisecond, Kind: StepJournal, Proc: journal.FaultAll, Fault: journal.FaultEIO, Window: 30 * time.Millisecond},
+	{At: 90 * time.Millisecond, Kind: StepRestart, Proc: 4},
+	{At: 100 * time.Millisecond, Kind: StepHeal},
+}}
+
 func TestScheduleValidate(t *testing.T) {
-	good := Schedule{Steps: []Step{
-		{At: 10 * time.Millisecond, Kind: StepPartition, Groups: [][]int{{1, 2}, {0, 3, 4}}},
-		{At: 20 * time.Millisecond, Kind: StepCut, From: 0, To: 3},
-		{At: 30 * time.Millisecond, Kind: StepLoss, Pct: 0.2, Window: 40 * time.Millisecond},
-		{At: 35 * time.Millisecond, Kind: StepJitter, Lo: time.Millisecond, Hi: 3 * time.Millisecond, Window: 20 * time.Millisecond},
-		{At: 40 * time.Millisecond, Kind: StepSlow, Proc: 2, Extra: 5 * time.Millisecond, Window: 20 * time.Millisecond},
-		{At: 50 * time.Millisecond, Kind: StepKill, Proc: 4},
-		{At: 60 * time.Millisecond, Kind: StepJournal, Proc: journal.FaultAll, Fault: journal.FaultEIO, Window: 30 * time.Millisecond},
-		{At: 90 * time.Millisecond, Kind: StepRestart, Proc: 4},
-		{At: 100 * time.Millisecond, Kind: StepHeal},
-	}}
+	good := validSchedule
 	if err := good.Validate(5); err != nil {
 		t.Fatalf("valid schedule rejected: %v", err)
 	}
@@ -41,6 +45,7 @@ func TestScheduleValidate(t *testing.T) {
 			{At: time.Millisecond, Kind: StepKill, Proc: 1},
 		}},
 		{Steps: []Step{{Kind: StepJournal, Proc: -2, Fault: journal.FaultEIO}}},
+		{Steps: []Step{{At: math.MaxInt64, Kind: StepLoss, Pct: 0.5, Window: time.Nanosecond}}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(5); err == nil {
@@ -49,18 +54,21 @@ func TestScheduleValidate(t *testing.T) {
 	}
 }
 
+// roundTripSchedule is a 5-process schedule in whole and half seconds.
+var roundTripSchedule = Schedule{Steps: []Step{
+	{At: time.Second, Kind: StepPartition, Groups: [][]int{{1, 2}, {0, 3, 4}}},
+	{At: 1500 * time.Millisecond, Kind: StepCut, From: 0, To: 3},
+	{At: 2 * time.Second, Kind: StepLoss, Pct: 0.25, Window: time.Second},
+	{At: 2 * time.Second, Kind: StepJitter, Lo: time.Millisecond, Hi: 4 * time.Millisecond, Window: 500 * time.Millisecond},
+	{At: 3 * time.Second, Kind: StepSlow, Proc: 2, Extra: 2 * time.Millisecond, Window: time.Second},
+	{At: 3 * time.Second, Kind: StepKill, Proc: 4},
+	{At: 4 * time.Second, Kind: StepRestart, Proc: 4},
+	{At: 4 * time.Second, Kind: StepJournal, Proc: journal.FaultAll, Fault: journal.FaultBitflip, Window: time.Second},
+	{At: 6 * time.Second, Kind: StepHeal},
+}}
+
 func TestScheduleJSONRoundTrip(t *testing.T) {
-	s := Schedule{Steps: []Step{
-		{At: time.Second, Kind: StepPartition, Groups: [][]int{{1, 2}, {0, 3, 4}}},
-		{At: 1500 * time.Millisecond, Kind: StepCut, From: 0, To: 3},
-		{At: 2 * time.Second, Kind: StepLoss, Pct: 0.25, Window: time.Second},
-		{At: 2 * time.Second, Kind: StepJitter, Lo: time.Millisecond, Hi: 4 * time.Millisecond, Window: 500 * time.Millisecond},
-		{At: 3 * time.Second, Kind: StepSlow, Proc: 2, Extra: 2 * time.Millisecond, Window: time.Second},
-		{At: 3 * time.Second, Kind: StepKill, Proc: 4},
-		{At: 4 * time.Second, Kind: StepRestart, Proc: 4},
-		{At: 4 * time.Second, Kind: StepJournal, Proc: journal.FaultAll, Fault: journal.FaultBitflip, Window: time.Second},
-		{At: 6 * time.Second, Kind: StepHeal},
-	}}
+	s := roundTripSchedule
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -191,46 +199,82 @@ type fakeInjector struct {
 	calls []string
 }
 
-func (f *fakeInjector) Cut(a, b int)        { f.calls = append(f.calls, "cut") }
-func (f *fakeInjector) HealLink(a, b int)   { f.calls = append(f.calls, "heal-link") }
-func (f *fakeInjector) HealAll()            { f.calls = append(f.calls, "heal") }
-func (f *fakeInjector) Partition(g [][]int) { f.calls = append(f.calls, "partition") }
-func (f *fakeInjector) SetLoss(p float64)   { f.calls = append(f.calls, "loss") }
-func (f *fakeInjector) SetJitter(lo, hi time.Duration) {
-	f.calls = append(f.calls, "jitter")
-}
-func (f *fakeInjector) SetSlow(id int, e time.Duration) { f.calls = append(f.calls, "slow") }
-func (f *fakeInjector) Kill(id int)                     { f.calls = append(f.calls, "kill") }
-func (f *fakeInjector) Restart(id int)                  { f.calls = append(f.calls, "restart") }
+func (f *fakeInjector) Kill(id int)    { f.calls = append(f.calls, "kill") }
+func (f *fakeInjector) Restart(id int) { f.calls = append(f.calls, "restart") }
 func (f *fakeInjector) JournalFault(p int, m journal.FaultMode) {
 	f.calls = append(f.calls, "journal")
 }
 
 func TestOrchestratorTimeline(t *testing.T) {
+	const ms = time.Millisecond
 	s := Schedule{Steps: []Step{
-		{At: 5 * time.Millisecond, Kind: StepPartition, Groups: [][]int{{1}, {0, 2}}},
-		{At: 10 * time.Millisecond, Kind: StepLoss, Pct: 0.5, Window: 10 * time.Millisecond},
-		{At: 30 * time.Millisecond, Kind: StepHeal},
+		{At: 5 * ms, Kind: StepPartition, Groups: [][]int{{1}, {0, 2}}},
+		{At: 10 * ms, Kind: StepLoss, Pct: 1, Window: 10 * ms},
+		{At: 12 * ms, Kind: StepSlow, Proc: 0, Extra: 3 * ms},
+		{At: 15 * ms, Kind: StepKill, Proc: 2},
+		{At: 25 * ms, Kind: StepRestart, Proc: 2},
+		{At: 26 * ms, Kind: StepJournal, Proc: journal.FaultAll, Fault: journal.FaultEIO},
+		{At: 30 * ms, Kind: StepHeal},
 	}}
+	f := NewFaults(3, 1)
 	inj := &fakeInjector{}
-	o := NewOrchestrator(s, inj, nil)
+	o := NewOrchestrator(s, f, inj, nil)
 	acts := o.Actions()
-	if len(acts) != 4 { // + loss-off reversion
-		t.Fatalf("got %d actions, want 4", len(acts))
+	if len(acts) != 8 { // + loss-off reversion
+		t.Fatalf("got %d actions, want 8", len(acts))
 	}
-	for _, a := range acts {
+	// What the faults admit and delay once each action has fired.
+	type links struct {
+		admit01, admit02 bool
+		delay02          time.Duration
+	}
+	want := []links{
+		{false, true, 0},       // partition: 1 alone
+		{false, false, 0},      // loss 1
+		{false, false, 3 * ms}, // slow 0
+		{false, false, 3 * ms}, // kill: links unchanged
+		{false, true, 3 * ms},  // loss off
+		{false, true, 3 * ms},  // restart
+		{false, true, 3 * ms},  // journal
+		{true, true, 3 * ms},   // heal-all leaves the slow node
+	}
+	for i, a := range acts {
 		a.Fire(a.At)
+		got := links{f.Admit(0, 1), f.Admit(0, 2), f.Delay(0, 2)}
+		if got != want[i] {
+			t.Fatalf("after action %d: links %+v, want %+v", i, got, want[i])
+		}
 	}
-	want := []string{"partition", "loss", "loss", "heal"}
-	if !reflect.DeepEqual(inj.calls, want) {
+	if want := []string{"kill", "restart", "journal"}; !reflect.DeepEqual(inj.calls, want) {
 		t.Fatalf("calls = %v, want %v", inj.calls, want)
 	}
-	tl := o.Timeline()
-	if len(tl) != 4 || tl[2].Desc != "loss off" || tl[2].At != 20*time.Millisecond {
-		t.Fatalf("timeline = %+v", tl)
+	var descs []string
+	for _, a := range o.Timeline() {
+		descs = append(descs, a.Desc)
 	}
-	if o.StepsApplied() != 4 {
+	wantDescs := []string{"partition [[1] [0 2]]", "loss 1", "slow 0 +3ms", "kill 2",
+		"loss off", "restart 2", "journal eio proc=-1", "heal-all"}
+	if !reflect.DeepEqual(descs, wantDescs) {
+		t.Fatalf("timeline = %q, want %q", descs, wantDescs)
+	}
+	if tl := o.Timeline(); tl[4].At != 20*ms {
+		t.Fatalf("loss reverted at %v, want 20ms", tl[4].At)
+	}
+	if o.StepsApplied() != 8 {
 		t.Fatalf("StepsApplied = %d", o.StepsApplied())
+	}
+}
+
+// fireUntil wires m to a fresh n-process Faults through one orchestrator
+// over steps and returns a function that fires, in order, every action due
+// by at: an engine's timeline, driven by hand.
+func fireUntil(m *Monitor, n int, steps ...Step) func(at time.Duration) {
+	acts := NewOrchestrator(Schedule{Steps: steps}, NewFaults(n, 1), &fakeInjector{}, m).Actions()
+	return func(at time.Duration) {
+		for len(acts) > 0 && acts[0].At <= at {
+			acts[0].Fire(acts[0].At)
+			acts = acts[1:]
+		}
 	}
 }
 
@@ -277,6 +321,7 @@ func TestMonitorAgreementAndBound(t *testing.T) {
 // sample) starts a new one.
 func TestMonitorHoldDoesNotRearm(t *testing.T) {
 	m := NewMonitor(MonitorConfig{N: 3, Bound: 50 * time.Millisecond})
+	fire := fireUntil(m, 3, Step{At: 310 * time.Millisecond, Kind: StepHeal})
 	leaders := []int{-1, -1, -1}
 	down := make([]bool, 3)
 	m.OnSample(100*time.Millisecond, leaders, down)
@@ -289,7 +334,7 @@ func TestMonitorHoldDoesNotRearm(t *testing.T) {
 	if m.Total() != 1 {
 		t.Fatalf("crash/restart re-armed the episode: %d", m.Total())
 	}
-	m.noteStep(310*time.Millisecond, Step{Kind: StepHeal})
+	fire(310 * time.Millisecond)
 	m.OnSample(340*time.Millisecond, leaders, down)
 	if m.Total() != 1 {
 		t.Fatalf("fired inside the bound after the step: %d", m.Total())
@@ -302,7 +347,10 @@ func TestMonitorHoldDoesNotRearm(t *testing.T) {
 
 func TestMonitorPartitionSemantics(t *testing.T) {
 	m := NewMonitor(MonitorConfig{N: 5, Bound: 50 * time.Millisecond})
-	m.noteStep(0, Step{Kind: StepPartition, Groups: [][]int{{3, 4}, {0, 1, 2}}})
+	fire := fireUntil(m, 5,
+		Step{Kind: StepPartition, Groups: [][]int{{3, 4}, {0, 1, 2}}},
+		Step{At: 300 * time.Millisecond, Kind: StepHeal})
+	fire(0)
 	down := make([]bool, 5)
 
 	// Majority side {0,1,2} agreeing on 0: minority may disagree freely.
@@ -325,7 +373,7 @@ func TestMonitorPartitionSemantics(t *testing.T) {
 	}
 
 	// Heal; following a crashed leader is also a violation.
-	m.noteStep(300*time.Millisecond, Step{Kind: StepHeal})
+	fire(300 * time.Millisecond)
 	down[4] = true
 	m.OnSample(400*time.Millisecond, leaders, down)
 	if m.Total() != 2 {
@@ -335,7 +383,10 @@ func TestMonitorPartitionSemantics(t *testing.T) {
 
 func TestMonitorNoiseSuppression(t *testing.T) {
 	m := NewMonitor(MonitorConfig{N: 3, Bound: 50 * time.Millisecond})
-	m.noteStep(0, Step{Kind: StepLoss, Pct: 0.5})
+	fire := fireUntil(m, 3,
+		Step{Kind: StepLoss, Pct: 0.5},
+		Step{At: 400 * time.Millisecond, Kind: StepLoss, Pct: 0})
+	fire(0)
 	leaders := []int{-1, -1, -1}
 	down := make([]bool, 3)
 	for at := time.Duration(0); at <= 400*time.Millisecond; at += 10 * time.Millisecond {
@@ -345,7 +396,7 @@ func TestMonitorNoiseSuppression(t *testing.T) {
 		t.Fatal("violation during active loss window")
 	}
 	// Noise off: the bound now runs.
-	m.noteStep(400*time.Millisecond, Step{Kind: StepLoss, Pct: 0})
+	fire(400 * time.Millisecond)
 	m.OnSample(500*time.Millisecond, leaders, down)
 	if m.Total() != 1 {
 		t.Fatalf("no violation after noise ended: %d", m.Total())

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +18,10 @@ import (
 // itself deterministic, that makes whole runs replayable.
 //
 // Mutators and queries lock internally: transports call Admit/Delay from
-// their send paths while the orchestrator mutates from timer callbacks.
+// their send paths while the orchestrator mutates from timer callbacks. The
+// Monitor reads the cut matrix and the noise knobs under the same lock
+// (taken after its own) and never draws from the stream; Faults calls out
+// to nothing.
 type Faults struct {
 	mu   sync.Mutex
 	n    int
@@ -171,5 +175,26 @@ func (f *Faults) SetSlow(id int, extra time.Duration) {
 		f.slow[id] = extra
 	}
 }
+
+// noisyLocked reports whether loss, jitter or a slow node is active.
+// Callers hold f.mu.
+func (f *Faults) noisyLocked() bool {
+	if f.loss > 0 || f.jhi > 0 {
+		return true
+	}
+	for _, d := range f.slow {
+		if d > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// cutLocked reports whether the directed link from -> to is severed.
+// Callers hold f.mu.
+func (f *Faults) cutLocked(from, to int) bool { return f.cut[from*f.n+to] }
+
+// partitionedLocked reports whether any link is severed. Callers hold f.mu.
+func (f *Faults) partitionedLocked() bool { return slices.Contains(f.cut, true) }
 
 var _ proc.LinkFault = (*Faults)(nil)

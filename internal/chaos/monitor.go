@@ -122,9 +122,9 @@ type MonitorConfig struct {
 }
 
 // Monitor checks the protocol's invariants continuously during a chaos run.
-// It mirrors the fault state the orchestrator applies (so it knows the
-// current partition topology and whether noise is active), receives a
-// leader/liveness sample per collection tick, and records violations:
+// It reads the partition topology and whether noise is active from the
+// Faults its orchestrator drives, receives a leader/liveness sample per
+// collection tick, and records violations:
 //
 //   - Liveness: within Bound of the last disruption, every connected
 //     majority component must have all its (hosted, live) members agreeing
@@ -138,17 +138,14 @@ type MonitorConfig struct {
 //     incarnations, restores never regress suspicion state, journal faults
 //     never escalate past the degradation ladder.
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. Lock order is Monitor.mu, then
+// Faults.mu.
 type Monitor struct {
 	mu  sync.Mutex
 	cfg MonitorConfig
 
-	cut         []bool // mirror of the applied cut matrix
-	lossActive  bool
-	jitterOn    bool
-	slowSet     []bool
-	slowCount   int
-	journalEver bool // some journal fault was injected at least once
+	faults      *Faults // set by NewOrchestrator; nil reads as clean links
+	journalEver bool    // some journal fault was injected at least once
 
 	settle deadline
 	log    violationLog
@@ -160,62 +157,21 @@ type Monitor struct {
 // NewMonitor returns a monitor for an n-process chaos run.
 func NewMonitor(cfg MonitorConfig) *Monitor {
 	return &Monitor{
-		cfg:     cfg,
-		cut:     make([]bool, cfg.N*cfg.N),
-		slowSet: make([]bool, cfg.N),
-		settle:  deadline{open: true}, // the settle clock runs from time 0
-		comp:    make([]int, cfg.N),
-		queue:   make([]int, 0, cfg.N),
+		cfg:    cfg,
+		settle: deadline{open: true}, // the settle clock runs from time 0
+		comp:   make([]int, cfg.N),
+		queue:  make([]int, 0, cfg.N),
 	}
 }
 
-// noteStep mirrors an applied schedule step into the monitor's view of the
-// fault state and restarts the settle clock.
+// noteStep restarts the settle clock for an applied schedule step and
+// remembers whether a journal fault was ever injected.
 func (m *Monitor) noteStep(at time.Duration, st Step) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.settle.reset(at) // a new disruption starts a new episode
-	n := m.cfg.N
-	switch st.Kind {
-	case StepPartition:
-		comp := partitionComponents(n, st.Groups)
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				if a != b && comp[a] != comp[b] {
-					m.cut[a*n+b] = true
-				}
-			}
-		}
-	case StepHeal:
-		for i := range m.cut {
-			m.cut[i] = false
-		}
-	case StepCut:
-		if st.From != st.To {
-			m.cut[st.From*n+st.To] = true
-		}
-	case StepHealLink:
-		m.cut[st.From*n+st.To] = false
-	case StepLoss:
-		m.lossActive = st.Pct > 0
-	case StepJitter:
-		m.jitterOn = st.Hi > 0
-	case StepSlow:
-		on := st.Extra > 0
-		if m.slowSet[st.Proc] != on {
-			m.slowSet[st.Proc] = on
-			if on {
-				m.slowCount++
-			} else {
-				m.slowCount--
-			}
-		}
-	case StepJournal:
-		if st.Fault != journal.FaultOff {
-			m.journalEver = true
-		}
-	case StepKill, StepRestart:
-		// liveness comes from the down mask in OnSample
+	if st.Kind == StepJournal && st.Fault != journal.FaultOff {
+		m.journalEver = true
 	}
 }
 
@@ -266,11 +222,15 @@ func (m *Monitor) Violate(at time.Duration, rule, detail string) {
 func (m *Monitor) OnSample(at time.Duration, leaders []proc.ID, down []bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	n := m.cfg.N
-	if m.lossActive || m.jitterOn || m.slowCount > 0 {
-		// Noise windows hold the settle clock; the bound starts at the
-		// last noisy sample.
-		m.settle.hold(at)
+	f := m.faults
+	if f != nil {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.noisyLocked() {
+			// Noise windows hold the settle clock; the bound starts at the
+			// last noisy sample.
+			m.settle.hold(at)
+		}
 	}
 	if m.majorityAgrees(leaders, down) {
 		m.settle.reset(at)
@@ -278,14 +238,7 @@ func (m *Monitor) OnSample(at time.Duration, leaders []proc.ID, down []bool) {
 	}
 	if m.cfg.Bound > 0 && m.settle.expired(at, m.cfg.Bound) {
 		rule := RuleReelection
-		partitioned := false
-		for i := 0; i < n*n; i++ {
-			if m.cut[i] {
-				partitioned = true
-				break
-			}
-		}
-		if partitioned {
+		if f != nil && f.partitionedLocked() {
 			rule = RuleAgreement
 		}
 		m.log.add(at, rule, fmt.Sprintf(
@@ -298,7 +251,8 @@ func (m *Monitor) OnSample(at time.Duration, leaders []proc.ID, down []bool) {
 // invariant: if a connected component of live processes holds a strict
 // majority of the cluster, all its hosted members must agree on one live,
 // in-component leader. With no majority component (or none we can observe)
-// the check is vacuously true — the paper promises nothing there.
+// the check is vacuously true — the paper promises nothing there. Callers
+// hold m.mu and, when m.faults is set, its lock.
 func (m *Monitor) majorityAgrees(leaders []proc.ID, down []bool) bool {
 	n := m.cfg.N
 	// Connected components over live processes; edges need both directions
@@ -320,7 +274,7 @@ func (m *Monitor) majorityAgrees(leaders []proc.ID, down []bool) bool {
 				if v == u || down[v] || m.comp[v] >= 0 {
 					continue
 				}
-				if m.cut[u*n+v] || m.cut[v*n+u] {
+				if f := m.faults; f != nil && (f.cutLocked(u, v) || f.cutLocked(v, u)) {
 					continue
 				}
 				m.comp[v] = next

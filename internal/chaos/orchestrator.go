@@ -7,17 +7,11 @@ import (
 	"repro/internal/journal"
 )
 
-// Injector is what the orchestrator drives: the cluster-side seams a fault
-// step lands on. The star engines implement it over the shared Faults value,
-// the engine's crash/restart machinery, and the journal FaultStore.
+// Injector is what the orchestrator drives beyond the link faults: the
+// cluster-side seams a process or journal step lands on. The star engines
+// implement it over the engine's crash/restart machinery and the journal
+// FaultStore.
 type Injector interface {
-	Cut(from, to int)
-	HealLink(from, to int)
-	HealAll()
-	Partition(groups [][]int)
-	SetLoss(p float64)
-	SetJitter(lo, hi time.Duration)
-	SetSlow(id int, extra time.Duration)
 	Kill(id int)
 	Restart(id int)
 	JournalFault(proc int, mode journal.FaultMode)
@@ -33,21 +27,29 @@ type Applied struct {
 }
 
 // Orchestrator expands a validated Schedule into timed actions and records
-// the applied timeline. The engine owns scheduling: it asks for Actions()
-// once and fires each at its At on the transport's clock (virtual or wall).
+// the applied timeline. It is the one writer of the cluster's link-fault
+// state: link steps land on its Faults, the rest on its Injector. The
+// engine owns scheduling: it asks for Actions() once and fires each at its
+// At on the transport's clock (virtual or wall).
 type Orchestrator struct {
-	inj Injector
-	mon *Monitor
-	ops []expStep
+	faults *Faults
+	inj    Injector
+	mon    *Monitor
+	ops    []expStep
 
 	mu       sync.Mutex
 	timeline []Applied
 }
 
-// NewOrchestrator prepares sched (already validated) for injection through
-// inj, reporting each applied step to mon (may be nil).
-func NewOrchestrator(sched Schedule, inj Injector, mon *Monitor) *Orchestrator {
-	return &Orchestrator{inj: inj, mon: mon, ops: sched.expand()}
+// NewOrchestrator prepares sched (already validated) for injection: link
+// steps into faults, process and journal steps through inj. Each applied
+// step is reported to mon (may be nil), which from then on reads the link
+// state from faults; call it before the monitor's first sample.
+func NewOrchestrator(sched Schedule, faults *Faults, inj Injector, mon *Monitor) *Orchestrator {
+	if mon != nil {
+		mon.faults = faults
+	}
+	return &Orchestrator{faults: faults, inj: inj, mon: mon, ops: sched.expand()}
 }
 
 // Action is one expanded step bound to its orchestrator, ready to fire.
@@ -68,26 +70,26 @@ func (o *Orchestrator) Actions() []Action {
 	return out
 }
 
-// Fire applies the action at transport time now: mutates the injector,
-// notifies the monitor, and appends to the applied timeline.
+// Fire applies the action at transport time now: mutates the faults or
+// the injector, notifies the monitor, and appends to the applied timeline.
 func (a Action) Fire(now time.Duration) {
 	o := a.o
 	st := o.ops[a.i].step
 	switch st.Kind {
 	case StepPartition:
-		o.inj.Partition(st.Groups)
+		o.faults.PartitionGroups(st.Groups)
 	case StepHeal:
-		o.inj.HealAll()
+		o.faults.HealAll()
 	case StepCut:
-		o.inj.Cut(st.From, st.To)
+		o.faults.Cut(st.From, st.To)
 	case StepHealLink:
-		o.inj.HealLink(st.From, st.To)
+		o.faults.HealLink(st.From, st.To)
 	case StepLoss:
-		o.inj.SetLoss(st.Pct)
+		o.faults.SetLoss(st.Pct)
 	case StepJitter:
-		o.inj.SetJitter(st.Lo, st.Hi)
+		o.faults.SetJitter(st.Lo, st.Hi)
 	case StepSlow:
-		o.inj.SetSlow(st.Proc, st.Extra)
+		o.faults.SetSlow(st.Proc, st.Extra)
 	case StepKill:
 		o.inj.Kill(st.Proc)
 	case StepRestart:

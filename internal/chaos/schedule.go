@@ -3,7 +3,8 @@
 // and journal I/O faults — into one deterministic, seed-replayable fault
 // timeline that runs identically (in schedule terms) on all three
 // transports. A Schedule is a list of typed, timestamped steps; an
-// Orchestrator expands it into timed actions an engine fires through an
+// Orchestrator expands it into timed actions an engine fires, applying link
+// steps to the one Faults the transport consults and the rest through an
 // Injector; a Monitor checks the protocol's liveness and safety invariants
 // continuously while the timeline executes; a generator (Sample) draws
 // randomized schedules from a seed for soak testing, with the schedule JSON
@@ -21,6 +22,7 @@ package chaos
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -155,6 +157,9 @@ func (s Schedule) Validate(n int) error {
 		}
 		if st.Window < 0 {
 			return fmt.Errorf("chaos: step %d (%s): negative window %v", i, st.Kind, st.Window)
+		}
+		if st.At > math.MaxInt64-st.Window {
+			return fmt.Errorf("chaos: step %d (%s): window %v from %v ends past the largest time", i, st.Kind, st.Window, st.At)
 		}
 		switch st.Kind {
 		case StepPartition:

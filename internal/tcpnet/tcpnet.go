@@ -99,7 +99,8 @@ type Config struct {
 	// Policy, when non-nil, filters and delays outbound frames (loss,
 	// partitions, jitter): a refused frame is counted Dropped and never
 	// reaches the socket, a delayed one is held back on a timer before it
-	// reaches the link queue. chaos.Faults is the standard implementation.
+	// reaches the link queue. star.Network sets it to the cluster's
+	// chaos.Faults under WithChaos and leaves it nil otherwise.
 	Policy proc.LinkFault
 }
 

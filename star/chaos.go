@@ -196,40 +196,18 @@ type ChaosReport struct {
 	TotalViolations uint64
 }
 
-// chaosInjector adapts the cluster's seams to the orchestrator: link faults
-// land on the shared Faults state (wired into the transport's send path),
-// kill/restart on the cluster's one crash path, journal faults on the
-// FaultStore wrapped around the recovery store.
+// chaosInjector adapts the cluster's seams to the orchestrator (link steps
+// land on c.chaosFaults, which the orchestrator owns): kill/restart on the
+// cluster's one crash path, journal faults on the FaultStore wrapped around
+// the recovery store. Ids come from a validated schedule.
 type chaosInjector struct{ c *Cluster }
-
-func (j chaosInjector) Cut(from, to int)      { j.c.chaosFaults.Cut(from, to) }
-func (j chaosInjector) HealLink(from, to int) { j.c.chaosFaults.HealLink(from, to) }
-func (j chaosInjector) HealAll()              { j.c.chaosFaults.HealAll() }
-func (j chaosInjector) Partition(groups [][]int) {
-	j.c.chaosFaults.PartitionGroups(groups)
-}
-func (j chaosInjector) SetLoss(p float64) { j.c.chaosFaults.SetLoss(p) }
-func (j chaosInjector) SetJitter(lo, hi time.Duration) {
-	j.c.chaosFaults.SetJitter(lo, hi)
-}
-func (j chaosInjector) SetSlow(id int, extra time.Duration) {
-	j.c.chaosFaults.SetSlow(id, extra)
-}
 
 // Kill crashes a live hosted process; a remote member's own process fires
 // the same schedule step, and killing an already-down process is a no-op
 // (Validate rejects such schedules; manual crashes can still race one).
-func (j chaosInjector) Kill(id int) {
-	if id >= 0 && id < j.c.n {
-		j.c.crash(id)
-	}
-}
+func (j chaosInjector) Kill(id int) { j.c.crash(id) }
 
-func (j chaosInjector) Restart(id int) {
-	if id >= 0 && id < j.c.n {
-		j.c.restart(id)
-	}
-}
+func (j chaosInjector) Restart(id int) { j.c.restart(id) }
 
 func (j chaosInjector) JournalFault(p int, mode journal.FaultMode) {
 	if j.c.chaosJournal != nil {

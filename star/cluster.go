@@ -87,10 +87,11 @@ type Cluster struct {
 	}
 
 	// Chaos state (WithChaos): the shared link-fault state the transport's
-	// send path consults, the orchestrator that fires the schedule, the
-	// invariant monitor, the FaultStore wrapped around the recovery store
-	// (chaos journal faults inject here), and a scratch down-mask for the
-	// monitor's sample feed (owned by collect, which the engine serializes).
+	// send path consults, the orchestrator that fires the schedule (the
+	// link-fault state's only writer), the invariant monitor, the
+	// FaultStore wrapped around the recovery store (chaos journal faults
+	// inject here), and a scratch down-mask for the monitor's sample feed
+	// (owned by collect, which the engine serializes).
 	chaosFaults  *chaos.Faults
 	chaosOrch    *chaos.Orchestrator
 	chaosMon     *chaos.Monitor
@@ -212,7 +213,7 @@ func New(opts ...Option) (*Cluster, error) {
 		c.chaosMon = chaos.NewMonitor(chaos.MonitorConfig{
 			N: cfg.n, Bound: cfg.chaosBound, Hosted: c.hosted,
 		})
-		c.chaosOrch = chaos.NewOrchestrator(*cfg.chaos, chaosInjector{c}, c.chaosMon)
+		c.chaosOrch = chaos.NewOrchestrator(*cfg.chaos, c.chaosFaults, chaosInjector{c}, c.chaosMon)
 	}
 
 	for id := 0; id < cfg.n; id++ {

@@ -70,21 +70,18 @@ func newLiveEngine(c *Cluster) (engine, error) {
 }
 
 // newNetEngine hosts the transport's HostMembers over TCP. Delays and loss
-// come from the real network plus the installed LinkPolicy; chaos link
-// faults compose with it (both must admit, delays add), each process of a
-// multi-process cluster running its own copy of the schedule over its
-// outbound links.
+// come from the real network plus, with WithChaos, the cluster's chaos
+// faults, each process of a multi-process cluster running its own copy of
+// the schedule over its outbound links. Without chaos Policy stays a nil
+// interface, so no frame pays for an Admit/Delay call.
 func newNetEngine(c *Cluster, t *netTransport) (engine, error) {
 	p := c.sc.Params
 	if len(t.addrs) != p.N {
 		return nil, fmt.Errorf("%w: Network got %d addresses for N=%d", ErrInvalidParams, len(t.addrs), p.N)
 	}
 	cfg := tcpnet.Config{N: p.N, Addrs: t.addrs, Local: t.local}
-	if t.policy != nil {
-		cfg.Policy = t.policy.faults
-	}
 	if c.chaosFaults != nil {
-		cfg.Policy = tcpnet.ChainPolicies(cfg.Policy, c.chaosFaults)
+		cfg.Policy = c.chaosFaults
 	}
 	tc, err := tcpnet.New(cfg)
 	if err != nil {

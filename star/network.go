@@ -1,11 +1,5 @@
 package star
 
-import (
-	"time"
-
-	"repro/internal/chaos"
-)
-
 // Network returns the TCP socket transport: the protocols run over real
 // kernel sockets, one listener plus per-peer reconnecting connections per
 // member, with every message framed by the netwire codec. addrs lists every
@@ -29,13 +23,15 @@ import (
 // remote member's port must be explicit.
 //
 // The transport declares CapNetStats (link taps count real framed bytes),
-// CapChurn (crash/restart of hosted members on wall-clock timers) and
-// CapRecovery (journal snapshots and restores) — and deliberately neither
-// CapDeterminism (kernel scheduling and real sockets), CapEventBudget
-// (execution is not metered in simulator events; New rejects MaxEvents) nor
-// CapSpreadCheck. Fault injection — loss, one-way partitions, jitter at the
-// socket layer — comes from WithLinkPolicy instead of the simulator's
-// assumption machinery.
+// CapChurn (crash/restart of hosted members on wall-clock timers),
+// CapRecovery (journal snapshots and restores) and CapChaos (WithChaos
+// timelines) — and deliberately neither CapDeterminism (kernel scheduling
+// and real sockets), CapEventBudget (execution is not metered in simulator
+// events; New rejects MaxEvents) nor CapSpreadCheck. Socket-layer faults —
+// loss, one-way partitions, jitter, slow members — are WithChaos schedule
+// steps instead of the simulator's assumption machinery: each process of a
+// multi-process cluster fires its copy of the schedule over its own
+// outbound links, and a refused frame counts as Dropped in Report().Net.
 func Network(addrs []string, opts ...NetworkOption) Transport {
 	t := &netTransport{addrs: append([]string(nil), addrs...)}
 	for _, o := range opts {
@@ -57,57 +53,10 @@ func HostMembers(ids ...int) NetworkOption {
 	return func(t *netTransport) { t.local = append([]int(nil), ids...) }
 }
 
-// WithLinkPolicy installs a fault-injection policy on every outbound link
-// of the hosted members. The policy object stays live while the cluster
-// runs — turn its knobs mid-run to inject and heal faults.
-func WithLinkPolicy(p *LinkPolicy) NetworkOption {
-	return func(t *netTransport) { t.policy = p }
-}
-
-// LinkPolicy injects socket-layer faults into a Network transport: uniform
-// frame loss, per-frame jitter, and one-way link cuts (asymmetric
-// partitions — the paper's intermittent connectivity, over real TCP). It is
-// the chaos timeline's link-fault state (chaos.Faults), driven by hand. All
-// knobs are safe to turn while the cluster runs. A refused frame counts as
-// Dropped in Report().Net, exactly like a frame addressed to a crashed
-// process.
-//
-// In a multi-process cluster the policy only governs this process's
-// outbound links; inject on each member's own process.
-type LinkPolicy struct {
-	faults *chaos.Faults
-}
-
-// NewLinkPolicy returns a LinkPolicy for an n-member cluster whose loss and
-// jitter draws come from a deterministic stream seeded with seed (the loss
-// pattern is pinned; the run around it is still real TCP).
-func NewLinkPolicy(n int, seed uint64) *LinkPolicy {
-	return &LinkPolicy{faults: chaos.NewFaults(n, seed)}
-}
-
-// SetLoss sets the independent per-frame drop probability, clamped to
-// [0, 1].
-func (p *LinkPolicy) SetLoss(prob float64) { p.faults.SetLoss(prob) }
-
-// SetJitter holds every admitted frame back a uniform duration in [lo, hi]
-// (hi == 0 disables; an inverted range is clamped to lo).
-func (p *LinkPolicy) SetJitter(lo, hi time.Duration) { p.faults.SetJitter(lo, hi) }
-
-// Cut severs the directed link from -> to until Heal (cutting one direction
-// only is an asymmetric partition). A member's link to itself is never cut.
-func (p *LinkPolicy) Cut(from, to int) { p.faults.Cut(from, to) }
-
-// Heal restores the directed link from -> to.
-func (p *LinkPolicy) Heal(from, to int) { p.faults.HealLink(from, to) }
-
-// HealAll removes every cut (loss and jitter are separate knobs).
-func (p *LinkPolicy) HealAll() { p.faults.HealAll() }
-
 // netTransport implements Transport over internal/tcpnet.
 type netTransport struct {
-	addrs  []string
-	local  []int // nil = all members hosted here
-	policy *LinkPolicy
+	addrs []string
+	local []int // nil = all members hosted here
 }
 
 func (t *netTransport) String() string           { return "net" }

@@ -60,24 +60,27 @@ func pollAgreement(t *testing.T, c *star.Cluster, within time.Duration) int {
 // loss, survive a healed one-way partition, and end with transport
 // counters that satisfy the link-tap invariants. The ALIVE/SUSPICION
 // protocols are loss-tolerant by periodicity, so injected loss must not
-// prevent (re-)election — only delay it.
+// prevent (re-)election — only delay it. The faults are the cluster's own
+// chaos link state (an empty WithChaos schedule), turned by hand because
+// the cut's source is the leader the run elects.
 func TestNetworkLoopbackSoak(t *testing.T) {
-	policy := star.NewLinkPolicy(5, 42)
 	c, err := star.New(
 		star.N(5), star.Seed(7),
-		star.Network(loopbackAddrs(5), star.WithLinkPolicy(policy)),
+		star.Network(loopbackAddrs(5)),
+		star.WithChaos(star.NewChaosSchedule()),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	faults := c.LinkFaults()
 
 	leader := pollAgreement(t, c, 30*time.Second)
 
 	// Phase 2: 30% independent per-frame loss on every link. Suspicion
 	// levels may shuffle the estimate transiently; the cluster must still
 	// reach (and hold) agreement while the loss persists.
-	policy.SetLoss(0.3)
+	faults.SetLoss(0.3)
 	if err := c.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +90,12 @@ func TestNetworkLoopbackSoak(t *testing.T) {
 	// peer, on top of the loss. Heal it and drop the loss; the cluster
 	// must converge again.
 	victim := (leader + 1) % c.N()
-	policy.Cut(leader, victim)
+	faults.Cut(leader, victim)
 	if err := c.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	policy.Heal(leader, victim)
-	policy.SetLoss(0)
+	faults.HealLink(leader, victim)
+	faults.SetLoss(0)
 	pollAgreement(t, c, 30*time.Second)
 
 	// The report's Net block comes straight from the transport's link
